@@ -26,18 +26,25 @@ def _load_schema():
         return json.load(fh)
 
 
-_SCHEMA = None
+_VALIDATOR = None
+
+
+def _validator():
+    """The bundled schema's validator, built and its schema checked once."""
+    global _VALIDATOR
+    if _VALIDATOR is None:
+        schema = _load_schema()
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATOR = cls(schema)
+    return _VALIDATOR
 
 
 def validate_document(doc):
-    global _SCHEMA
-    if _SCHEMA is None:
-        _SCHEMA = _load_schema()
-    try:
-        jsonschema.validate(doc, _SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise JobError(f"invalid job document at {path}: {e.message}") from None
+        raise JobError(f"invalid job document at {path}: {e.message}")
 
 
 def _parse_entry(ring, x):

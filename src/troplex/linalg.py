@@ -37,10 +37,6 @@ def smat_mul(ring, A, B):
     return out
 
 
-def smat_eq(A, B):
-    return A == B
-
-
 def smat_rank(ring, M):
     """Row reduction over a field."""
     if not ring.is_field:

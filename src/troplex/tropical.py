@@ -4,9 +4,12 @@ Three flavors:
 
 * trop_hypersurface(f, v): the corner locus of w -> min_u (v(a_u) + <u, w>),
   i.e. where the minimum is attained by at least two terms.  Computed for
-  one or two variables by enumerating term-pair tie loci and clipping each
-  by the remaining terms' inequalities; every cell is a rational point,
-  segment, ray, or (as two rays) a line.
+  one or two variables from the regular subdivision of the Newton polytope
+  that the term heights v(a_u) induce: its cells are dual to the
+  subdivision's edges (Maclagan-Sturmfels, Introduction to Tropical
+  Geometry, Prop. 3.1.6).  Each edge's tie line is clipped by the other
+  terms' inequalities; every cell is a rational point, segment, ray, or (as
+  two rays) a line.
 * trop_Z_principal(f): the integer-coefficient version {chi :
   init_chi(f) is not +-monomial}, read off the Newton polytope's normal
   fan: edge normals always contribute rays, vertex cones contribute
@@ -191,20 +194,6 @@ class TropicalComplex:
             out.append(pt)
         return out
 
-    def incident_edges(self, pt):
-        """(outgoing primitive direction, cell) pairs at a point."""
-        pt = tuple(Fraction(x) for x in pt)
-        out = []
-        for c in self.cells:
-            if c.kind == "segment":
-                if c.base == pt:
-                    out.append((_primitive(tuple(b - a for a, b in zip(c.base, c.end))), c))
-                elif c.end == pt:
-                    out.append((_primitive(tuple(b - a for a, b in zip(c.end, c.base))), c))
-            elif c.kind == "ray" and c.base == pt:
-                out.append((tuple(c.dir), c))
-        return out
-
 
 def _primitive(v):
     return normalize_dir(v) if len(v) == 2 else _primitive1(v)
@@ -279,20 +268,12 @@ def trop_hypersurface(f, valuation=TRIVIAL):
 
 
 def _trop_line(f, items):
-    points = set()
-    n = len(items)
-    for i in range(n):
-        u1, h1 = items[i]
-        for j in range(i + 1, n):
-            u2, h2 = items[j]
-            du = u1[0] - u2[0]
-            if du == 0:
-                continue
-            x = (h2 - h1) / du
-            value = h1 + u1[0] * x
-            if all(value <= h + u[0] * x for u, h in items):
-                points.add(x)
-    cells = [Cell("vertex", (x,)) for x in sorted(points)]
+    """One vertex per edge of the lower chain of the points (exponent, height)."""
+    chain = _lower_chain([(u[0], h) for u, h in items])
+    points = sorted(
+        (h2 - h1) / (u1 - u2) for (u1, h1), (u2, h2) in zip(chain, chain[1:])
+    )
+    cells = [Cell("vertex", (x,)) for x in points]
     for c in cells:
         c.label = _argmin_label(items, c.base)
     return TropicalComplex(1, cells)
@@ -305,20 +286,60 @@ def _argmin_label(items, w):
 
 
 def _trop_plane(f, items):
-    n = len(items)
-    raw = []
-    for i in range(n):
-        u1, h1 = items[i]
-        for j in range(i + 1, n):
-            u2, h2 = items[j]
-            a = (u1[0] - u2[0], u1[1] - u2[1])
-            if a == (0, 0):
-                continue
-            raw.extend(_clip_tie_line(items, i, j, a, Fraction(h2 - h1)))
-    cells = _dedupe_cells(raw)
+    """Cells dual to the edges of the regular subdivision.
+
+    Collinear support: one full line per edge of the lower chain of
+    (position, height).  Otherwise walk the tropical vertices: the terms
+    tied at a vertex span its dual 2-cell, and each edge of that cell's hull
+    is clipped once.  Every subdivision edge bounds a 2-cell and the
+    2-cells are connected through interior edges, so the walk reaches every
+    cell; the first edge of the lower chain over a boundary edge of the
+    Newton polygon is a subdivision edge whose cell is a ray, which gives
+    the first vertex.  Any two terms on one subdivision edge clip to the
+    same cell, so clipping only the extreme pair loses nothing.
+    """
+    index = {u: k for k, (u, _) in enumerate(items)}
+    hull = _convex_hull(list(index))
+    chain = _edge_chain(items, hull[0], hull[1])
+    clipped = {}
+
+    def clip(a, b):
+        i, j = sorted((index[a], index[b]))
+        if (i, j) not in clipped:
+            (u1, h1), (u2, h2) = items[i], items[j]
+            normal = (u1[0] - u2[0], u1[1] - u2[1])
+            clipped[(i, j)] = _clip_tie_line(items, i, j, normal, h2 - h1)
+        return clipped[(i, j)]
+
+    if len(hull) == 2:
+        for (_, _, a), (_, _, b) in zip(chain, chain[1:]):
+            clip(a, b)
+    else:
+        edges = [(chain[0][2], chain[1][2])]
+        seen = set()
+        while edges:
+            for c in clip(*edges.pop()):
+                for pt in (c.base,) if c.end is None else (c.base, c.end):
+                    if pt not in seen:
+                        seen.add(pt)
+                        cell = _convex_hull(_argmin_label(items, pt))
+                        edges.extend(zip(cell, cell[1:] + cell[:1]))
+    cells = _dedupe_cells([c for cs in clipped.values() for c in cs])
     for c in cells:
         c.label = _argmin_label(items, c.interior_point())
     return TropicalComplex(2, cells)
+
+
+def _edge_chain(items, p, q):
+    """Terms on the segment [p, q] of the support, lifted to
+    (position along the segment, height, exponent): their lower chain."""
+    e = (q[0] - p[0], q[1] - p[1])
+    lifted = sorted(
+        ((u[0] - p[0]) * e[0] + (u[1] - p[1]) * e[1], h, u)
+        for u, h in items
+        if _on_edge(p, q, u)
+    )
+    return _lower_chain(lifted)
 
 
 def _clip_tie_line(items, i, j, a, rhs):
@@ -406,28 +427,41 @@ def trop_Z_contains(f, chi):
     return not is_unit(initial_form_chi(f, chi))
 
 
+def _lower_chain(points):
+    """Lower convex chain of points sorted by (x, y), collinear points
+    dropped; only the first two coordinates of each point are read."""
+    out = []
+    for p in points:
+        while (
+            len(out) >= 2
+            and cross(
+                (out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
+                (p[0] - out[-1][0], p[1] - out[-1][1]),
+            )
+            <= 0
+        ):
+            out.pop()
+        out.append(p)
+    return out
+
+
 def _convex_hull(points):
     """Monotone chain; returns ccw hull vertices, collinear points dropped."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    def half(seq):
-        out = []
-        for p in seq:
-            while (
-                len(out) >= 2
-                and cross(
-                    (out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
-                    (p[0] - out[-1][0], p[1] - out[-1][1]),
-                )
-                <= 0
-            ):
-                out.pop()
-            out.append(p)
-        return out
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
+    lower = _lower_chain(pts)
+    upper = _lower_chain(list(reversed(pts)))
     return lower[:-1] + upper[:-1]
+
+
+def _on_edge(p, q, u):
+    """Does the integer point u lie on the segment [p, q] (p != q)?"""
+    e = (q[0] - p[0], q[1] - p[1])
+    r = (u[0] - p[0], u[1] - p[1])
+    if cross(e, r) != 0:
+        return False
+    return 0 <= r[0] * e[0] + r[1] * e[1] <= e[0] * e[0] + e[1] * e[1]
 
 
 def _halfplane_cells(e, label):
@@ -480,7 +514,7 @@ def trop_Z_principal(f):
         u, v = hull[idx], hull[(idx + 1) % k]
         d = (v[0] - u[0], v[1] - u[1])
         n_in = normalize_dir((-d[1], d[0]))
-        edge_support = tuple(p for p in support if _on_segment(u, v, p))
+        edge_support = tuple(p for p in support if _on_edge(u, v, p))
         cells.append(Cell("ray", (0, 0), dir=n_in, label=edge_support))
         inward.append(n_in)
     for idx in range(k):

@@ -1,8 +1,10 @@
 import io
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
+from troplex import jobspec
 from troplex.fpgroup import AbelianEpi, build_orbifold, verify_representation, word_to_str
 from troplex.jobspec import (
     JobError, JobSpec, bundled_path, dump_document, load_job,
@@ -53,6 +55,24 @@ def test_schema_rejects_unknown_and_malformed_fields():
         validate_document({**doc54(), "representations": {
             "r": {"ring": "Q", "matrices": {"x1": [[1.5]], "x2": [[1]]}}}})
     validate_document(doc54())  # and the happy path stays quiet
+
+
+def test_schema_is_checked_once(monkeypatch):
+    schema = jobspec._load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    checked = []
+    check = cls.check_schema
+
+    def counting(s, *args, **kwargs):
+        checked.append(s)
+        return check(s, *args, **kwargs)
+
+    monkeypatch.setattr(jobspec, "_VALIDATOR", None)
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    validate_document(doc54())
+    with pytest.raises(JobError, match="extra"):
+        validate_document({**doc54(), "extra": 1})
+    assert checked == [schema]
 
 
 def test_bad_relator_word():
