@@ -349,41 +349,48 @@ def evaluate_word(word, rep=None, phi=None, ring=ZZ):
 # -- twisted chain complex --------------------------------------------------
 
 
-def _specialize_fox(elem, rep, phi):
-    """(sigma (x) phi) applied to a group-ring element {word: int}."""
-    r = rep.rank
-    nv = phi.m
-    ring = rep.ring
-    out = [[LaurentPoly.zero(ring, nv) for _ in range(r)] for _ in range(r)]
-    for word, coeff in sorted(elem.items()):
-        exps = phi.word_value(word)
-        mat = rep.word_image(word)
-        c = ring.from_int(coeff)
-        for a in range(r):
-            for b in range(r):
-                entry = ring.mul(c, mat[a][b])
-                if entry != 0:
-                    out[a][b] = out[a][b] + LaurentPoly.monomial(ring, nv, exps, entry)
-    return out
-
-
 def alexander_matrices(pres, rep, phi=None):
-    """(d2, d1) of the twisted chain complex; see the module docstring."""
+    """(d2, d1) of the twisted chain complex; see the module docstring.
+
+    Each relator is walked once, carrying sigma(p) and phi(p) of the
+    prefix p: a letter x_i adds sigma(p) t^phi(p) to block (j, i), with p
+    the prefix before it, and x_i^-1 subtracts sigma(p') t^phi(p'), with
+    p' the prefix after it.  This is the Fox derivative specialized term
+    by term; sigma and phi are homomorphisms, so no free reduction of the
+    prefixes is needed.
+    """
     if phi is None:
         phi = AbelianEpi.from_abelianization(pres)
     if rep.ngens != pres.ngens:
         raise ValueError("generator count mismatch")
     r = rep.rank
-    n, m = pres.ngens, pres.nrels
+    n = pres.ngens
     nv = phi.m
     ring = rep.ring
-    d2 = [[None] * (n * r) for _ in range(m * r)]
-    for j, rel in enumerate(pres.relators):
-        for i in range(n):
-            block = _specialize_fox(fox_derivative(rel, i), rep, phi)
-            for a in range(r):
-                for b in range(r):
-                    d2[j * r + a][i * r + b] = block[a][b]
+    steps = {}
+    for g, vec in enumerate(phi.vectors, 1):
+        steps[g], steps[-g] = vec, tuple(-x for x in vec)
+    zero = ring.zero()
+    d2 = []
+    for rel in pres.relators:
+        # one {exponents: coefficient} dict per entry of the block row
+        rows = [[{} for _ in range(n * r)] for _ in range(r)]
+        mat, exps = rep.identity(), (0,) * nv
+        for letter in rel:
+            after = linalg.smat_mul(ring, mat, rep.image(letter))
+            after_exps = tuple(e + s for e, s in zip(exps, steps[letter]))
+            if letter > 0:
+                at, at_exps, combine = mat, exps, ring.add
+            else:
+                at, at_exps, combine = after, after_exps, ring.sub
+            col = (abs(letter) - 1) * r
+            for a, row in enumerate(rows):
+                for b, x in enumerate(at[a]):
+                    if x != 0:
+                        entry = row[col + b]
+                        entry[at_exps] = combine(entry.get(at_exps, zero), x)
+            mat, exps = after, after_exps
+        d2.extend([LaurentPoly(ring, nv, entry) for entry in row] for row in rows)
     d1 = [[None] * r for _ in range(n * r)]
     for i in range(n):
         exps = phi.word_value((i + 1,))

@@ -5,6 +5,11 @@ Everything here works on the two matrices (d2, d1) produced by
 the twisted Alexander polynomial as a GCD of minors of d2, the
 "delta is 0 or 1" obstruction, and the Novikov-ring admissibility check
 for a representation under a valuation.
+
+J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
+matrix is never built: by I_s(diag(A, B)) = {p*q : p in I_a(A), q in
+I_b(B), a + b = s} (I_0 = {1}) its generators are products of minors of
+d2 and of d1, and block sizes above rank d2 or rank d1 are skipped.
 """
 
 from __future__ import annotations
@@ -77,10 +82,12 @@ class IdealGens:
     """A finite generating set for an ideal of Laurent polynomials.
 
     Generators are stored as deduplicated canonical associates with zeros
-    dropped; the zero ideal is the empty list with is_zero_ideal set.
+    dropped; the zero ideal is the empty list with is_zero_ideal set.  A
+    caller that knows the generators' gcd passes it as its canonical
+    associate; otherwise gcd() folds gcd_list over the generators once.
     """
 
-    def __init__(self, ring, nvars, generators, source=""):
+    def __init__(self, ring, nvars, generators, source="", gcd=None):
         self.ring = ring
         self.nvars = nvars
         gens = []
@@ -96,6 +103,7 @@ class IdealGens:
         self.generators = gens
         self.source = source
         self.is_zero_ideal = not gens
+        self._gcd = LaurentPoly.zero(ring, nvars) if self.is_zero_ideal else gcd
 
     def __repr__(self):
         if self.is_zero_ideal:
@@ -103,9 +111,9 @@ class IdealGens:
         return f"<IdealGens {len(self.generators)} gens from {self.source}>"
 
     def gcd(self):
-        if self.is_zero_ideal:
-            return LaurentPoly.zero(self.ring, self.nvars)
-        return gcd_list(self.generators)
+        if self._gcd is None:
+            self._gcd = gcd_list(self.generators)
+        return self._gcd
 
 
 def jump_ideal(pres, rep, phi=None, i=1):
@@ -114,6 +122,17 @@ def jump_ideal(pres, rep, phi=None, i=1):
     Generated by the minors of size r*c_i of the block matrix
     diag(d_{i+1}, d_i), with chain ranks c_0 = 1 and c_1 = n.  Only
     degrees 0 and 1 exist for a presentation 2-complex.
+
+    J1 never builds diag(d2, d1).  A minor of a block-diagonal matrix is
+    zero unless it takes as many rows as columns from each block, and
+    then it is the product of the two block minors, so
+
+        I_s(diag(A, B)) = {p*q : p in I_a(A), q in I_b(B), a + b = s}
+
+    with I_0 = {1}: the same generators that enumeration finds.  Sizes a
+    above rank d2 or b above rank d1 have no nonzero minor and are
+    skipped.  The gcd of J1 is the gcd over the pairs (a, b) of
+    gcd(I_a(d2)) * gcd(I_b(d1)), exact in the UFD Z[t^+-1] or F[t^+-1].
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
@@ -127,11 +146,18 @@ def jump_ideal(pres, rep, phi=None, i=1):
         gens = minors(d1, r)
         return IdealGens(rep.ring, phi.m, gens, source=f"{r}-minors of d1")
     size = r * pres.ngens
-    block = linalg.lmat_block_diag(d2, d1)
-    if size > min(len(block), len(block[0])):
-        return IdealGens(rep.ring, phi.m, [], source=f"{size}-minors of diag(d2, d1)")
-    gens = minors(block, size)
-    return IdealGens(rep.ring, phi.m, gens, source=f"{size}-minors of diag(d2, d1)")
+    one = LaurentPoly.one(rep.ring, phi.m)
+    rank2, rank1 = linalg.rank_laurent(d2), linalg.rank_laurent(d1)
+    gens, gcds = [], []
+    for a in range(max(0, size - rank1), rank2 + 1):
+        minors2 = minors(d2, a) if a else [one]
+        minors1 = minors(d1, size - a) if size - a else [one]
+        gens.extend(p * q for p in minors2 for q in minors1)
+        gcds.append(gcd_list(minors2) * gcd_list(minors1))
+    return IdealGens(
+        rep.ring, phi.m, gens, source=f"{size}-minors of diag(d2, d1)",
+        gcd=gcd_list(gcds) if gcds else None,
+    )
 
 
 # -- twisted Alexander polynomial -------------------------------------------

@@ -216,23 +216,6 @@ def rank_laurent(M):
     return k
 
 
-def lmat_block_diag(A, B):
-    if not A:
-        return [row[:] for row in B]
-    if not B:
-        return [row[:] for row in A]
-    probe = A[0][0]
-    zero = LaurentPoly.zero(probe.ring, probe.nvars)
-    am, an = len(A), len(A[0])
-    bm, bn = len(B), len(B[0])
-    out = []
-    for i in range(am):
-        out.append(A[i][:] + [zero] * bn)
-    for i in range(bm):
-        out.append([zero] * an + B[i][:])
-    return out
-
-
 # -- Smith normal form ----------------------------------------------------
 
 
@@ -247,8 +230,7 @@ def _bezout_rows(A, U, t, i):
             U[t], U[i] = U[i], U[t]
         return
     g = math.gcd(a, b)
-    # x*a + y*b == g
-    x, y = _xgcd(a, b)
+    x, y = _bezout_pair(a, b)
     p, q = -(b // g), a // g
     rt = [x * u + y * v for u, v in zip(A[t], A[i])]
     ri = [p * u + q * v for u, v in zip(A[t], A[i])]
@@ -257,6 +239,19 @@ def _bezout_rows(A, U, t, i):
         ut = [x * u + y * v for u, v in zip(U[t], U[i])]
         ui = [p * u + q * v for u, v in zip(U[t], U[i])]
         U[t], U[i] = ut, ui
+
+
+def _bezout_pair(a, b):
+    """(x, y) for the unimodular step [[x, y], [-b/g, a/g]], g = gcd(a, b).
+
+    When a divides b the pair is (1, 0): the step only clears b.  The
+    extended-gcd pair there can be (0, +-1) (for |a| = |b|), which swaps
+    the two entries instead, and the row and column passes of the Smith
+    form then undo each other forever.
+    """
+    if b % a == 0:
+        return 1, 0
+    return _xgcd(a, b)
 
 
 def _xgcd(a, b):
@@ -279,7 +274,7 @@ def _bezout_cols(A, t, j):
             row[t], row[j] = row[j], row[t]
         return
     g = math.gcd(a, b)
-    x, y = _xgcd(a, b)
+    x, y = _bezout_pair(a, b)
     p, q = -(b // g), a // g
     for row in A:
         ct, cj = row[t], row[j]

@@ -218,6 +218,21 @@ def test_product_document(capsys, tmp_path):
     assert job.presentation.ngens == 4
 
 
+def test_alexander_of_a_presentation_of_z_terminates(capsys, tmp_path, deadline):
+    # <x1, x2, x3 | x1 x2^-1, x2 x3^-1> is Z; its abelianization's Smith
+    # form used to loop forever
+    doc = {
+        "name": "z",
+        "presentation": {"generators": ["x1", "x2", "x3"],
+                         "relators": ["x1 x2^-1", "x2 x3^-1"]},
+        "representations": {"trivial": {"ring": "Z", "trivial": True}},
+    }
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    with deadline(20):
+        assert run(capsys, "alexander", str(path), "--rep", "trivial") == (0, "1\n", "")
+
+
 def test_input_errors_exit_2(capsys):
     rc, out, err = run(capsys, "alexander", EX, "--rep", "bogus")
     assert rc == 2 and out == ""

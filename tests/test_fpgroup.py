@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplex.fpgroup import (
     free_reduce, invert_word, parse_word, word_to_str, commutator,
@@ -240,6 +242,133 @@ def test_fundamental_identity_all_bundled_pairs():
         d2, d1 = alexander_matrices(pres, rep)
         prod = lmat_mul(d2, d1)
         assert all(entry.is_zero for row in prod for entry in row)
+
+
+# -- the one-pass Fox matrix against the free Fox derivative -------------------
+
+
+def specialize_fox(elem, rep, phi):
+    """(sigma (x) phi) applied to a group-ring element {word: int}, one
+    word image at a time: the oracle for alexander_matrices."""
+    r = rep.rank
+    nv = phi.m
+    ring = rep.ring
+    out = [[LaurentPoly.zero(ring, nv) for _ in range(r)] for _ in range(r)]
+    for word, coeff in sorted(elem.items()):
+        exps = phi.word_value(word)
+        mat = rep.word_image(word)
+        c = ring.from_int(coeff)
+        for a in range(r):
+            for b in range(r):
+                entry = ring.mul(c, mat[a][b])
+                if entry != 0:
+                    out[a][b] = out[a][b] + LaurentPoly.monomial(ring, nv, exps, entry)
+    return out
+
+
+def fox_matrix_oracle(pres, rep, phi):
+    """d2 built block by block from fox_derivative and specialize_fox."""
+    r, n = rep.rank, pres.ngens
+    d2 = [[None] * (n * r) for _ in range(pres.nrels * r)]
+    for j, rel in enumerate(pres.relators):
+        for i in range(n):
+            block = specialize_fox(fox_derivative(rel, i), rep, phi)
+            for a in range(r):
+                for b in range(r):
+                    d2[j * r + a][i * r + b] = block[a][b]
+    return d2
+
+
+FOX_RINGS = (ZZ, QQ, GF(2), GF(5))
+
+
+def random_rep(rng, ring, ngens, rank):
+    """Random invertible matrices; over Z products of elementary ones."""
+    mats = []
+    while len(mats) < ngens:
+        if ring == ZZ:
+            M = [[int(a == b) for b in range(rank)] for a in range(rank)]
+            for _ in range(3):
+                a, b = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
+                if a == b:
+                    M[a] = [-x for x in M[a]]
+                else:
+                    k = rng.choice((-2, -1, 1, 2))
+                    M[a] = [x + k * y for x, y in zip(M[a], M[b])]
+        elif ring == QQ:
+            M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+                 for _ in range(rank)]
+        else:
+            M = [[ring.from_int(rng.randint(0, 4)) for _ in range(rank)]
+                 for _ in range(rank)]
+        try:
+            mats.append(Representation(ring, [M]).mats[0])
+        except ValueError:  # singular: draw again
+            pass
+    return Representation(ring, mats)
+
+
+def balanced(word, ngens):
+    """word followed by letters that cancel its exponent sums, unreduced."""
+    out = list(word)
+    for g in range(1, ngens + 1):
+        e = sum((x == g) - (x == -g) for x in word)
+        out += [-g if e > 0 else g] * abs(e)
+    return tuple(out)
+
+
+def fox_case(rng, ring, ngens, rank, words, custom_phi):
+    """(pres, rep, phi): words as relators under the abelianization phi,
+    or made balanced under a random surjection onto Z or Z^2."""
+    if not custom_phi:
+        pres = Presentation([f"x{g}" for g in range(1, ngens + 1)], words)
+        return pres, random_rep(rng, ring, ngens, rank), None
+    pres = Presentation([f"x{g}" for g in range(1, ngens + 1)],
+                        [balanced(w, ngens) for w in words])
+    m = rng.randint(1, min(2, ngens))
+    # x1 -> e1 and x2 -> (k, 1) make phi onto; the rest are arbitrary
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(ngens)]
+    vectors[0] = (1,) + (0,) * (m - 1)
+    if m == 2:
+        vectors[1] = (vectors[1][0], 1)
+    return pres, random_rep(rng, ring, ngens, rank), AbelianEpi(pres, vectors)
+
+
+def assert_fox_matrices_match(pres, rep, phi):
+    d2, _ = alexander_matrices(pres, rep, phi)
+    if phi is None:
+        phi = AbelianEpi.from_abelianization(pres)
+    assert d2 == fox_matrix_oracle(pres, rep, phi)
+
+
+def test_fox_matrices_match_the_oracle_seeded():
+    rng = random.Random(71)
+    for k in range(120):
+        ring = FOX_RINGS[k % len(FOX_RINGS)]
+        ngens, rank = rng.randint(1, 3), rng.randint(1, 3)
+        words = [random_word(rng, ngens, rng.randint(0, 12))
+                 for _ in range(rng.randint(0, 3))]
+        assert_fox_matrices_match(*fox_case(rng, ring, ngens, rank, words, k % 2 == 1))
+    job = onerel()
+    for name in ("trivial", "s3", "reg_s3"):
+        assert_fox_matrices_match(job.presentation, job.representation(name), None)
+
+
+@st.composite
+def fox_cases(draw):
+    ngens = draw(st.integers(1, 3))
+    letters = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = draw(st.lists(st.lists(letters, max_size=12).map(tuple), max_size=3))
+    return fox_case(
+        draw(st.randoms(use_true_random=False)), draw(st.sampled_from(FOX_RINGS)),
+        ngens, draw(st.integers(1, 3)), words, draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(fox_cases())
+def test_fox_matrices_match_the_oracle_property(case):
+    assert_fox_matrices_match(*case)
 
 
 # -- homology dimensions -----------------------------------------------------

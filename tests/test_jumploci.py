@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from troplex import linalg
 from troplex.fpgroup import (
     Presentation, Representation, AbelianEpi, build_orbifold,
     build_weighted_raag, homology_dims_at_character, alexander_matrices,
+    commutator, free_reduce, invert_word, verify_representation,
 )
 from troplex.jobspec import load_job, bundled_path
 from troplex.jumploci import (
@@ -13,7 +16,7 @@ from troplex.jumploci import (
     novikov_admissible,
 )
 from troplex.laurent import LaurentPoly, render, canonical_associate, squarefree_part
-from troplex.linalg import lmat_block_diag, smat_mul
+from troplex.linalg import det_laurent, smat_mul
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 
 
@@ -52,6 +55,37 @@ def test_minors_counts_and_values():
     assert minors(M, 0) == [one]
     with pytest.raises(ValueError):
         minors(M, 3)
+
+
+def lmat_block_diag(A, B):
+    """diag(A, B); an empty block contributes no rows and no columns."""
+    if not A:
+        return [row[:] for row in B]
+    if not B:
+        return [row[:] for row in A]
+    probe = A[0][0]
+    zero = LaurentPoly.zero(probe.ring, probe.nvars)
+    am, an = len(A), len(A[0])
+    bm, bn = len(B), len(B[0])
+    out = []
+    for i in range(am):
+        out.append(A[i][:] + [zero] * bn)
+    for i in range(bm):
+        out.append([zero] * an + B[i][:])
+    return out
+
+
+def test_lmat_block_diag():
+    t1 = LaurentPoly.var(ZZ, 2, 0)
+    one = LaurentPoly.one(ZZ, 2)
+    zero = LaurentPoly.zero(ZZ, 2)
+    A = [[t1]]
+    B = [[one, zero], [zero, t1 + one]]
+    D = lmat_block_diag(A, B)
+    assert len(D) == 3 and len(D[0]) == 3
+    assert D[0][0] == t1 and D[1][1] == one and D[2][2] == t1 + one
+    assert D[0][1].is_zero and D[2][0].is_zero
+    assert det_laurent(D) == t1 * (t1 + one)
 
 
 def test_minors_of_block_diag_contain_products():
@@ -173,6 +207,129 @@ def test_jump_ideal_matches_homology_dimensions():
             jump1 = J1.is_zero_ideal or all(eval_poly(g, rho) == 0 for g in J1.generators)
             assert jump0 == (d0 > 0), (rep_name, rho)
             assert jump1 == (d1 > 0), (rep_name, rho)
+
+
+# -- J1 against every minor of diag(d2, d1) -------------------------------------
+
+
+def j1_by_enumeration(pres, rep, phi=None):
+    """J1 as every (n*r)-minor of the block matrix diag(d2, d1)."""
+    if phi is None:
+        phi = AbelianEpi.from_abelianization(pres)
+    d2, d1 = alexander_matrices(pres, rep, phi)
+    size = rep.rank * pres.ngens
+    block = lmat_block_diag(d2, d1)
+    gens = minors(block, size) if size <= min(len(block), len(block[0])) else []
+    return IdealGens(rep.ring, phi.m, gens)
+
+
+def assert_j1_matches_enumeration(pres, rep, phi=None):
+    fast = jump_ideal(pres, rep, phi, i=1)
+    slow = j1_by_enumeration(pres, rep, phi)
+    assert {g.key() for g in fast.generators} == {g.key() for g in slow.generators}
+    assert fast.is_zero_ideal == slow.is_zero_ideal
+    assert fast.gcd() == slow.gcd()
+
+
+S3_REPS = {
+    "trivial": Representation.trivial(ZZ, 2),
+    "s3": Representation(ZZ, [[[-1, 1], [-1, 0]], [[0, 1], [1, 0]]]),
+    # permutation matrices of x1 -> (0 1 2), x2 -> (0 1)
+    "perm3": Representation(ZZ, [[[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                                 [[0, 1, 0], [1, 0, 0], [0, 0, 1]]]),
+}
+J1_RINGS = (ZZ, QQ, GF(2), GF(3), GF(5))
+
+
+def random_word(rng, ngens, length):
+    return free_reduce([rng.choice([1, -1]) * rng.randint(1, ngens)
+                        for _ in range(length)])
+
+
+def kernel_presentation(pairs):
+    """<x1, x2 | r>, r the product of the commutators [a, b] over pairs,
+    times [x1, x2]^e with e in (0, 1, -1) so that every representation in
+    S3_REPS kills it: the commutators map into A3, which [x1, x2] spans."""
+    w = ()
+    for a, b in pairs:
+        w = free_reduce(w + commutator(a, b))
+    fix = commutator(1, 2)
+    for tail in ((), fix, invert_word(fix)):
+        pres = Presentation(["x1", "x2"], [free_reduce(w + tail)])
+        if all(verify_representation(pres, rep) for rep in S3_REPS.values()):
+            return pres
+    raise AssertionError("S3_REPS do not factor through one map onto S3")
+
+
+def random_pairs(rng, count):
+    return [(random_word(rng, 2, rng.randint(1, 2)), random_word(rng, 2, rng.randint(1, 2)))
+            for _ in range(count)]
+
+
+def test_j1_matches_enumeration_seeded():
+    rng = random.Random(83)
+    for k in range(30):
+        pres = kernel_presentation(random_pairs(rng, rng.randint(1, 2)))
+        while not pres.relators[0]:
+            pres = kernel_presentation(random_pairs(rng, rng.randint(1, 2)))
+        name = ("trivial", "s3")[k % 2]
+        ring = J1_RINGS[k % len(J1_RINGS)]
+        assert_j1_matches_enumeration(pres, S3_REPS[name].over(ring))
+    for k in range(8):
+        n = rng.randint(2, 4)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = [(i, j, rng.randint(1, 2))
+                 for i, j in rng.sample(pairs, rng.randint(1, len(pairs)))]
+        ring = J1_RINGS[k % len(J1_RINGS)]
+        pres = build_weighted_raag(n, edges)
+        assert_j1_matches_enumeration(pres, Representation.trivial(ring, n))
+    for genus, weights in ((1, []), (1, [2]), (0, [2, 3, 3])):
+        pres = build_orbifold(genus, weights)
+        for ring in (ZZ, GF(2)):
+            assert_j1_matches_enumeration(pres, Representation.trivial(ring, pres.ngens))
+    # no relators: d2 has no rows, and J1 is det(d1) or the zero ideal
+    for ngens in (1, 2):
+        pres = Presentation([f"x{g}" for g in range(1, ngens + 1)], [])
+        assert_j1_matches_enumeration(pres, Representation(ZZ, S3_REPS["s3"].mats[:ngens]))
+
+
+def test_j1_matches_enumeration_perm3():
+    # diag(d2, d1) is 9 x 9 here: 7056 block minors, so one short relator
+    pres = kernel_presentation([((1,), (-2, -2))])
+    assert len(pres.relators[0]) == 6
+    assert_j1_matches_enumeration(pres, S3_REPS["perm3"])
+    assert not jump_ideal(pres, S3_REPS["perm3"]).is_zero_ideal
+
+
+word_pairs = st.lists(
+    st.tuples(*[st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=2)
+                .map(tuple)] * 2),
+    min_size=1, max_size=2,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pairs, st.sampled_from(("trivial", "s3")), st.sampled_from(J1_RINGS))
+def test_j1_matches_enumeration_property(pairs, name, ring):
+    assert_j1_matches_enumeration(kernel_presentation(pairs), S3_REPS[name].over(ring))
+
+
+def test_j1_takes_the_block_minors_only(monkeypatch):
+    # diag(d2, d1) for s3 on the bundled relator is 6 x 6, so enumeration
+    # takes C(6, 4)^2 = 225 determinants; the 2-minors of d2 and of d1
+    # are 6 each
+    calls = []
+    real = linalg.det_laurent
+
+    def counting(M):
+        calls.append(len(M))
+        return real(M)
+
+    monkeypatch.setattr(linalg, "det_laurent", counting)
+    job = onerel()
+    J1 = jump_ideal(job.presentation, job.representation("s3"), i=1)
+    assert not J1.is_zero_ideal
+    assert len(calls) <= 12
 
 
 # -- orbifold and graph-group tables -------------------------------------------

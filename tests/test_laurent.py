@@ -237,3 +237,18 @@ def test_coefficient_primes():
     assert coefficient_primes(t1 - 1) == []
     f = QUADRIC.map_coefficients(QQ, Fraction) * Fraction(1, 7)
     assert coefficient_primes(f) == [2, 3, 7]
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                   reason="3-variable gcd: the subresultant PRS divides by zero")
+def test_gcd_three_variables_over_f2():
+    # remove the marker once the multivariate gcd is fixed: strict makes
+    # the passing test fail until then
+    F2 = GF(2)
+    A = P({e: 1 for e in [(1, 2, 2), (2, 2, 2), (0, 5, 2), (1, 5, 2),
+                          (4, 2, 3), (3, 5, 3)]}, F2, 3)
+    B = P({e: 1 for e in [(3, 3, 5), (4, 3, 5), (1, 4, 5), (2, 4, 5),
+                          (3, 4, 5), (4, 4, 5), (6, 3, 6), (4, 4, 6),
+                          (6, 4, 6)]}, F2, 3)
+    g = laurent_gcd(A, B)
+    assert exact_div(A, g) is not None and exact_div(B, g) is not None

@@ -8,7 +8,7 @@ import pytest
 from troplex.laurent import LaurentPoly, render
 from troplex.linalg import (
     smat_identity, smat_mul, smat_rank, smat_det, smat_inverse,
-    lmat_identity, lmat_mul, lmat_block_diag, det_laurent, rank_laurent,
+    lmat_identity, lmat_mul, det_laurent, rank_laurent,
     smith_normal_form,
 )
 from troplex.rings import ZZ, QQ, GF
@@ -111,19 +111,6 @@ def test_laurent_matrix_ops():
     assert det_laurent(C) == t1 * (t1 + t2) - t2 * one
 
 
-def test_lmat_block_diag():
-    t1 = LaurentPoly.var(ZZ, 2, 0)
-    one = LaurentPoly.one(ZZ, 2)
-    zero = LaurentPoly.zero(ZZ, 2)
-    A = [[t1]]
-    B = [[one, zero], [zero, t1 + one]]
-    D = lmat_block_diag(A, B)
-    assert len(D) == 3 and len(D[0]) == 3
-    assert D[0][0] == t1 and D[1][1] == one and D[2][2] == t1 + one
-    assert D[0][1].is_zero and D[2][0].is_zero
-    assert det_laurent(D) == t1 * (t1 + one)
-
-
 def test_smith_normal_form_fixed():
     diag, U = smith_normal_form([[2, 4], [6, 8]])
     assert diag == [2, 4]
@@ -151,3 +138,25 @@ def test_smith_normal_form_matches_minor_gcd_oracle():
             else:
                 assert b == 0
         assert abs(int_det(U)) == 1
+
+
+def test_smith_normal_form_when_the_pivot_divides(deadline):
+    # a pivot dividing the entry it clears, with |a| = |b| along the way:
+    # the row and column steps used to undo each other forever
+    with deadline(10):
+        assert smith_normal_form([[1, 1], [0, 1]])[0] == [1, 1]
+        assert smith_normal_form([[1, -1, 0], [0, 1, -1]])[0] == [1, 1]
+        assert smith_normal_form([[-2, 2], [0, 2]])[0] == [2, 2]
+
+
+def test_smith_normal_form_matches_determinantal_divisors(deadline):
+    # small entries make a pivot divide the entry it clears most of the time
+    rng = random.Random(43)
+    with deadline(60):
+        for _ in range(1500):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            diag, U = smith_normal_form(M)
+            assert diag == invariant_factors_oracle(M), M
+            assert abs(int_det(U)) == 1
