@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .laurent import LaurentPoly
-from .rings import QQ, ZZ, Ring
+from .rings import QQ, ZZ
 
 DEFAULT_MAX_QUOTIENT = 5040
 
@@ -142,16 +142,6 @@ class AbelianizationData:
             tuple(U[i][j] % diag[i] for i in torsion_rows) for j in range(n)
         ]
 
-    def free_image(self, word):
-        b = self.free_rank
-        out = [0] * b
-        for letter in word:
-            vec = self.gen_free[abs(letter) - 1]
-            s = 1 if letter > 0 else -1
-            for k in range(b):
-                out[k] += s * vec[k]
-        return tuple(out)
-
 
 # -- representations ------------------------------------------------------
 
@@ -208,13 +198,6 @@ class Representation:
         return Representation(
             ring, [[[convert(x) for x in row] for row in mat] for mat in self.mats]
         )
-
-    def trace_of(self, word):
-        mat = self.word_image(word)
-        tr = self.ring.zero()
-        for i in range(self.rank):
-            tr = self.ring.add(tr, mat[i][i])
-        return tr
 
 
 def _scalar_converter(src, dst):
@@ -317,33 +300,6 @@ class AbelianEpi:
             for k in range(self.m):
                 out[k] += s * vec[k]
         return tuple(out)
-
-    def word_monomial(self, word, ring=ZZ):
-        return LaurentPoly.monomial(ring, self.m, self.word_value(word), ring.one())
-
-
-def evaluate_word(word, rep=None, phi=None, ring=ZZ):
-    """sigma(w), the monomial t^phi(w), or their tensor, as available.
-
-    With both a representation and an epimorphism this is the r x r
-    LaurentPoly matrix ``t^phi(w) * sigma(w)`` used throughout the twisted
-    chain complex.
-    """
-    if rep is None and phi is None:
-        raise ValueError("need a representation, an epimorphism, or both")
-    if rep is None:
-        return phi.word_monomial(word, ring)
-    if phi is None:
-        return rep.word_image(word)
-    exps = phi.word_value(word)
-    mat = rep.word_image(word)
-    return [
-        [
-            LaurentPoly.monomial(rep.ring, phi.m, exps, entry)
-            for entry in row
-        ]
-        for row in mat
-    ]
 
 
 # -- twisted chain complex --------------------------------------------------
@@ -594,53 +550,37 @@ def _perm_inv(p):
     return tuple(out)
 
 
-def permutation_sign(p):
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+class QuotientTooLarge(ValueError):
+    """A closure found more elements than its limit allows."""
 
 
-def closure_size(perms, max_size=None):
-    return len(_closure(perms, max_size))
+def _closure(gens, mul, identity, max_size=None):
+    """The set of products of gens, found breadth first from identity.
 
-
-def _closure(perms, max_size=None):
+    mul(h, g) multiplies the element g on the left by the generator h.  The
+    generators of a finite group need no inverses: a finite monoid of
+    invertible elements is a group.  More than max_size elements (default:
+    TROPLEX_MAX_QUOTIENT, else DEFAULT_MAX_QUOTIENT) raise QuotientTooLarge.
+    """
     if max_size is None:
         max_size = int(os.environ.get("TROPLEX_MAX_QUOTIENT", DEFAULT_MAX_QUOTIENT))
-    degree = len(perms[0])
-    if any(len(p) != degree for p in perms):
-        raise ValueError("permutations must share one degree")
-    if any(sorted(p) != list(range(degree)) for p in perms):
-        raise ValueError("not a permutation (0-based images expected)")
-    identity = tuple(range(degree))
     elements = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for g in frontier:
-            for p in perms:
-                h = _perm_mul(p, g)
-                if h not in elements:
-                    elements.add(h)
-                    nxt.append(h)
+            for h in gens:
+                x = mul(h, g)
+                if x not in elements:
+                    elements.add(x)
+                    nxt.append(x)
                     if len(elements) > max_size:
-                        raise ValueError(
+                        raise QuotientTooLarge(
                             f"quotient group exceeds {max_size} elements "
                             "(raise TROPLEX_MAX_QUOTIENT to allow more)"
                         )
         frontier = nxt
-    return sorted(elements)
+    return elements
 
 
 def regular_representation(pres, perms, ring=ZZ, max_size=None):
@@ -666,7 +606,7 @@ def regular_representation(pres, perms, ring=ZZ, max_size=None):
             acc = _perm_mul(acc, inv[letter])
         if acc != identity:
             raise ValueError("permutations do not satisfy the relators")
-    elements = _closure(perms, max_size)
+    elements = sorted(_closure(perms, _perm_mul, identity, max_size))
     position = {g: k for k, g in enumerate(elements)}
     size = len(elements)
     mats = []

@@ -65,7 +65,8 @@ def _parse_entry(ring, x):
 
 
 class RepSpec:
-    """Deferred representation: built against a presentation on demand."""
+    """Deferred representation: built against a presentation on demand,
+    and refused unless every relator maps to the identity."""
 
     def __init__(self, name, block):
         self.name = name
@@ -103,7 +104,13 @@ class RepSpec:
                     f"representation {self.name!r}: matrices for unknown "
                     f"generators {sorted(extra)}"
                 )
-            return fpgroup.Representation(ring, mats)
+            rep = fpgroup.Representation(ring, mats)
+            if not fpgroup.verify_representation(pres, rep):
+                raise JobError(
+                    f"representation {self.name!r}: the matrices do not "
+                    "satisfy the relators"
+                )
+            return rep
         perms = []
         blk = self.block["permutations"]
         for gname in pres.names:

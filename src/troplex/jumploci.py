@@ -25,7 +25,7 @@ from .laurent import (
     render,
     squarefree_part,
 )
-from .rings import QQ, ZZ, valuate
+from .rings import valuate
 
 
 class _Symbol:
@@ -170,18 +170,15 @@ class AlexVerdict:
     minors vanish), or the symbol One (the GCD is a unit).  Over Z the
     integer content is kept, so delta may be a non-unit constant; such a
     constant still counts as "unit over the fraction field" for the
-    obstruction test.  excluded_locus lists the r-minors of d1: off their
-    common zero set the minor route and the homology module define the
-    same hypersurface.
+    obstruction test.  Off the common zero set of the r-minors of d1 (the
+    generators of jump_ideal(i=0)) the minor route and the homology module
+    define the same hypersurface.
     """
 
-    def __init__(self, delta, ring, nvars, free_rank=None, excluded_locus=(), squarefree=False):
+    def __init__(self, delta, ring, nvars):
         self.delta = delta
         self.ring = ring
         self.nvars = nvars
-        self.free_rank = free_rank
-        self.excluded_locus = list(excluded_locus)
-        self.squarefree = squarefree
 
     @property
     def is_zero(self):
@@ -214,36 +211,27 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
 
     Returns Zero when the generic rank of d2 is below (n-1)*r, otherwise
     the GCD of all (n-1)*r minors (canonical associate; integer content
-    kept over Z; squarefree part only if requested).  When phi has rank 1
-    the verdict also carries the free rank of the twisted H_1.
+    kept over Z; squarefree part only if requested).  The excluded locus
+    is not computed here: read it from jump_ideal(pres, rep, phi, i=0).
     """
     if phi is None:
         phi = fpgroup.AbelianEpi.from_abelianization(pres)
-    d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
-    r = rep.rank
-    n = pres.ngens
-    target = (n - 1) * r
+    d2, _ = fpgroup.alexander_matrices(pres, rep, phi)
+    target = (pres.ngens - 1) * rep.rank
     ring = rep.ring
-    excluded = minors(d1, r) if r <= min(len(d1), len(d1[0])) else []
-    free_rank = None
-    if phi.m == 1:
-        rank1 = linalg.rank_laurent(d1)
-        rank2 = linalg.rank_laurent(d2)
-        free_rank = n * r - rank1 - rank2
     if target == 0:
-        return AlexVerdict(One, ring, phi.m, free_rank, excluded, squarefree)
+        return AlexVerdict(One, ring, phi.m)
     if target > min(len(d2), len(d2[0]) if d2 else 0):
-        return AlexVerdict(Zero, ring, phi.m, free_rank, excluded, squarefree)
+        return AlexVerdict(Zero, ring, phi.m)
     if linalg.rank_laurent(d2) < target:
-        return AlexVerdict(Zero, ring, phi.m, free_rank, excluded, squarefree)
-    gens = minors(d2, target)
-    delta = gcd_list(gens)
+        return AlexVerdict(Zero, ring, phi.m)
+    delta = gcd_list(minors(d2, target))
     if squarefree:
         delta = squarefree_part(delta)
     delta = canonical_associate(delta)
     if is_unit(delta):
-        return AlexVerdict(One, ring, phi.m, free_rank, excluded, squarefree)
-    return AlexVerdict(delta, ring, phi.m, free_rank, excluded, squarefree)
+        return AlexVerdict(One, ring, phi.m)
+    return AlexVerdict(delta, ring, phi.m)
 
 
 # -- obstruction and admissibility ------------------------------------------
@@ -307,34 +295,6 @@ class NovikovVerdict:
         return f"<NovikovVerdict No({self.reason})>"
 
 
-def _matrix_closure_is_finite(rep, max_size):
-    import os
-
-    if max_size is None:
-        max_size = int(
-            os.environ.get("TROPLEX_MAX_QUOTIENT", fpgroup.DEFAULT_MAX_QUOTIENT)
-        )
-    gens = [tuple(tuple(row) for row in m) for m in rep.mats + rep.invs]
-    r = rep.rank
-    ring = rep.ring
-    identity = tuple(tuple(row) for row in linalg.smat_identity(ring, r))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = linalg.smat_mul(ring, [list(row) for row in h], [list(row) for row in g])
-                key = tuple(tuple(row) for row in prod)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(key)
-                    if len(seen) > max_size:
-                        return False
-        frontier = nxt
-    return True
-
-
 def novikov_admissible(rep, valuation, check_finite_image=False, max_size=None):
     """Is sigma admissible for the Novikov completion under this valuation?
 
@@ -342,8 +302,9 @@ def novikov_admissible(rep, valuation, check_finite_image=False, max_size=None):
     matrix test (condition c): every generator matrix and inverse has all
     entry valuations >= 0 and determinant valuation 0, which traps the
     whole image inside GL_r of the valuation ring.  The finite-image
-    condition (b) is tried only on request, by bounded closure
-    enumeration.
+    condition (b) is tried only on request: it holds when the bounded
+    closure fpgroup._closure of the generator matrices stays within
+    max_size (default TROPLEX_MAX_QUOTIENT) elements.
     """
     if valuation.kind == "trivial":
         return NovikovVerdict(True, condition="a")
@@ -351,9 +312,19 @@ def novikov_admissible(rep, valuation, check_finite_image=False, max_size=None):
         return NovikovVerdict(
             False, reason=f"{valuation!r} undefined on {rep.ring!r} coefficients"
         )
-    if check_finite_image and _matrix_closure_is_finite(rep, max_size):
-        return NovikovVerdict(True, condition="b")
     ring = rep.ring
+    if check_finite_image:
+        frozen = lambda m: tuple(map(tuple, m))
+        try:
+            fpgroup._closure(
+                [frozen(m) for m in rep.mats],
+                lambda h, g: frozen(linalg.smat_mul(ring, h, g)),
+                frozen(rep.identity()),
+                max_size,
+            )
+            return NovikovVerdict(True, condition="b")
+        except fpgroup.QuotientTooLarge:
+            pass
     for mat in rep.mats + rep.invs:
         for row in mat:
             for x in row:

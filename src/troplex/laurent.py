@@ -394,15 +394,6 @@ def _coeffs_in(f, x):
     }
 
 
-def _from_coeffs(ring, nvars, x, coeffs):
-    terms = {}
-    for d, poly in coeffs.items():
-        for exps, c in poly.terms.items():
-            e = exps[:x] + (d,) + exps[x + 1:]
-            terms[e] = c
-    return LaurentPoly(ring, nvars, terms)
-
-
 def _scalar_gcd(ring, a, b):
     if ring.kind == "Z":
         import math

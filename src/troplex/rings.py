@@ -184,15 +184,6 @@ class Ring:
             return a
         raise ValueError(f"{a} is not a unit of Z")
 
-    def div(self, a, b):
-        """Exact division a/b; raises if not exact (Z) or b == 0 (fields)."""
-        if self.kind == "Z":
-            q, r = divmod(a, b)
-            if r:
-                raise ValueError(f"{a} not divisible by {b} in Z")
-            return q
-        return self.mul(a, self.inv(b))
-
     def coeff_str(self, a):
         """Render a coefficient; rationals as p/q, residues as plain ints."""
         return str(a)

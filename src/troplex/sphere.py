@@ -258,7 +258,8 @@ class SphereArcSet:
             return False
         if not self.components:
             return True
-        return not self.canonical().components and not self.canonical().full
+        canon = self.canonical()
+        return not canon.components and not canon.full
 
     def is_subset(self, other):
         return self.difference(other).is_empty

@@ -14,10 +14,12 @@ Three flavors:
   init_chi(f) is not +-monomial}, read off the Newton polytope's normal
   fan: edge normals always contribute rays, vertex cones contribute
   2-dimensional cells exactly when the vertex coefficient is not a unit.
-* union_over_valuations(gens): the union over the trivial valuation, p-adic
-  valuations, and mod-p reductions for all candidate primes p (primes
-  dividing some coefficient), reported per valuation and combined on the
-  sphere.
+* union_over_valuations([f]): for one polynomial over Z, the union over
+  the trivial valuation, p-adic valuations, and mod-p reductions for all
+  candidate primes p (primes dividing some coefficient), reported per
+  valuation and combined on the sphere.  Several generators are refused:
+  the intersection of their curves (the prevariety) can be larger than
+  the ideal's tropical set, and its complement is then no valid bound.
 
 Everything is exact: bases and endpoints are Fractions, directions are
 primitive integer vectors, and membership predicates share no code with
@@ -590,12 +592,9 @@ def sphere_projection(T):
 
 
 class ValuationEntry:
-    def __init__(self, label, field_tag, valuation_desc, complexes, combined, arcs):
+    def __init__(self, label, combined, arcs):
         self.label = label
-        self.field_tag = field_tag
-        self.valuation_desc = valuation_desc
-        self.complexes = complexes  # one per generator
-        self.combined = combined  # TropicalComplex (exact or prevariety)
+        self.combined = combined  # TropicalComplex of the polynomial
         self.arcs = arcs
 
     def __repr__(self):
@@ -603,154 +602,51 @@ class ValuationEntry:
 
 
 class ValuationUnionReport:
-    def __init__(self, primes, entries, sphere_union, exact, notes):
+    def __init__(self, primes, entries, sphere_union, notes):
         self.primes = primes
         self.entries = entries
         self.sphere_union = sphere_union
-        self.exact = exact
+        self.exact = True  # one polynomial: every prime that matters is listed
         self.notes = notes
 
 
-def _intersect_interval(av, bv):
-    lo = av[0] if bv[0] is None else bv[0] if av[0] is None else max(av[0], bv[0])
-    hi = av[1] if bv[1] is None else bv[1] if av[1] is None else min(av[1], bv[1])
-    return lo, hi
-
-
-def _as_line_cell(c):
-    """(point, primitive dir, param interval) for a 1-dim cell."""
-    if c.kind == "segment":
-        d = _primitive(tuple(b - a for a, b in zip(c.base, c.end)))
-        length = None
-        for dd, rr in zip(d, (b - a for a, b in zip(c.base, c.end))):
-            if dd != 0:
-                length = rr / dd
-                break
-        return c.base, d, (Fraction(0), length)
-    if c.kind == "ray":
-        return c.base, tuple(c.dir), (Fraction(0), None)
-    raise ValueError(c.kind)
-
-
-def _intersect_cells(c1, c2):
-    if c1.kind == "vertex":
-        return [Cell("vertex", c1.base)] if c2.contains(c1.base) else []
-    if c2.kind == "vertex":
-        return [Cell("vertex", c2.base)] if c1.contains(c2.base) else []
-    if c1.kind == "cone2" or c2.kind == "cone2":
-        raise ValueError("prevariety intersection expects curves, not 2-cells")
-    p1, d1, iv1 = _as_line_cell(c1)
-    p2, d2, iv2 = _as_line_cell(c2)
-    det = cross(d1, d2)
-    if det != 0:
-        # transverse lines: at most one point
-        r = (p2[0] - p1[0], p2[1] - p1[1])
-        s = Fraction(r[0] * d2[1] - r[1] * d2[0], det)
-        w = (p1[0] + s * d1[0], p1[1] + s * d1[1])
-        if c1.contains(w) and c2.contains(w):
-            return [Cell("vertex", w)]
-        return []
-    # parallel: same line?
-    r = (p2[0] - p1[0], p2[1] - p1[1])
-    if cross(d1, r) != 0:
-        return []
-    # express cell2's interval in cell1's parameter
-    shift = None
-    for dd, rr in zip(d1, r):
-        if dd != 0:
-            shift = rr / dd
-            break
-    shift = shift if shift is not None else Fraction(0)
-    flip = same_dir(d1, antipode(d2))
-    lo2, hi2 = iv2
-    if flip:
-        lo2, hi2 = (None if hi2 is None else -hi2), (None if lo2 is None else -lo2)
-    iv2_in_1 = (
-        None if lo2 is None else lo2 + shift,
-        None if hi2 is None else hi2 + shift,
-    )
-    lo, hi = _intersect_interval(iv1, iv2_in_1)
-    if lo is not None and hi is not None and lo > hi:
-        return []
-    at = lambda s: (p1[0] + s * d1[0], p1[1] + s * d1[1])
-    if lo is not None and hi is not None:
-        if lo == hi:
-            return [Cell("vertex", at(lo))]
-        return [Cell("segment", at(lo), end=at(hi))]
-    if lo is not None:
-        return [Cell("ray", at(lo), dir=d1)]
-    if hi is not None:
-        return [Cell("ray", at(hi), dir=antipode(d1))]
-    return [Cell("ray", p1, dir=d1), Cell("ray", p1, dir=antipode(d1))]
-
-
-def intersect_complexes(A, B):
-    """Exact pairwise intersection of two planar curve complexes."""
-    if A.full_plane:
-        return B
-    if B.full_plane:
-        return A
-    out = []
-    for c1 in A.cells:
-        for c2 in B.cells:
-            out.extend(_intersect_cells(c1, c2))
-    return TropicalComplex(2, _dedupe_cells(out))
-
-
 def union_over_valuations(gens, extra_primes=()):
-    """Tropicalize over Q-trivial, p-adic, and mod-p for candidate primes.
+    """Tropicalize one polynomial over Q-trivial, p-adic, and mod-p for
+    candidate primes.
 
-    gens: list of LaurentPoly over Z (or an IdealGens).  The candidate
-    prime set is every prime dividing a coefficient of some generator
-    (plus extra_primes).  For a principal ideal this is complete: for any
-    other prime, reduction mod p keeps all supports and all coefficient
-    valuations are zero, so every tropicalization equals the trivial one.
-    For several generators each entry is the prevariety (intersection of
-    the generators' tropical curves), which contains the variety; reports
-    carry that flag.
+    gens: a one-element list of a LaurentPoly over Z, or a principal
+    IdealGens; several generators raise ValueError (pass their gcd, whose
+    tropical set contains the ideal's).  The candidate prime set is every
+    prime dividing a coefficient (plus extra_primes).  This is complete:
+    for any other prime, reduction mod p keeps the support and every
+    coefficient valuation is zero, so every tropicalization equals the
+    trivial one.
     """
     if hasattr(gens, "generators"):
         gens = gens.generators
     gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    nvars = gens[0].nvars
-    if any(g.ring.kind != "Z" for g in gens):
-        raise ValueError("prime-union tropicalization needs Z coefficients")
-    principal = len(gens) == 1
-    primes = set(extra_primes)
-    for g in gens:
-        primes.update(coefficient_primes(g))
-    primes = sorted(primes)
-    notes = []
-    if not principal:
-        notes.append(
-            "approximation: prevariety (intersection of generator curves) "
-            "contains the tropical variety; candidate primes are heuristic"
+    if len(gens) != 1:
+        raise ValueError(
+            f"need exactly one polynomial, got {len(gens)} "
+            "(the union over valuations is exact only for a principal ideal)"
         )
-    settings = [("trivial over Q", "Q", TRIVIAL, None)]
+    (f,) = gens
+    if f.ring.kind != "Z":
+        raise ValueError("prime-union tropicalization needs Z coefficients")
+    primes = sorted(set(extra_primes) | set(coefficient_primes(f)))
+    notes = []
+    settings = [("trivial over Q", TRIVIAL, None)]
     for p in primes:
-        settings.append((f"{p}-adic over Q", "Q", padic(p), None))
-        settings.append((f"trivial over F_{p}", f"fp:{p}", TRIVIAL, p))
+        settings.append((f"{p}-adic over Q", padic(p), None))
+        settings.append((f"trivial over F_{p}", TRIVIAL, p))
     entries = []
-    for label, tag, val, red in settings:
-        complexes = []
-        for g in gens:
-            if red is None:
-                complexes.append(trop_hypersurface(g, val))
-            else:
-                gp = reduce_mod_p(g, red)
-                if gp.is_zero:
-                    notes.append(f"a generator reduces to 0 mod {red}")
-                    complexes.append(
-                        full_plane_complex(nvars, note=f"zero mod {red}")
-                    )
-                else:
-                    complexes.append(trop_hypersurface(gp, val))
-        combined = complexes[0]
-        for c in complexes[1:]:
-            combined = intersect_complexes(combined, c)
-        arcs = sphere_projection(combined)
-        entries.append(ValuationEntry(label, tag, label, complexes, combined, arcs))
+    for label, val, red in settings:
+        g = f if red is None else reduce_mod_p(f, red)
+        if g.is_zero:
+            notes.append(f"a generator reduces to 0 mod {red}")
+            combined = full_plane_complex(f.nvars, note=f"zero mod {red}")
+        else:
+            combined = trop_hypersurface(g, val)
+        entries.append(ValuationEntry(label, combined, sphere_projection(combined)))
     sphere_union = union_all(e.arcs for e in entries)
-    return ValuationUnionReport(primes, entries, sphere_union, principal, notes)
+    return ValuationUnionReport(primes, entries, sphere_union, notes)

@@ -132,6 +132,24 @@ def test_bns_bound_vacuous(capsys, tmp_path):
     assert "bound: vacuous (no admissible entries)" in out
 
 
+def test_non_representation_exits_2(capsys, tmp_path):
+    # x1 and x2 map to matrices that do not commute, so [x1, x2] is not
+    # sent to the identity
+    doc = {
+        "name": "z2",
+        "presentation": {"generators": ["x1", "x2"], "relators": ["x1 x2 x1^-1 x2^-1"]},
+        "representations": {
+            "bad": {"ring": "Z", "matrices": {"x1": [[1, 1], [0, 1]],
+                                              "x2": [[1, 0], [1, 1]]}},
+        },
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    expected = "error: representation 'bad': the matrices do not satisfy the relators\n"
+    for command in ("alexander", "bns-bound"):
+        assert run(capsys, command, str(path), "--rep", "bad") == (2, "", expected)
+
+
 def test_bns_bound_violation(capsys, tmp_path):
     path = tmp_path / "orb12.json"
     rc, out, err = run(capsys, "orbifold", "--g", "1", "--mu", "2", "-o", str(path))

@@ -5,12 +5,14 @@ import jsonschema
 import pytest
 
 from troplex import jobspec
-from troplex.fpgroup import AbelianEpi, build_orbifold, verify_representation, word_to_str
+from troplex.fpgroup import (
+    AbelianEpi, Representation, build_orbifold, verify_representation, word_to_str,
+)
 from troplex.jobspec import (
     JobError, JobSpec, bundled_path, dump_document, load_job,
     parse_field, parse_valuation, presentation_document, validate_document,
 )
-from troplex.rings import QQ, GF, TRIVIAL, padic
+from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 
 
 def doc54():
@@ -136,8 +138,9 @@ def test_matrix_rep_build_and_entry_parsing():
         JobSpec(doc).representation("m")
 
 
-def test_matrix_rep_relator_check_is_separate():
-    # building never checks relators; verify_representation does
+def test_matrix_rep_must_satisfy_relators():
+    # building a matrix representation checks the relators, as building a
+    # permutation one does
     job = load_job(bundled_path("one_relator.json"))
     doc = {
         "name": "bad",
@@ -147,8 +150,11 @@ def test_matrix_rep_relator_check_is_separate():
                                                 "x2": [[0, 1], [1, 0]]}},
         },
     }
-    rep = JobSpec(doc).representation("shear")
-    assert not verify_representation(job.presentation, rep)
+    with pytest.raises(JobError, match="representation 'shear': the matrices "
+                                        "do not satisfy the relators"):
+        JobSpec(doc).representation("shear")
+    shear = Representation(ZZ, [[[1, 1], [0, 1]], [[0, 1], [1, 0]]])
+    assert not verify_representation(job.presentation, shear)
     assert verify_representation(job.presentation, job.representation("s3"))
 
 

@@ -9,6 +9,7 @@ from troplex.fpgroup import (
     Presentation, Representation, AbelianEpi, build_orbifold,
     build_weighted_raag, homology_dims_at_character, alexander_matrices,
     commutator, free_reduce, invert_word, verify_representation,
+    regular_representation,
 )
 from troplex.jobspec import load_job, bundled_path
 from troplex.jumploci import (
@@ -174,7 +175,8 @@ def test_untwisted_alexander_value():
     job = onerel()
     v = twisted_alexander(job.presentation, job.representation("trivial"))
     assert v.describe() == "1 - t1"
-    assert sorted(render(g) for g in v.excluded_locus) == ["1 - t1", "1 - t2"]
+    J0 = jump_ideal(job.presentation, job.representation("trivial"), i=0)
+    assert sorted(render(g) for g in J0.generators) == ["1 - t1", "1 - t2"]
 
 
 def test_mod_p_reduction_commutes_with_gcd_here():
@@ -418,14 +420,18 @@ def test_novikov_integral_matrices():
     assert v.ok and v.condition == "c"
 
 
-def test_novikov_finite_image_route():
-    # conjugating by diag(3, 1) breaks integrality but keeps the image finite
+def conj_s3():
+    """s3 conjugated by diag(3, 1): not integral, but the image is finite."""
     s3 = onerel().representation("s3")
     D = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(1)]]
     Dinv = [[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(1)]]
     mats = [smat_mul(QQ, smat_mul(QQ, D, [[Fraction(x) for x in row] for row in m]), Dinv)
             for m in s3.mats]
-    conj = Representation(QQ, mats)
+    return Representation(QQ, mats)
+
+
+def test_novikov_finite_image_route():
+    conj = conj_s3()
     v = novikov_admissible(conj, padic(3))
     assert not v.ok and v.reason == "entry valuation -1 < 0"
     v = novikov_admissible(conj, padic(3), check_finite_image=True)
@@ -440,6 +446,20 @@ def test_novikov_counterexample_diag():
     assert not v.ok and v.reason == "entry valuation -1 < 0"
     v = novikov_admissible(rep, padic(3), check_finite_image=True)
     assert not v.ok
+
+
+def test_max_quotient_is_one_limit(monkeypatch):
+    """TROPLEX_MAX_QUOTIENT bounds the permutation closure behind
+    regular_representation and the matrix closure behind condition (b)."""
+    monkeypatch.setenv("TROPLEX_MAX_QUOTIENT", "5")
+    pres = onerel().presentation
+    with pytest.raises(ValueError, match="exceeds 5 elements"):
+        regular_representation(pres, [[1, 2, 0], [1, 0, 2]])
+    v = novikov_admissible(conj_s3(), padic(3), check_finite_image=True)
+    assert not v.ok and v.reason == "entry valuation -1 < 0"
+    monkeypatch.setenv("TROPLEX_MAX_QUOTIENT", "6")
+    assert regular_representation(pres, [[1, 2, 0], [1, 0, 2]]).rank == 6
+    assert novikov_admissible(conj_s3(), padic(3), check_finite_image=True).condition == "b"
 
 
 def test_novikov_rejects_padic_on_prime_field():

@@ -8,7 +8,7 @@ from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 from troplex.tropical import (
     Cell, TropicalComplex, cell_weight, full_plane_complex,
     trop_contains, trop_hypersurface, trop_Z_contains, trop_Z_principal,
-    sphere_projection, intersect_complexes, union_over_valuations,
+    sphere_projection, union_over_valuations,
 )
 from troplex.jumploci import IdealGens
 from troplex.sphere import SphereArcSet
@@ -278,28 +278,6 @@ def test_sphere_projection_planar_only():
         sphere_projection(T)
 
 
-# -- intersections ----------------------------------------------------------------
-
-
-def test_intersect_complexes():
-    one = LaurentPoly.one(QQ, 2)
-    t1 = LaurentPoly.var(QQ, 2, 0)
-    t2 = LaurentPoly.var(QQ, 2, 1)
-    L1 = trop_hypersurface(one + t1, TRIVIAL)      # the line w1 = 0
-    L2 = trop_hypersurface(one + t2, TRIVIAL)      # the line w2 = 0
-    X = intersect_complexes(L1, L2)
-    assert [(c.kind, c.base) for c in X.cells] == [("vertex", (F(0), F(0)))]
-    # self-intersection keeps the line
-    X = intersect_complexes(L1, L1)
-    assert sorted(c.dir for c in X.cells) == [(0, -1), (0, 1)]
-    # parallel disjoint lines: w1 = 0 against w1 = -1
-    L3 = trop_hypersurface(one + t1 * 3, padic(3))
-    X = intersect_complexes(L1, L3)
-    assert X.cells == []
-    for w in [(F(0), F(5)), (F(-1), F(2))]:
-        assert not X.contains(w)
-
-
 # -- the union-of-valuations report ------------------------------------------------
 
 
@@ -354,10 +332,10 @@ def test_valuation_union_non_principal_prevariety():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     t2 = LaurentPoly.var(ZZ, 2, 1)
     J = IdealGens(ZZ, 2, [t1 - 1, t2 - 1], source="pair")
-    rp = union_over_valuations(J)
-    assert not rp.exact
-    assert any("gcd" in n or "prevariety" in n for n in rp.notes)
-    # the prevariety of (t1 - 1, t2 - 1) under the trivial valuation is one point
-    triv = next(e for e in rp.entries if e.label == "trivial over Q")
-    assert triv.combined.contains((0, 0))
-    assert not triv.combined.contains((1, 0))
+    # the prevariety (one point under the trivial valuation) is refused:
+    # its complement would be no bound
+    with pytest.raises(ValueError, match="exactly one polynomial, got 2"):
+        union_over_valuations(J)
+    with pytest.raises(ValueError, match="got 0"):
+        union_over_valuations([])
+    assert union_over_valuations([t1 - 1]).exact
