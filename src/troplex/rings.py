@@ -42,15 +42,35 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p):
-    """Trial division; inputs are desk-scale by contract."""
+    """Deterministic Miller-Rabin.
+
+    The prime bases up to 37 decide every n < 3.3e24 exactly, far beyond
+    the 2**62 bound on prime fields.
+    """
     if not isinstance(p, int) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    if p < 41 * 41:
+        return True  # a composite below 41^2 has a prime factor below 41
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

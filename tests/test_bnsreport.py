@@ -155,3 +155,31 @@ def test_summary_lines():
     lines = rpx.summary_lines()
     assert any("EXCLUDED: integer tropicalization" in ln for ln in lines)
     assert "bound: vacuous (no admissible entries)" in lines
+
+
+def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
+    import troplex.bnsreport as bnsreport
+
+    calls = []
+    real = bnsreport.jump_ideal
+
+    def counted(pres, rep, phi=None, i=1):
+        calls.append((id(rep), i))
+        return real(pres, rep, phi, i=i)
+
+    monkeypatch.setattr(bnsreport, "jump_ideal", counted)
+    job = onerel()
+    s3, triv = job.representation("s3"), job.representation("trivial")
+    rp = assemble_bound(job.presentation, [
+        ("s3", s3, "Z"), ("s3", s3, TRIVIAL), ("s3", s3, padic(3)),
+        ("trivial", triv, "Z"), ("trivial", triv, TRIVIAL),
+    ])
+    assert sorted(calls) == sorted((id(r), i) for r in (s3, triv) for i in (0, 1))
+    first, second = rp.entries[:2]
+    assert first.ideals is not second.ideals and first.gcds is not second.gcds
+    assert first.ideals == second.ideals and first.gcds == second.gcds
+    # the same bound as each entry on its own
+    for e in rp.entries:
+        alone = assemble_bound(job.presentation, [(e.descriptor, e.rep, e.mode)])
+        assert alone.entries[0].arcs == e.arcs
+        assert alone.entries[0].exact == e.exact

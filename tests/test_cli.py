@@ -251,6 +251,30 @@ def test_alexander_of_a_presentation_of_z_terminates(capsys, tmp_path, deadline)
         assert run(capsys, "alexander", str(path), "--rep", "trivial") == (0, "1\n", "")
 
 
+def test_alexander_over_a_large_prime_field(capsys, deadline):
+    # the largest prime below the 2**62 bound on prime fields
+    with deadline(20):
+        assert run(capsys, "alexander", EX, "--rep", "s3", "--ring",
+                   "fp:4611686018427387847") == (
+            0, "1 + 4611686018427387845*t1 + t1^2 + 4611686018427387844*t2^2\n", "")
+
+
+@pytest.mark.parametrize("error", [
+    ZeroDivisionError("pseudo-remainder by zero"),
+    ArithmeticError("internal: division expected to be exact"),
+    AssertionError("unexpected second wrap in arc run"),
+])
+def test_internal_errors_exit_5(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("troplex.cli.twisted_alexander", fail)
+    rc, out, err = run(capsys, "alexander", EX, "--rep", "s3")
+    assert rc == 5 and out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in err
+
+
 def test_input_errors_exit_2(capsys):
     rc, out, err = run(capsys, "alexander", EX, "--rep", "bogus")
     assert rc == 2 and out == ""

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplex.laurent import LaurentPoly, render
 from troplex.linalg import (
@@ -160,3 +161,145 @@ def test_smith_normal_form_matches_determinantal_divisors(deadline):
             diag, U = smith_normal_form(M)
             assert diag == invariant_factors_oracle(M), M
             assert abs(int_det(U)) == 1
+
+
+# -- the two elimination loops against independent oracles ----------------
+
+LAURENT_RINGS = (ZZ, GF(2), GF(3))
+
+
+def leibniz(M):
+    """Determinant of a square LaurentPoly matrix as the signed sum over
+    permutations; shares no code with the library's elimination."""
+    probe = M[0][0]
+    total = LaurentPoly.zero(probe.ring, probe.nvars)
+    for perm in itertools.permutations(range(len(M))):
+        term = LaurentPoly.one(probe.ring, probe.nvars)
+        for i, j in enumerate(perm):
+            term = term * M[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def minor_rank(M):
+    """The largest k with a nonzero k-minor, each minor by Leibniz."""
+    rows, cols = len(M), len(M[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rsel in itertools.combinations(range(rows), k):
+            for csel in itertools.combinations(range(cols), k):
+                if not leibniz([[M[i][j] for j in csel] for i in rsel]).is_zero:
+                    return k
+    return 0
+
+
+def laurent_matrix(ring, nvars, rows, cols, entries, deficiency):
+    """entries: rows*cols term lists of (exponents, coefficient).
+
+    deficiency "column" zeroes the last column; "rows" overwrites row 2
+    with the sum of rows 0 and 1 (when there are three rows).
+    """
+    M = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            f = LaurentPoly.zero(ring, nvars)
+            for exps, c in entries[i * cols + j]:
+                f = f + LaurentPoly.monomial(ring, nvars, exps[:nvars], ring.from_int(c))
+            row.append(f)
+        M.append(row)
+    if deficiency == "column":
+        for row in M:
+            row[-1] = LaurentPoly.zero(ring, nvars)
+    elif deficiency == "rows" and rows >= 3:
+        M[2] = [a + b for a, b in zip(M[0], M[1])]
+    return M
+
+
+def check_laurent_elimination(M):
+    assert rank_laurent(M) == minor_rank(M)
+    n = min(len(M), len(M[0]))
+    square = [row[:n] for row in M[:n]]
+    assert det_laurent(square) == leibniz(square)
+
+
+def test_laurent_elimination_matches_leibniz_seeded():
+    rng = random.Random(29)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        entries = [
+            [((rng.randint(-1, 2), rng.randint(-1, 2)), rng.randint(-2, 2))
+             for _ in range(rng.randint(0, 2))]
+            for _ in range(rows * cols)
+        ]
+        M = laurent_matrix(rng.choice(LAURENT_RINGS), rng.randint(1, 2), rows, cols,
+                           entries, rng.choice((None, "column", "rows")))
+        check_laurent_elimination(M)
+
+
+def test_det_stops_at_the_first_column_without_pivot(monkeypatch):
+    # over a third of the minors the benchmark's Delta jobs take are zero; the
+    # determinant must not eliminate past a column with no pivot
+    import troplex.linalg as linalg
+
+    divisions = []
+    real = linalg._exact_div_strict
+    monkeypatch.setattr(linalg, "_exact_div_strict",
+                        lambda f, g: divisions.append(g) or real(f, g))
+    t = LaurentPoly.var(ZZ, 1, 0)
+    zero = LaurentPoly.zero(ZZ, 1)
+    M = [[zero, t, t], [zero, t, t + 1], [zero, t * t, t]]
+    assert det_laurent(M) == zero and not divisions
+    assert rank_laurent(M) == 2 and divisions
+
+
+laurent_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-1, 2), st.integers(-1, 2)), st.integers(-2, 2)),
+    max_size=2,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LAURENT_RINGS), st.integers(1, 2), st.integers(1, 4),
+       st.integers(1, 5), st.lists(laurent_terms, min_size=20, max_size=20),
+       st.sampled_from((None, "column", "rows")))
+def test_laurent_elimination_matches_leibniz_property(ring, nvars, rows, cols, entries,
+                                                      deficiency):
+    check_laurent_elimination(laurent_matrix(ring, nvars, rows, cols, entries, deficiency))
+
+
+def check_scalar_elimination(sympy, M):
+    n = len(M)
+    assert smat_rank(QQ, M) == sympy.Matrix(M).rank()
+    if len(M[0]) < n:
+        return
+    square = [row[:n] for row in M]
+    assert smat_det(QQ, square) == Fraction(str(sympy.Matrix(square).det()))
+    if all(x.denominator == 1 for row in square for x in row):
+        Z = [[int(x) for x in row] for row in square]
+        inv = smat_inverse(ZZ, Z)
+        assert (inv is None) == (int_det(Z) not in (1, -1))
+        if inv is not None:
+            assert smat_mul(ZZ, Z, inv) == smat_identity(ZZ, n)
+
+
+def test_scalar_elimination_matches_sympy_seeded():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        den = rng.choice((1, 1, 2, 3))
+        M = [[Fraction(rng.randint(-2, 2), den) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.3:
+            M[2] = [a + b for a, b in zip(M[0], M[1])]
+        check_scalar_elimination(sympy, M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                min_size=20, max_size=20))
+def test_scalar_elimination_matches_sympy_property(rows, cols, values):
+    sympy = pytest.importorskip("sympy")
+    M = [values[i * cols:(i + 1) * cols] for i in range(rows)]
+    check_scalar_elimination(sympy, M)

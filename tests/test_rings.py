@@ -118,3 +118,20 @@ def test_prime_helpers():
     assert prime_factors(12) == [2, 3]
     assert prime_factors(1) == []
     assert prime_factors(-18) == [2, 3]
+
+
+def test_is_prime_agrees_with_sympy_below_1e5():
+    sympy = pytest.importorskip("sympy")
+    assert all(is_prime(n) == sympy.isprime(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_agrees_with_sympy_on_62_bit_numbers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(62)
+    for _ in range(3000):
+        n = rng.getrandbits(62) | (1 << 61) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to several small bases, and the largest prime
+    # below the prime-field bound
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(4611686018427387847)
