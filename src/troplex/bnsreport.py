@@ -70,8 +70,7 @@ class BoundEntry:
     """
 
     def __init__(self, descriptor, rep, mode, admissibility, included,
-                 ideals=None, gcds=None, complexes=None, arcs=None,
-                 exact=None, notes=()):
+                 ideals=None, gcds=None, arcs=None, exact=None, notes=()):
         self.descriptor = descriptor
         self.rep = rep
         self.mode = mode
@@ -79,7 +78,6 @@ class BoundEntry:
         self.included = included
         self.ideals = ideals or {}
         self.gcds = gcds or {}
-        self.complexes = complexes or {}
         self.arcs = arcs
         self.exact = exact
         self.notes = list(notes)
@@ -146,7 +144,7 @@ def _tropicalize_ideal(J, mode):
     notes = []
     if J.is_zero_ideal:
         return (
-            full_plane_complex(J.nvars, note="zero ideal"),
+            full_plane_complex(J.nvars),
             True,
             [f"{J.source}: zero ideal, tropical set is everything"],
         )
@@ -184,19 +182,19 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
             shared[id(rep)] = [jump_ideal(pres, rep, phi, i=i) for i in (0, 1)]
         ideals = dict(enumerate(shared[id(rep)]))
         gcds = {i: J.gcd() for i, J in ideals.items()}
-        complexes, entry_notes = {}, []
+        complexes, entry_notes = [], []
         exact = True
-        for i, J in ideals.items():
+        for J in ideals.values():
             T, ex, ns = _tropicalize_ideal(J, mode)
-            complexes[i] = T
+            complexes.append(T)
             exact = exact and ex
             entry_notes.extend(ns)
-        arcs = union_all(sphere_projection(T) for T in complexes.values())
+        arcs = union_all(sphere_projection(T) for T in complexes)
         included.append(
             BoundEntry(
                 descriptor, rep, mode, verdict, True,
-                ideals=ideals, gcds=gcds, complexes=complexes,
-                arcs=arcs, exact=exact, notes=entry_notes,
+                ideals=ideals, gcds=gcds, arcs=arcs, exact=exact,
+                notes=entry_notes,
             )
         )
     vacuous = not included

@@ -113,16 +113,10 @@ def _job_rep_phi(args):
     return job, rep, phi
 
 
-def _convert(rep, ring):
-    if rep.ring.tag() == ring.tag():
-        return rep
-    return rep.over(ring)
-
-
 def cmd_alexander(args):
     job, rep, phi = _job_rep_phi(args)
     if args.ring:
-        rep = _convert(rep, ring_from_tag(args.ring))
+        rep = rep.over(ring_from_tag(args.ring))
     verdict = twisted_alexander(job.presentation, rep, phi, squarefree=args.squarefree)
     print(verdict.describe())
     return EXIT_OK
@@ -132,7 +126,7 @@ def cmd_trop(args):
     job, rep, phi = _job_rep_phi(args)
     kind, aux = parse_valuation(args.valuation)
     if kind == "reduce":
-        rep = _convert(rep, GF(aux))
+        rep = rep.over(GF(aux))
         valuation = TRIVIAL
     elif kind == "field":
         valuation = aux
@@ -154,7 +148,7 @@ def cmd_trop(args):
                 file=sys.stderr,
             )
             return EXIT_VACUOUS
-        T = full_plane_complex(2, note="zero polynomial")
+        T = full_plane_complex(2)
     elif kind == "Z":
         T = trop_Z_principal(verdict.delta_poly())
     else:
@@ -181,7 +175,7 @@ def cmd_bns_bound(args):
             elif kind == "field":
                 entries.append((rname, base, aux))
             else:
-                entries.append((f"{rname} mod {aux}", _convert(base, GF(aux)), TRIVIAL))
+                entries.append((f"{rname} mod {aux}", base.over(GF(aux)), TRIVIAL))
     report = assemble_bound(
         job.presentation, entries, phi=phi, check_finite_image=args.check_finite_image
     )
@@ -246,9 +240,7 @@ def cmd_kaehler_test(args):
     fields = [parse_field(tag.strip()) for tag in args.fields.split(",")]
     verdicts = []
     for ring in fields:
-        v = twisted_alexander(
-            job.presentation, _convert(rep, ring), phi, squarefree=True
-        )
+        v = twisted_alexander(job.presentation, rep.over(ring), phi, squarefree=True)
         print(f"{ring!r}: Delta = {v.describe()}")
         verdicts.append(v)
     outcome = kahler_obstruction(verdicts)

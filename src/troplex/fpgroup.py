@@ -554,16 +554,16 @@ class QuotientTooLarge(ValueError):
     """A closure found more elements than its limit allows."""
 
 
-def _closure(gens, mul, identity, max_size=None):
+def _closure(gens, mul, identity):
     """The set of products of gens, found breadth first from identity.
 
     mul(h, g) multiplies the element g on the left by the generator h.  The
     generators of a finite group need no inverses: a finite monoid of
-    invertible elements is a group.  More than max_size elements (default:
-    TROPLEX_MAX_QUOTIENT, else DEFAULT_MAX_QUOTIENT) raise QuotientTooLarge.
+    invertible elements is a group.  More than TROPLEX_MAX_QUOTIENT elements
+    (DEFAULT_MAX_QUOTIENT when unset), read here and nowhere else, raise
+    QuotientTooLarge.
     """
-    if max_size is None:
-        max_size = int(os.environ.get("TROPLEX_MAX_QUOTIENT", DEFAULT_MAX_QUOTIENT))
+    max_size = int(os.environ.get("TROPLEX_MAX_QUOTIENT", DEFAULT_MAX_QUOTIENT))
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -583,7 +583,7 @@ def _closure(gens, mul, identity, max_size=None):
     return elements
 
 
-def regular_representation(pres, perms, ring=ZZ, max_size=None):
+def regular_representation(pres, perms, ring=ZZ):
     """Left regular representation of the finite quotient generated by perms.
 
     perms gives one 0-based permutation tuple per generator of pres; the
@@ -606,7 +606,7 @@ def regular_representation(pres, perms, ring=ZZ, max_size=None):
             acc = _perm_mul(acc, inv[letter])
         if acc != identity:
             raise ValueError("permutations do not satisfy the relators")
-    elements = sorted(_closure(perms, _perm_mul, identity, max_size))
+    elements = sorted(_closure(perms, _perm_mul, identity))
     position = {g: k for k, g in enumerate(elements)}
     size = len(elements)
     mats = []

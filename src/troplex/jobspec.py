@@ -84,7 +84,7 @@ class RepSpec:
     def ring(self):
         return ring_from_tag(self.block.get("ring", "Z"))
 
-    def build(self, pres, max_size=None):
+    def build(self, pres):
         ring = self.ring()
         if self.kind == "trivial":
             rank = self.block.get("rank", 1)
@@ -132,7 +132,7 @@ class RepSpec:
                     f"representation {self.name!r}: {list(p)} is not a "
                     f"permutation of 0..{deg - 1}"
                 )
-        return fpgroup.regular_representation(pres, perms, ring=ring, max_size=max_size)
+        return fpgroup.regular_representation(pres, perms, ring=ring)
 
 
 class JobSpec:
@@ -157,14 +157,14 @@ class JobSpec:
     def __eq__(self, other):
         return isinstance(other, JobSpec) and self.doc == other.doc
 
-    def representation(self, name, max_size=None):
+    def representation(self, name):
         if name not in self.rep_specs:
             known = sorted(self.rep_specs) or ["(none)"]
             raise JobError(
                 f"unknown representation {name!r}; document defines {', '.join(known)}"
             )
         try:
-            return self.rep_specs[name].build(self.presentation, max_size=max_size)
+            return self.rep_specs[name].build(self.presentation)
         except ValueError as e:
             raise JobError(str(e)) from None
 
@@ -239,7 +239,7 @@ def bundled_path(name):
     return resources.files("troplex.data").joinpath(name)
 
 
-def presentation_document(name, pres, extra=None):
+def presentation_document(name, pres):
     """A job document for a presentation built by a generator command."""
     doc = {
         "name": name,
@@ -249,8 +249,6 @@ def presentation_document(name, pres, extra=None):
         },
         "representations": {"trivial": {"ring": "Z", "trivial": True}},
     }
-    if extra:
-        doc.update(extra)
     validate_document(doc)
     return doc
 

@@ -2,8 +2,9 @@
 
 Everything here works on the two matrices (d2, d1) produced by
 ``fpgroup.alexander_matrices``: homology jump ideals as minor ideals,
-the twisted Alexander polynomial as a GCD of minors of d2, the
-"delta is 0 or 1" obstruction, and the Novikov-ring admissibility check
+the twisted Alexander polynomial as a GCD of minors of d2 (one canonical
+LaurentPoly, so "delta is 0 or 1" reads off the polynomials 0 and 1),
+the obstruction built on it, and the Novikov-ring admissibility check
 for a representation under a valuation.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
@@ -26,22 +27,6 @@ from .laurent import (
     squarefree_part,
 )
 from .rings import valuate
-
-
-class _Symbol:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-#: twisted Alexander polynomial is identically zero
-Zero = _Symbol("Zero")
-#: twisted Alexander polynomial is a unit
-One = _Symbol("One")
 
 
 # -- minors and ideals ------------------------------------------------------
@@ -166,8 +151,8 @@ def jump_ideal(pres, rep, phi=None, i=1):
 class AlexVerdict:
     """Outcome of a twisted Alexander polynomial computation.
 
-    delta is a canonical LaurentPoly, or the symbol Zero (all relevant
-    minors vanish), or the symbol One (the GCD is a unit).  Over Z the
+    delta is a canonical LaurentPoly: the zero polynomial when all relevant
+    minors vanish, the polynomial 1 when their GCD is a unit.  Over Z the
     integer content is kept, so delta may be a non-unit constant; such a
     constant still counts as "unit over the fraction field" for the
     obstruction test.  Off the common zero set of the r-minors of d1 (the
@@ -175,31 +160,22 @@ class AlexVerdict:
     define the same hypersurface.
     """
 
-    def __init__(self, delta, ring, nvars):
+    def __init__(self, delta):
         self.delta = delta
-        self.ring = ring
-        self.nvars = nvars
+        self.ring = delta.ring
 
     @property
     def is_zero(self):
-        return self.delta is Zero
+        return self.delta.is_zero
 
     @property
     def is_unit(self):
-        return self.delta is One
+        return is_unit(self.delta)
 
     def delta_poly(self):
-        if self.delta is Zero:
-            return LaurentPoly.zero(self.ring, self.nvars)
-        if self.delta is One:
-            return LaurentPoly.one(self.ring, self.nvars)
         return self.delta
 
     def describe(self):
-        if self.delta is Zero:
-            return "0"
-        if self.delta is One:
-            return "1"
         return render(self.delta)
 
     def __repr__(self):
@@ -209,29 +185,24 @@ class AlexVerdict:
 def twisted_alexander(pres, rep, phi=None, squarefree=False):
     """Twisted Alexander polynomial via the minors of d2.
 
-    Returns Zero when the generic rank of d2 is below (n-1)*r, otherwise
-    the GCD of all (n-1)*r minors (canonical associate; integer content
-    kept over Z; squarefree part only if requested).  The excluded locus
-    is not computed here: read it from jump_ideal(pres, rep, phi, i=0).
+    The zero polynomial when the generic rank of d2 is below (n-1)*r (an
+    empty d2 has rank 0), otherwise the GCD of all (n-1)*r minors
+    (canonical associate, so a unit GCD is 1; integer content kept over Z;
+    squarefree part only if requested).  The excluded locus is not computed
+    here: read it from jump_ideal(pres, rep, phi, i=0).
     """
     if phi is None:
         phi = fpgroup.AbelianEpi.from_abelianization(pres)
     d2, _ = fpgroup.alexander_matrices(pres, rep, phi)
     target = (pres.ngens - 1) * rep.rank
-    ring = rep.ring
     if target == 0:
-        return AlexVerdict(One, ring, phi.m)
-    if target > min(len(d2), len(d2[0]) if d2 else 0):
-        return AlexVerdict(Zero, ring, phi.m)
+        return AlexVerdict(LaurentPoly.one(rep.ring, phi.m))
     if linalg.rank_laurent(d2) < target:
-        return AlexVerdict(Zero, ring, phi.m)
+        return AlexVerdict(LaurentPoly.zero(rep.ring, phi.m))
     delta = gcd_list(minors(d2, target))
     if squarefree:
         delta = squarefree_part(delta)
-    delta = canonical_associate(delta)
-    if is_unit(delta):
-        return AlexVerdict(One, ring, phi.m)
-    return AlexVerdict(delta, ring, phi.m)
+    return AlexVerdict(canonical_associate(delta))
 
 
 # -- obstruction and admissibility ------------------------------------------
@@ -255,16 +226,6 @@ class KahlerVerdict:
         )
 
 
-def _counts_as_unit(verdict):
-    delta = verdict.delta
-    if delta is One:
-        return True
-    if delta is Zero:
-        return False
-    # any single term c*t^e: a unit once coefficients live in a field
-    return len(delta.terms) == 1
-
-
 def kahler_obstruction(verdicts):
     """A group whose twisted Alexander polynomial is neither 0 nor a unit
     (over some coefficient field) cannot be a Kahler group.
@@ -277,7 +238,9 @@ def kahler_obstruction(verdicts):
         raise ValueError("need at least one verdict")
     witnesses = []
     for v in verdicts:
-        if not v.is_zero and not _counts_as_unit(v):
+        # 0 has no term, and any single term c*t^e is a unit once
+        # coefficients live in a field
+        if len(v.delta.terms) > 1:
             witnesses.append(v.ring.tag())
     witnesses.sort()
     return KahlerVerdict(not witnesses, witnesses)
@@ -295,7 +258,7 @@ class NovikovVerdict:
         return f"<NovikovVerdict No({self.reason})>"
 
 
-def novikov_admissible(rep, valuation, check_finite_image=False, max_size=None):
+def novikov_admissible(rep, valuation, check_finite_image=False):
     """Is sigma admissible for the Novikov completion under this valuation?
 
     Trivial valuation: always Yes (condition a).  Otherwise the sufficient
@@ -304,7 +267,7 @@ def novikov_admissible(rep, valuation, check_finite_image=False, max_size=None):
     whole image inside GL_r of the valuation ring.  The finite-image
     condition (b) is tried only on request: it holds when the bounded
     closure fpgroup._closure of the generator matrices stays within
-    max_size (default TROPLEX_MAX_QUOTIENT) elements.
+    TROPLEX_MAX_QUOTIENT elements.
     """
     if valuation.kind == "trivial":
         return NovikovVerdict(True, condition="a")
@@ -320,7 +283,6 @@ def novikov_admissible(rep, valuation, check_finite_image=False, max_size=None):
                 [frozen(m) for m in rep.mats],
                 lambda h, g: frozen(linalg.smat_mul(ring, h, g)),
                 frozen(rep.identity()),
-                max_size,
             )
             return NovikovVerdict(True, condition="b")
         except fpgroup.QuotientTooLarge:

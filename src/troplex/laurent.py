@@ -282,6 +282,12 @@ def is_unit(f):
     return f.ring.is_unit(c)
 
 
+def _shift_to_zero(f):
+    """f times the monomial that makes every minimum exponent 0."""
+    low = f.min_exponents()
+    return f.shift(tuple(-m for m in low)) if any(low) else f
+
+
 def canonical_associate(f):
     """The canonical representative of f up to units.
 
@@ -291,7 +297,7 @@ def canonical_associate(f):
     """
     if f.is_zero:
         return f
-    shifted = f.shift(tuple(-m for m in f.min_exponents()))
+    shifted = _shift_to_zero(f)
     lead = shifted.terms[shifted.lex_min_exponent()]
     R = f.ring
     if R.is_field:
@@ -471,11 +477,18 @@ def _prs_gcd(A, B, x):
 
 
 def _poly_gcd(f, g):
-    """GCD of polynomials with nonnegative exponents, up to canonical associate."""
+    """GCD of polynomials, up to canonical associate.
+
+    The recursion reads exponents as polynomial degrees, but exact division
+    in the subresultant PRS works in the Laurent ring and can hand back a
+    negative exponent (t1^-1 would pass for a constant).  Monomials are
+    units, so each input is first shifted to minimum exponent 0.
+    """
     if f.is_zero:
         return g
     if g.is_zero:
         return f
+    f, g = (_shift_to_zero(h) for h in (f, g))
     active = _active_vars(f, g)
     if not active:
         return LaurentPoly.constant(
@@ -504,17 +517,16 @@ def laurent_gcd(f, g):
     if g.is_zero:
         return canonical_associate(f)
     f._check_same(g)
-    fp = f.shift(tuple(-m for m in f.min_exponents()))
-    gp = g.shift(tuple(-m for m in g.min_exponents()))
-    return canonical_associate(_poly_gcd(fp, gp))
+    return canonical_associate(_poly_gcd(f, g))
 
 
-def gcd_list(polys, stop_at_unit=True):
-    """Fold laurent_gcd over a list (deterministic order; [] is an error)."""
+def gcd_list(polys):
+    """Fold laurent_gcd over a list (deterministic order; [] is an error),
+    stopping at the first unit."""
     acc = None
     for f in polys:
         acc = f if acc is None else laurent_gcd(acc, f)
-        if stop_at_unit and acc is not None and is_unit(acc):
+        if is_unit(acc):
             return canonical_associate(acc)
     if acc is None:
         raise ValueError("gcd of an empty list")

@@ -111,12 +111,11 @@ def _arc_path(canvas, comp):
     )
 
 
-def render_svg(T, arcs=None, title=""):
+def render_svg(T, title=""):
     """Render a planar tropical complex (and its sphere set) as SVG text."""
     if T.nvars != 2:
         raise ValueError("SVG rendering is planar only")
-    if arcs is None:
-        arcs = sphere_projection(T)
+    arcs = sphere_projection(T)
     reach = _reach(T)
     canvas = _Canvas(reach)
     far = 4.0 * reach

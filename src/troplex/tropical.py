@@ -151,11 +151,10 @@ def _in_cone2(base, d1, d2, w):
 
 
 class TropicalComplex:
-    def __init__(self, nvars, cells, full_plane=False, note=""):
+    def __init__(self, nvars, cells, full_plane=False):
         self.nvars = nvars
         self.cells = list(cells)
         self.full_plane = full_plane
-        self.note = note
 
     def __repr__(self):
         if self.full_plane:
@@ -222,7 +221,7 @@ def cell_weight(c):
     return g
 
 
-def full_plane_complex(nvars=2, note=""):
+def full_plane_complex(nvars=2):
     """All of R^2 as four closed quadrant cones (keeps the cell algebra
     uniform: projection and membership need no special casing)."""
     if nvars != 2:
@@ -234,7 +233,7 @@ def full_plane_complex(nvars=2, note=""):
         ((0, -1), (1, 0)),
     ]
     cells = [Cell("cone2", (0, 0), dir=a, dir2=b) for a, b in quads]
-    return TropicalComplex(2, cells, full_plane=True, note=note)
+    return TropicalComplex(2, cells, full_plane=True)
 
 
 # -- corner locus over a valued field ---------------------------------------
@@ -261,7 +260,7 @@ def trop_hypersurface(f, valuation=TRIVIAL):
         raise ValueError("exact cells need nvars <= 2; use trop_contains oracle")
     items = _term_heights(f, valuation)
     if len(items) == 1:
-        return TropicalComplex(f.nvars, [], note="single term: empty corner locus")
+        return TropicalComplex(f.nvars, [])  # one term: empty corner locus
     if f.nvars == 0:
         raise ValueError("no variables to tropicalize")
     if f.nvars == 1:
@@ -387,36 +386,18 @@ def _clip_tie_line(items, i, j, a, rhs):
     return [Cell("ray", base, dir=d), Cell("ray", base, dir=antipode(d))]
 
 
-def _cell_subsumed(c, d):
-    """Is cell c geometrically contained in a different cell d?"""
-    if c.kind == "vertex":
-        return d.kind != "vertex" and d.contains(c.base)
-    if c.kind == "segment":
-        if d.kind in ("vertex",):
-            return False
-        return d.contains(c.base) and d.contains(c.end) and d.kind in ("segment", "ray", "cone2")
-    if c.kind == "ray":
-        if d.kind == "ray":
-            return tuple(c.dir) == tuple(d.dir) and d.contains(c.base)
-        if d.kind == "cone2":
-            return d.contains(c.base) and d.contains(c.interior_point())
-        return False
-    return False
-
-
-def _dedupe_cells(cells, subsume=True):
+def _dedupe_cells(cells):
+    """Cells with distinct keys, sorted.  No cell of the subdivision walk
+    lies inside another: each subdivision edge is clipped once, by its
+    extreme pair, and the cells of distinct edges meet only at their ends."""
     uniq = {}
     for c in cells:
         uniq.setdefault(c.key(), c)
-    cells = list(uniq.values())
-    out = []
-    for c in cells:
-        if subsume and any(d is not c and _cell_subsumed(c, d) for d in cells):
-            continue
-        out.append(c)
     kind_order = {"vertex": 0, "segment": 1, "ray": 2, "cone2": 3}
-    out.sort(key=lambda c: (kind_order[c.kind], c.base, c.dir or (), c.end or ()))
-    return out
+    return sorted(
+        uniq.values(),
+        key=lambda c: (kind_order[c.kind], c.base, c.dir or (), c.end or ()),
+    )
 
 
 # -- integer-coefficient tropicalization ------------------------------------
@@ -485,15 +466,15 @@ def trop_Z_principal(f):
     if f.ring.kind != "Z":
         raise ValueError("integer tropicalization needs Z coefficients")
     if f.is_zero:
-        return full_plane_complex(f.nvars, note="zero ideal: everything")
+        return full_plane_complex(f.nvars)
     if f.nvars != 2:
         raise ValueError("exact cells need nvars = 2; use trop_Z_contains oracle")
     support = sorted(f.terms)
     if len(support) == 1:
         u = support[0]
         if f.ring.is_unit(f.terms[u]):
-            return TropicalComplex(2, [], note="unit monomial: empty")
-        return full_plane_complex(2, note="non-unit monomial: everything")
+            return TropicalComplex(2, [])
+        return full_plane_complex(2)
     hull = _convex_hull(support)
     cells = []
     if len(hull) == 2:
@@ -509,7 +490,7 @@ def trop_Z_principal(f):
             cells.extend(_halfplane_cells(e, (lo,)))
         if not f.ring.is_unit(f.terms[hi]):
             cells.extend(_halfplane_cells(antipode(e), (hi,)))
-        return TropicalComplex(2, _dedupe_cells(cells, subsume=False))
+        return TropicalComplex(2, _dedupe_cells(cells))
     k = len(hull)
     inward = []
     for idx in range(k):
@@ -526,7 +507,7 @@ def trop_Z_principal(f):
         prev_n = inward[(idx - 1) % k]
         next_n = inward[idx]
         cells.append(Cell("cone2", (0, 0), dir=prev_n, dir2=next_n, label=(v,)))
-    return TropicalComplex(2, _dedupe_cells(cells, subsume=False))
+    return TropicalComplex(2, _dedupe_cells(cells))
 
 
 # -- sphere projection -------------------------------------------------------
@@ -610,14 +591,14 @@ class ValuationUnionReport:
         self.notes = notes
 
 
-def union_over_valuations(gens, extra_primes=()):
+def union_over_valuations(gens):
     """Tropicalize one polynomial over Q-trivial, p-adic, and mod-p for
     candidate primes.
 
     gens: a one-element list of a LaurentPoly over Z, or a principal
     IdealGens; several generators raise ValueError (pass their gcd, whose
     tropical set contains the ideal's).  The candidate prime set is every
-    prime dividing a coefficient (plus extra_primes).  This is complete:
+    prime dividing a coefficient.  This is complete:
     for any other prime, reduction mod p keeps the support and every
     coefficient valuation is zero, so every tropicalization equals the
     trivial one.
@@ -633,7 +614,7 @@ def union_over_valuations(gens, extra_primes=()):
     (f,) = gens
     if f.ring.kind != "Z":
         raise ValueError("prime-union tropicalization needs Z coefficients")
-    primes = sorted(set(extra_primes) | set(coefficient_primes(f)))
+    primes = coefficient_primes(f)
     notes = []
     settings = [("trivial over Q", TRIVIAL, None)]
     for p in primes:
@@ -644,7 +625,7 @@ def union_over_valuations(gens, extra_primes=()):
         g = f if red is None else reduce_mod_p(f, red)
         if g.is_zero:
             notes.append(f"a generator reduces to 0 mod {red}")
-            combined = full_plane_complex(f.nvars, note=f"zero mod {red}")
+            combined = full_plane_complex(f.nvars)
         else:
             combined = trop_hypersurface(g, val)
         entries.append(ValuationEntry(label, combined, sphere_projection(combined)))

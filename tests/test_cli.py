@@ -251,6 +251,37 @@ def test_alexander_of_a_presentation_of_z_terminates(capsys, tmp_path, deadline)
         assert run(capsys, "alexander", str(path), "--rep", "trivial") == (0, "1\n", "")
 
 
+def write_document(tmp_path, name, generators, relators, **representations):
+    doc = {
+        "name": name,
+        "presentation": {"generators": generators, "relators": relators},
+        "representations": representations,
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_delta_zero_one_and_polynomial_goldens(capsys, tmp_path):
+    # Delta = 0 from a rank deficit: d2 of <x1, x2 | > is empty
+    free2 = write_document(tmp_path, "free2", ["x1", "x2"], [],
+                           trivial={"ring": "Z", "trivial": True})
+    assert run(capsys, "alexander", free2, "--rep", "trivial") == (0, "0\n", "")
+    assert run(capsys, "kaehler-test", free2, "--fields", "q,fp:2") == (
+        0, "Q: Delta = 0\nF_2: Delta = 0\nconsistent (Delta = 0)\n", "")
+    # Delta = 1 from an empty target: (n - 1) * r = 0 minors of <x1 | >
+    z = write_document(tmp_path, "z", ["x1"], [],
+                       trivial={"ring": "Z", "trivial": True},
+                       rank2={"ring": "Z", "trivial": True, "rank": 2})
+    for rep in ("trivial", "rank2"):
+        assert run(capsys, "alexander", z, "--rep", rep) == (0, "1\n", "")
+        assert run(capsys, "trop", z, "--rep", rep, "--valuation", "trivial") == (0, "", "")
+    # a genuine polynomial: BS(1, 2) = <a, b | a b a^-1 b^-2>
+    bs = write_document(tmp_path, "bs12", ["a", "b"], ["a b a^-1 b^-2"],
+                        trivial={"ring": "Z", "trivial": True})
+    assert run(capsys, "alexander", bs, "--rep", "trivial") == (0, "2 - t1\n", "")
+
+
 def test_alexander_over_a_large_prime_field(capsys, deadline):
     # the largest prime below the 2**62 bound on prime fields
     with deadline(20):

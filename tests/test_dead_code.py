@@ -1,9 +1,10 @@
-"""Every function and class in src/troplex has a caller in the program.
+"""Every function and class in src/troplex has a caller in the program,
+and every parameter with a default has a caller that sets it.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in src/troplex or perfbench/ (a definition or an import alone does not
-count).  The tests are no caller: a helper that only a test reaches
-belongs in that test.
+count).  The tests are no caller: a helper or an option that only a test
+reaches belongs in that test.
 """
 
 import ast
@@ -66,3 +67,98 @@ def test_every_definition_has_a_caller():
                 continue
             unused.append(f"{path.relative_to(SOURCE)}: {qual}")
     assert not unused, "no caller in src/troplex or perfbench/:\n" + "\n".join(unused)
+
+
+# defaulted parameters kept on purpose, as "qualified_name(parameter)"
+KEPT_OPTIONS = {
+    "homology_dims_at_character(torsion_values)",
+    "LaurentPoly.var(power)",
+}
+
+
+def _options(tree):
+    """The defaulted parameters and the calls of one module.
+
+    Parameters: {"qualified_name(parameter)": (callee, parameter,
+    position)}, where a method's first parameter takes no position,
+    __init__ is called by its class name and a keyword-only parameter has
+    position None.  Calls:
+    (callee, positional values, {keyword: value}, starred), a value being
+    the key of the enclosing function's defaulted parameter that it passes
+    on, else None; cls(...) inside a class calls that class.
+    """
+    options, calls = {}, []
+
+    def passed(value, scope):
+        return scope.get(value.id) if isinstance(value, ast.Name) else None
+
+    def visit(node, owner, klass, scope):
+        for child in ast.iter_child_nodes(node):
+            args = (owner, klass, scope)
+            if isinstance(child, ast.ClassDef):
+                args = (child.name, child.name, scope)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(getattr(d, "id", "") == "staticmethod" for d in child.decorator_list)
+                if owner and not static:
+                    positional = positional[1:]
+                qual = f"{owner}.{child.name}" if owner else child.name
+                callee = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(a.defaults)
+                params = [(p, k) for k, p in enumerate(positional) if k >= first]
+                params += [(p, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None]
+                inner = {p.arg: f"{qual}({p.arg})" for p, _ in params}
+                options.update({inner[p.arg]: (callee, p.arg, k) for p, k in params})
+                args = ("", klass, inner)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "cls" and klass:
+                    name = klass
+                calls.append((
+                    name,
+                    [passed(v, scope) for v in child.args],
+                    {k.arg: passed(k.value, scope) for k in child.keywords},
+                    any(isinstance(v, ast.Starred) for v in child.args)
+                    or any(k.arg is None for k in child.keywords),
+                ))
+            visit(child, *args)
+
+    visit(tree, "", "", {})
+    return options, calls
+
+
+def test_every_option_is_set_by_a_caller():
+    """A parameter with a default is set by some call in src/troplex or
+    perfbench/: by keyword, or positionally with enough arguments, or by a
+    *args/**kwargs call.  Passing on a parameter that nothing sets does not
+    count, so an option threaded through layers is caught at every layer."""
+    options, calls = {}, []
+    for folder in READERS:
+        for path in folder.rglob("*.py"):
+            found, called = _options(_parse(path))
+            calls.extend(called)
+            if folder == SOURCE:
+                options.update(found)
+    unset = set(options) - KEPT_OPTIONS
+    changed = True
+    while changed:
+        changed = False
+        for key in sorted(unset):
+            callee, param, position = options[key]
+            for name, values, keywords, starred in calls:
+                if name != callee:
+                    continue
+                if param in keywords:
+                    given = [keywords[param]]
+                elif position is not None:
+                    given = values[position:position + 1]
+                else:
+                    given = []
+                if starred or any(v not in unset for v in given):
+                    unset.discard(key)
+                    changed = True
+                    break
+    assert not unset, "no call in src/troplex or perfbench/ sets:\n" + "\n".join(sorted(unset))

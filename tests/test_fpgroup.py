@@ -495,12 +495,13 @@ def test_regular_representation_s3():
     assert reg.mats == job.representation("reg_s3").mats
 
 
-def test_regular_representation_validation():
+def test_regular_representation_validation(monkeypatch):
     pres = onerel().presentation
     with pytest.raises(ValueError):
         regular_representation(pres, [[1, 0], [0, 2]])  # not a permutation
     with pytest.raises(ValueError):
         regular_representation(pres, [[1, 0]])  # one permutation per generator
+    monkeypatch.setenv("TROPLEX_MAX_QUOTIENT", "5")
     with pytest.raises(ValueError):
         # closure capped below the group order
-        regular_representation(pres, [[1, 2, 0], [1, 0, 2]], max_size=5)
+        regular_representation(pres, [[1, 2, 0], [1, 0, 2]])

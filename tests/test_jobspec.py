@@ -158,7 +158,7 @@ def test_matrix_rep_must_satisfy_relators():
     assert verify_representation(job.presentation, job.representation("s3"))
 
 
-def test_permutation_rep_build():
+def test_permutation_rep_build(monkeypatch):
     job = load_job(bundled_path("one_relator.json"))
     reg = job.representation("reg_s3")
     assert reg.rank == 6
@@ -170,8 +170,9 @@ def test_permutation_rep_build():
     }
     with pytest.raises(JobError, match="not a permutation"):
         JobSpec(doc).representation("p")
+    monkeypatch.setenv("TROPLEX_MAX_QUOTIENT", "2")
     with pytest.raises(JobError, match="exceeds 2 elements"):
-        job.representation("reg_s3", max_size=2)
+        job.representation("reg_s3")
 
 
 def test_unknown_names_list_what_exists():

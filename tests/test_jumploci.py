@@ -398,11 +398,11 @@ def test_kahler_obstruction_nonunit_constant_over_z():
     # an integer constant is a unit once coefficients sit in a field,
     # so retained content over Z must not trigger the obstruction
     from troplex.jumploci import AlexVerdict
-    const2 = AlexVerdict(LaurentPoly.constant(ZZ, 2, 2), ZZ, 2)
+    const2 = AlexVerdict(LaurentPoly.constant(ZZ, 2, 2))
     assert kahler_obstruction([const2]).consistent
-    shifted = AlexVerdict(LaurentPoly.monomial(ZZ, 2, (3, -1), 5), ZZ, 2)
+    shifted = AlexVerdict(LaurentPoly.monomial(ZZ, 2, (3, -1), 5))
     assert kahler_obstruction([shifted]).consistent
-    genuine = AlexVerdict(LaurentPoly(ZZ, 2, {(0, 0): 1, (1, 0): 1}), ZZ, 2)
+    genuine = AlexVerdict(LaurentPoly(ZZ, 2, {(0, 0): 1, (1, 0): 1}))
     assert not kahler_obstruction([genuine]).consistent
 
 

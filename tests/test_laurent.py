@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from troplex.laurent import (
     LaurentPoly, render, is_unit, canonical_associate, exact_div,
@@ -239,11 +240,10 @@ def test_coefficient_primes():
     assert coefficient_primes(f) == [2, 3, 7]
 
 
-@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                   reason="3-variable gcd: the subresultant PRS divides by zero")
 def test_gcd_three_variables_over_f2():
-    # remove the marker once the multivariate gcd is fixed: strict makes
-    # the passing test fail until then
+    # exact division inside the subresultant PRS hands back negative
+    # exponents; they used to reach the polynomial recursion and raise
+    # ZeroDivisionError in the pseudo-remainder
     F2 = GF(2)
     A = P({e: 1 for e in [(1, 2, 2), (2, 2, 2), (0, 5, 2), (1, 5, 2),
                           (4, 2, 3), (3, 5, 3)]}, F2, 3)
@@ -252,3 +252,47 @@ def test_gcd_three_variables_over_f2():
                           (6, 4, 6)]}, F2, 3)
     g = laurent_gcd(A, B)
     assert exact_div(A, g) is not None and exact_div(B, g) is not None
+
+
+def test_gcd_three_variables_over_z():
+    # t1^-1 used to pass for a constant: ValueError "not a constant polynomial"
+    A = P({(1, 3, -1): 6, (1, 0, -1): 6, (4, 0, 3): -2, (2, 3, 2): 6,
+           (2, 0, 2): 6, (5, 0, 6): -2}, ZZ, 3)
+    B = P({(1, 4, 0): 9, (1, 1, 0): 9, (4, 1, 4): -3, (0, 4, 1): 9,
+           (0, 1, 1): 9, (3, 1, 5): -3, (-1, 1, -1): -3, (-1, -2, -1): -3,
+           (2, -2, 3): 1, (0, 2, -2): 3, (0, -1, -2): 3, (3, -1, 2): -1}, ZZ, 3)
+    assert render(laurent_gcd(A, B)) == "3 + 3*t2^3 - t1^3*t3^4"
+
+
+def sympy_gcd(sympy, f, g):
+    """gcd(f, g) by sympy on the polynomial parts, as a canonical associate."""
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    modulus = {"modulus": f.ring.p} if f.ring.kind == "FP" else {}
+
+    def poly(h):
+        h = h.shift(tuple(-m for m in h.min_exponents()))
+        return sympy.Poly.from_dict({e: int(c) for e, c in h.terms.items()}, *xs, **modulus)
+
+    terms = poly(f).gcd(poly(g)).as_dict()
+    return canonical_associate(
+        P({e: f.ring.from_int(int(c)) for e, c in terms.items()}, f.ring, f.nvars))
+
+
+def laurent3(ring):
+    coeffs = (1,) if ring.kind == "FP" and ring.p == 2 else (1, 2) if ring.kind == "FP" else (1, -1, 2, -3)
+    exps = st.tuples(*[st.integers(-1, 2)] * 3)
+    return st.dictionaries(exps, st.sampled_from(coeffs), min_size=1, max_size=3).map(
+        lambda terms: P(terms, ring, 3))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((ZZ, GF(2), GF(3))), st.data())
+def test_gcd_three_variables_matches_sympy_property(deadline, ring, data):
+    sympy = pytest.importorskip("sympy")
+    a, b, c = (data.draw(laurent3(ring)) for _ in range(3))
+    with deadline(30):
+        g = laurent_gcd(a, b)
+        assert exact_div(a, g) is not None and exact_div(b, g) is not None
+        assert g == sympy_gcd(sympy, a, b)
+        assert laurent_gcd(a * c, b * c) == canonical_associate(g * c)

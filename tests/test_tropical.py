@@ -309,15 +309,6 @@ def test_valuation_union_witness_point():
         assert not e.combined.contains(w), e.label
 
 
-def test_valuation_union_extra_primes():
-    rp = union_over_valuations(principal_quadric_ideal(), extra_primes=(5,))
-    assert rp.primes == [2, 3, 5]
-    assert [e.label for e in rp.entries][-2:] == ["5-adic over Q", "trivial over F_5"]
-    # more settings never shrink the union
-    base = union_over_valuations(principal_quadric_ideal())
-    assert base.sphere_union.is_subset(rp.sphere_union)
-
-
 def test_valuation_union_zero_reduction_note():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     t2 = LaurentPoly.var(ZZ, 2, 1)

@@ -2,7 +2,8 @@
 
 The oracle is the enumeration the walk replaced: it clips the tie line of
 every pair of terms against every term, O(n^3) exact operations, so it runs
-only here, on small polynomials.  Both sides are compared through the TSV
+only here, on small polynomials.  Unlike the walk, it clips pieces of one
+cell from several pairs, so it drops every cell that lies inside another.  Both sides are compared through the TSV
 rows the CLI prints, which carry every cell's geometry and label.
 """
 
@@ -47,6 +48,20 @@ def _pair_enum_line(items):
     return TropicalComplex(1, cells)
 
 
+def _cell_subsumed(c, d):
+    """Is cell c geometrically contained in a different cell d?"""
+    if c.kind == "vertex":
+        return d.kind != "vertex" and d.contains(c.base)
+    if c.kind == "segment":
+        return d.kind != "vertex" and d.contains(c.base) and d.contains(c.end)
+    if c.kind == "ray":
+        if d.kind == "ray":
+            return tuple(c.dir) == tuple(d.dir) and d.contains(c.base)
+        if d.kind == "cone2":
+            return d.contains(c.base) and d.contains(c.interior_point())
+    return False
+
+
 def _pair_enum_plane(items):
     n = len(items)
     raw = []
@@ -59,6 +74,7 @@ def _pair_enum_plane(items):
                 continue
             raw.extend(_clip_tie_line(items, i, j, a, Fraction(h2 - h1)))
     cells = _dedupe_cells(raw)
+    cells = [c for c in cells if not any(d is not c and _cell_subsumed(c, d) for d in cells)]
     for c in cells:
         c.label = _argmin_label(items, c.interior_point())
     return TropicalComplex(2, cells)
