@@ -58,6 +58,7 @@ from .tropical import (
     trop_hypersurface,
     trop_Z_contains,
     trop_Z_principal,
+    tropicalize,
 )
 
 __all__ = [
@@ -111,6 +112,7 @@ __all__ = [
     "trop_Z_principal",
     "trop_contains",
     "trop_hypersurface",
+    "tropicalize",
     "twisted_alexander",
     "union_all",
     "verify_representation",

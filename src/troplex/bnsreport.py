@@ -22,20 +22,20 @@ at all gives the vacuous bound: empty sphere set, full-circle complement.
 
 from __future__ import annotations
 
+from .fpgroup import AbelianEpi
 from .jumploci import NovikovVerdict, jump_ideal, novikov_admissible
 from .rings import Valuation
 from .sphere import SphereArcSet, union_all
-from .tropical import full_plane_complex, sphere_projection, trop_hypersurface, trop_Z_principal
+from .tropical import sphere_projection, tropicalize
 
 
 class SigmaFixture:
     """Known ground truth for -Sigma^1 of a named group, used only for
     comparison, never in the computation."""
 
-    def __init__(self, name, arcs, citation=""):
+    def __init__(self, name, arcs):
         self.name = name
         self.arcs = arcs
-        self.citation = citation
 
     def __repr__(self):
         return f"<SigmaFixture {self.name}>"
@@ -44,11 +44,12 @@ class SigmaFixture:
 def brown_one_relator():
     """-Sigma^1 of the one-relator group with relator
     x1^-1 x2^-1 x1 x2^2 x1^-1 x2^-1 x1^2 x2^-1 x1^-1 x2 x1^-1 x2 x1 x2^-1:
-    two open arcs, from (1,0) to (0,1) and from (0,1) to (-1,-1)."""
+    two open arcs, from (1,0) to (0,1) and from (0,1) to (-1,-1), by
+    Brown's one-relator algorithm."""
     arcs = SphereArcSet.arc((1, 0), (0, 1), closed_start=False, closed_end=False).union(
         SphereArcSet.arc((0, 1), (-1, -1), closed_start=False, closed_end=False)
     )
-    return SigmaFixture("brown_one_relator", arcs, citation="Brown's one-relator algorithm")
+    return SigmaFixture("brown_one_relator", arcs)
 
 
 FIXTURES = {"brown_one_relator": brown_one_relator}
@@ -70,14 +71,12 @@ class BoundEntry:
     """
 
     def __init__(self, descriptor, rep, mode, admissibility, included,
-                 ideals=None, gcds=None, arcs=None, exact=None, notes=()):
+                 arcs=None, exact=None, notes=()):
         self.descriptor = descriptor
         self.rep = rep
         self.mode = mode
         self.admissibility = admissibility
         self.included = included
-        self.ideals = ideals or {}
-        self.gcds = gcds or {}
         self.arcs = arcs
         self.exact = exact
         self.notes = list(notes)
@@ -92,8 +91,7 @@ class BoundEntry:
 
 
 class BoundReport:
-    def __init__(self, pres, entries, excluded, combined, complement, vacuous, notes):
-        self.pres = pres
+    def __init__(self, entries, excluded, combined, complement, vacuous, notes):
         self.entries = entries
         self.excluded = excluded
         self.combined = combined
@@ -141,24 +139,14 @@ def _check_admissible(rep, mode, check_finite_image):
 
 def _tropicalize_ideal(J, mode):
     """(complex, exact flag, notes) for one jump ideal under one mode."""
-    notes = []
+    exact = len(J.generators) <= 1
     if J.is_zero_ideal:
-        return (
-            full_plane_complex(J.nvars),
-            True,
-            [f"{J.source}: zero ideal, tropical set is everything"],
-        )
-    g = J.gcd()
-    exact = len(J.generators) == 1
-    if not exact:
-        notes.append(
-            f"{J.source}: {len(J.generators)} generators, bounding by their gcd"
-        )
-    if mode == "Z":
-        T = trop_Z_principal(g)
+        notes = [f"{J.source}: zero ideal, tropical set is everything"]
+    elif not exact:
+        notes = [f"{J.source}: {len(J.generators)} generators, bounding by their gcd"]
     else:
-        T = trop_hypersurface(g, mode)
-    return T, exact, notes
+        notes = []
+    return tropicalize(J.gcd(), mode), exact, notes
 
 
 def assemble_bound(pres, entries, phi=None, check_finite_image=False):
@@ -166,9 +154,18 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
     entries; the complement is the Sigma^1 upper bound.
 
     entries: list of (descriptor, representation, mode) with mode "Z" or
-    a Valuation.  All representations must be equipped so that the
-    character torus is 2-dimensional (exact planar cells).
+    a Valuation.  phi (default: the free abelianization) must have rank 2,
+    as the bound is a set of exact arcs on the circle; any other rank is
+    refused before any entry is computed.
     """
+    if phi is None:
+        phi = AbelianEpi.from_abelianization(pres)
+    if phi.m != 2:
+        raise ValueError(
+            "the bound needs a phi of rank 2 (its arcs live on the circle), "
+            f"got rank {phi.m}: choose one with --phi, or test single "
+            "characters with trop --contains"
+        )
     included, excluded, notes = [], [], []
     # J0 and J1 depend on the representation only, not on the setting:
     # entries sharing one representation object share them
@@ -180,22 +177,17 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
             continue
         if id(rep) not in shared:
             shared[id(rep)] = [jump_ideal(pres, rep, phi, i=i) for i in (0, 1)]
-        ideals = dict(enumerate(shared[id(rep)]))
-        gcds = {i: J.gcd() for i, J in ideals.items()}
         complexes, entry_notes = [], []
         exact = True
-        for J in ideals.values():
+        for J in shared[id(rep)]:
             T, ex, ns = _tropicalize_ideal(J, mode)
             complexes.append(T)
             exact = exact and ex
             entry_notes.extend(ns)
         arcs = union_all(sphere_projection(T) for T in complexes)
         included.append(
-            BoundEntry(
-                descriptor, rep, mode, verdict, True,
-                ideals=ideals, gcds=gcds, arcs=arcs, exact=exact,
-                notes=entry_notes,
-            )
+            BoundEntry(descriptor, rep, mode, verdict, True,
+                       arcs=arcs, exact=exact, notes=entry_notes)
         )
     vacuous = not included
     if vacuous:
@@ -207,7 +199,7 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
             "union of finitely many closed arc sets is closed: closure is a no-op"
         )
     complement = combined.complement()
-    return BoundReport(pres, included, excluded, combined, complement, vacuous, notes)
+    return BoundReport(included, excluded, combined, complement, vacuous, notes)
 
 
 class ComparisonResult:

@@ -3,13 +3,16 @@
 Exit codes: 0 success, 2 input/schema error, 3 vacuous or degenerate
 result, 4 invariant violation (a fixture comparison came back Violation),
 5 internal error (an ArithmeticError or AssertionError inside the
-library: a bug, reported on stderr without a traceback).
+library: a bug, reported on stderr without a traceback), 141 stdout was
+closed before the output was written (128 + SIGPIPE, as a shell reports
+a tool killed by a closed pipe; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -24,21 +27,16 @@ from .jobspec import (
     presentation_document,
 )
 from .jumploci import kahler_obstruction, twisted_alexander
-from .rings import GF, TRIVIAL, ring_from_tag
+from .rings import GF, ring_from_tag
 from .svg import render_svg
-from .tropical import (
-    full_plane_complex,
-    trop_contains,
-    trop_hypersurface,
-    trop_Z_contains,
-    trop_Z_principal,
-)
+from .tropical import trop_contains, trop_Z_contains, tropicalize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VACUOUS = 3
 EXIT_VIOLATION = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE = 141
 
 
 def _fmt(x):
@@ -124,35 +122,26 @@ def cmd_alexander(args):
 
 def cmd_trop(args):
     job, rep, phi = _job_rep_phi(args)
-    kind, aux = parse_valuation(args.valuation)
-    if kind == "reduce":
-        rep = rep.over(GF(aux))
-        valuation = TRIVIAL
-    elif kind == "field":
-        valuation = aux
-    verdict = twisted_alexander(job.presentation, rep, phi)
+    p, mode = parse_valuation(args.valuation)
+    verdict = twisted_alexander(job.presentation, rep.over(GF(p)) if p else rep, phi)
+    delta = verdict.delta_poly()
     if args.contains:
         w = _parse_point(args.contains, phi.m)
         if verdict.is_zero:
             member = True
-        elif kind == "Z":
-            member = trop_Z_contains(verdict.delta_poly(), w)
+        elif mode == "Z":
+            member = trop_Z_contains(delta, w)
         else:
-            member = trop_contains(verdict.delta_poly(), valuation, w)
+            member = trop_contains(delta, mode, w)
         print("yes" if member else "no")
         return EXIT_OK
-    if verdict.is_zero:
-        if phi.m != 2:
-            print(
-                f"degenerate: Delta = 0, tropical set is all of R^{phi.m}",
-                file=sys.stderr,
-            )
-            return EXIT_VACUOUS
-        T = full_plane_complex(2)
-    elif kind == "Z":
-        T = trop_Z_principal(verdict.delta_poly())
-    else:
-        T = trop_hypersurface(verdict.delta_poly(), valuation)
+    if verdict.is_zero and phi.m != 2:
+        print(
+            f"degenerate: Delta = 0, tropical set is all of R^{phi.m}",
+            file=sys.stderr,
+        )
+        return EXIT_VACUOUS
+    T = tropicalize(delta, mode)
     for row in _tsv_rows(T):
         print(row)
     if args.svg:
@@ -169,13 +158,11 @@ def cmd_bns_bound(args):
     for rname in args.rep:
         base = job.representation(rname)
         for vs in settings:
-            kind, aux = parse_valuation(vs)
-            if kind == "Z":
-                entries.append((rname, base, "Z"))
-            elif kind == "field":
-                entries.append((rname, base, aux))
+            p, mode = parse_valuation(vs)
+            if p:
+                entries.append((f"{rname} mod {p}", base.over(GF(p)), mode))
             else:
-                entries.append((f"{rname} mod {aux}", base.over(GF(aux)), TRIVIAL))
+                entries.append((rname, base, mode))
     report = assemble_bound(
         job.presentation, entries, phi=phi, check_finite_image=args.check_finite_image
     )
@@ -407,7 +394,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # the reader is gone: buffered output goes to devnull, so the
+        # flush at shutdown stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (JobError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -283,7 +283,6 @@ class AbelianEpi:
                 d not in (0, 1) for d in diag
             ):
                 raise ValueError("phi is not surjective onto Z^m (Smith form)")
-        self.pres = pres
         self.m = m
         self.vectors = vectors
 

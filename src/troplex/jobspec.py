@@ -64,6 +64,18 @@ def _parse_entry(ring, x):
     raise JobError(f"bad matrix entry {x!r}")
 
 
+def _per_generator(block, names, owner, one, many):
+    """The values of block in generator order; a generator without a value,
+    or a value for no generator, is a JobError naming owner."""
+    for gname in names:
+        if gname not in block:
+            raise JobError(f"{owner}: no {one} for generator {gname!r}")
+    extra = set(block) - set(names)
+    if extra:
+        raise JobError(f"{owner}: {many} for unknown generators {sorted(extra)}")
+    return [block[gname] for gname in names]
+
+
 class RepSpec:
     """Deferred representation: built against a presentation on demand,
     and refused unless every relator maps to the identity."""
@@ -89,21 +101,11 @@ class RepSpec:
         if self.kind == "trivial":
             rank = self.block.get("rank", 1)
             return fpgroup.Representation.trivial(ring, pres.ngens, rank=rank)
+        owner = f"representation {self.name!r}"
         if self.kind == "matrices":
-            mats = []
-            for gname in pres.names:
-                if gname not in self.block["matrices"]:
-                    raise JobError(
-                        f"representation {self.name!r}: no matrix for generator {gname!r}"
-                    )
-                raw = self.block["matrices"][gname]
-                mats.append([[_parse_entry(ring, x) for x in row] for row in raw])
-            extra = set(self.block["matrices"]) - set(pres.names)
-            if extra:
-                raise JobError(
-                    f"representation {self.name!r}: matrices for unknown "
-                    f"generators {sorted(extra)}"
-                )
+            blk = self.block["matrices"]
+            raws = _per_generator(blk, pres.names, owner, "matrix", "matrices")
+            mats = [[[_parse_entry(ring, x) for x in row] for row in raw] for raw in raws]
             rep = fpgroup.Representation(ring, mats)
             if not fpgroup.verify_representation(pres, rep):
                 raise JobError(
@@ -111,20 +113,9 @@ class RepSpec:
                     "satisfy the relators"
                 )
             return rep
-        perms = []
         blk = self.block["permutations"]
-        for gname in pres.names:
-            if gname not in blk:
-                raise JobError(
-                    f"representation {self.name!r}: no permutation for generator {gname!r}"
-                )
-            perms.append(tuple(blk[gname]))
-        extra = set(blk) - set(pres.names)
-        if extra:
-            raise JobError(
-                f"representation {self.name!r}: permutations for unknown "
-                f"generators {sorted(extra)}"
-            )
+        blocks = _per_generator(blk, pres.names, owner, "permutation", "permutations")
+        perms = [tuple(b) for b in blocks]
         deg = len(perms[0])
         for p in perms:
             if sorted(p) != list(range(deg)):
@@ -176,15 +167,9 @@ class JobSpec:
         if name not in self.phi_blocks:
             known = sorted(self.phi_blocks) or ["(none)"]
             raise JobError(f"unknown phi {name!r}; document defines {', '.join(known)}")
-        blk = self.phi_blocks[name]
-        vectors = []
-        for gname in self.presentation.names:
-            if gname not in blk:
-                raise JobError(f"phi {name!r}: no vector for generator {gname!r}")
-            vectors.append(tuple(blk[gname]))
-        extra = set(blk) - set(self.presentation.names)
-        if extra:
-            raise JobError(f"phi {name!r}: vectors for unknown generators {sorted(extra)}")
+        blk, names = self.phi_blocks[name], self.presentation.names
+        blocks = _per_generator(blk, names, f"phi {name!r}", "vector", "vectors")
+        vectors = [tuple(b) for b in blocks]
         try:
             return fpgroup.AbelianEpi(self.presentation, vectors)
         except ValueError as e:
@@ -194,23 +179,22 @@ class JobSpec:
 def parse_valuation(text):
     """Coefficient-setting strings: 'Z', 'trivial', 'p-adic:P', 'fp:P'.
 
-    Returns ("Z", None), ("field", Valuation), or ("reduce", p) - the last
-    meaning: push the representation into F_p, then use the trivial
-    valuation there.
+    Returns (p, mode): mode is "Z" (integer tropicalization) or a
+    Valuation, and p is the prime of 'fp:P' and None otherwise.  'fp:P'
+    gives (P, TRIVIAL): reduce the representation mod P, then use the
+    trivial valuation there.
     """
     if text == "Z":
-        return ("Z", None)
+        return None, "Z"
     if text == "trivial":
-        return ("field", TRIVIAL)
-    if text.startswith("p-adic:"):
-        try:
-            return ("field", padic(int(text[7:])))
-        except ValueError as e:
-            raise JobError(str(e)) from None
-    if text.startswith("fp:"):
-        p = int(text[3:])
-        GF(p)  # primality check
-        return ("reduce", p)
+        return None, TRIVIAL
+    try:
+        if text.startswith("p-adic:"):
+            return None, padic(int(text[7:]))
+        if text.startswith("fp:"):
+            return GF(int(text[3:])).p, TRIVIAL
+    except ValueError as e:
+        raise JobError(str(e)) from None
     raise JobError(f"unknown valuation {text!r} (want Z, trivial, p-adic:P, or fp:P)")
 
 

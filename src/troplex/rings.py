@@ -8,6 +8,8 @@ return exact integers/rationals plus the distinguished ``INFINITY``.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 _WORD_MAX = 2**62
@@ -75,21 +77,50 @@ def is_prime(p):
 
 
 def prime_factors(n):
-    """Sorted distinct prime factors of |n| (n nonzero)."""
+    """Sorted distinct prime factors of |n| (n nonzero).
+
+    Trial division takes the factors below 1000; Pollard-Brent rho splits
+    what is left, and a part is kept only once is_prime accepts it, so the
+    rho constants affect the running time, never the answer.
+    """
     n = abs(n)
     if n == 0:
         raise ValueError("prime_factors of 0")
-    out = []
-    d = 2
-    while d * d <= n:
+    out = set()
+    for d in range(2, 1000):
+        if d * d > n:
+            break
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_factor(m)
+            parts += [d, m // d]
+    return sorted(out)
+
+
+def _rho_factor(n):
+    """A proper factor of the composite n: Pollard's rho with Brent's cycle
+    search (Brent, BIT 20, 1980).  A constant c whose cycle closes on n
+    itself is replaced by the next one."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(y - x, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 class Ring:

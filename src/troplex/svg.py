@@ -19,7 +19,6 @@ _PAD = 10
 
 class _Canvas:
     def __init__(self, reach):
-        self.reach = reach
         self.scale = (_W / 2 - _PAD) / reach
         self.parts = []
 

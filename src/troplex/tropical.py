@@ -14,12 +14,17 @@ Three flavors:
   init_chi(f) is not +-monomial}, read off the Newton polytope's normal
   fan: edge normals always contribute rays, vertex cones contribute
   2-dimensional cells exactly when the vertex coefficient is not a unit.
+* tropicalize(f, mode): the one dispatch over the coefficient settings,
+  mode "Z" or a Valuation.
 * union_over_valuations([f]): for one polynomial over Z, the union over
   the trivial valuation, p-adic valuations, and mod-p reductions for all
   candidate primes p (primes dividing some coefficient), reported per
   valuation and combined on the sphere.  Several generators are refused:
   the intersection of their curves (the prevariety) can be larger than
   the ideal's tropical set, and its complement is then no valid bound.
+
+The whole plane is the four quadrant cones of full_plane_complex; a unit
+monomial is the empty complex in any rank.
 
 Everything is exact: bases and endpoints are Fractions, directions are
 primitive integer vectors, and membership predicates share no code with
@@ -104,14 +109,9 @@ def _fmt_pt(p):
 
 
 def _on_segment(p, q, w):
-    p = tuple(Fraction(x) for x in p)
-    q = tuple(Fraction(x) for x in q)
-    w = tuple(Fraction(x) for x in w)
+    """Is w on the planar segment [p, q]?  (Segments only arise in the plane.)"""
     d = tuple(b - a for a, b in zip(p, q))
     r = tuple(b - a for a, b in zip(p, w))
-    if len(p) == 1:
-        lo, hi = sorted((p[0], q[0]))
-        return lo <= w[0] <= hi
     if d[0] * r[1] - d[1] * r[0] != 0:
         return False
     t = None
@@ -151,23 +151,14 @@ def _in_cone2(base, d1, d2, w):
 
 
 class TropicalComplex:
-    def __init__(self, nvars, cells, full_plane=False):
+    def __init__(self, nvars, cells):
         self.nvars = nvars
         self.cells = list(cells)
-        self.full_plane = full_plane
 
     def __repr__(self):
-        if self.full_plane:
-            return f"<TropicalComplex full R^{self.nvars}>"
         return f"<TropicalComplex {len(self.cells)} cells in R^{self.nvars}>"
 
-    @property
-    def is_empty(self):
-        return not self.full_plane and not self.cells
-
     def contains(self, w):
-        if self.full_plane:
-            return True
         return any(c.contains(w) for c in self.cells)
 
     def vertices(self):
@@ -222,8 +213,9 @@ def cell_weight(c):
 
 
 def full_plane_complex(nvars=2):
-    """All of R^2 as four closed quadrant cones (keeps the cell algebra
-    uniform: projection and membership need no special casing)."""
+    """All of R^2 as its four closed quadrant cones, the one representation
+    of the whole plane: membership and sphere projection need no special
+    case (the cones project to the full circle)."""
     if nvars != 2:
         raise ValueError("full-plane cells are only materialized in the plane")
     quads = [
@@ -233,7 +225,7 @@ def full_plane_complex(nvars=2):
         ((0, -1), (1, 0)),
     ]
     cells = [Cell("cone2", (0, 0), dir=a, dir2=b) for a, b in quads]
-    return TropicalComplex(2, cells, full_plane=True)
+    return TropicalComplex(2, cells)
 
 
 # -- corner locus over a valued field ---------------------------------------
@@ -256,13 +248,12 @@ def trop_hypersurface(f, valuation=TRIVIAL):
         raise ValueError("cannot tropicalize the zero polynomial")
     if not valuation.compatible_with(f.ring):
         raise ValueError("valuation/ring mismatch")
-    if f.nvars > 2:
-        raise ValueError("exact cells need nvars <= 2; use trop_contains oracle")
     items = _term_heights(f, valuation)
     if len(items) == 1:
         return TropicalComplex(f.nvars, [])  # one term: empty corner locus
-    if f.nvars == 0:
-        raise ValueError("no variables to tropicalize")
+    if f.nvars > 2:
+        raise ValueError(f"exact cells need rank 1 or 2, not {f.nvars}; "
+                         "test single points with trop --contains")
     if f.nvars == 1:
         return _trop_line(f, items)
     return _trop_plane(f, items)
@@ -447,15 +438,6 @@ def _on_edge(p, q, u):
     return 0 <= r[0] * e[0] + r[1] * e[1] <= e[0] * e[0] + e[1] * e[1]
 
 
-def _halfplane_cells(e, label):
-    """{chi : chi.e >= 0} as two salient ccw cones."""
-    a = (-e[1], e[0])
-    return [
-        Cell("cone2", (0, 0), dir=antipode(a), dir2=e, label=label),
-        Cell("cone2", (0, 0), dir=e, dir2=a, label=label),
-    ]
-
-
 def trop_Z_principal(f):
     """Trop_Z of the principal ideal (f), from the Newton polytope.
 
@@ -465,34 +447,17 @@ def trop_Z_principal(f):
     """
     if f.ring.kind != "Z":
         raise ValueError("integer tropicalization needs Z coefficients")
-    if f.is_zero:
-        return full_plane_complex(f.nvars)
-    if f.nvars != 2:
-        raise ValueError("exact cells need nvars = 2; use trop_Z_contains oracle")
     support = sorted(f.terms)
-    if len(support) == 1:
-        u = support[0]
-        if f.ring.is_unit(f.terms[u]):
-            return TropicalComplex(2, [])
-        return full_plane_complex(2)
+    if len(support) == 1 and f.ring.is_unit(f.terms[support[0]]):
+        return TropicalComplex(f.nvars, [])  # a unit monomial: nowhere
+    if f.nvars != 2:
+        raise ValueError(f"exact cells over Z need rank 2, not {f.nvars}; "
+                         "test single points with trop --contains")
+    if len(support) <= 1:
+        return full_plane_complex(2)  # zero or a non-unit monomial: everywhere
     hull = _convex_hull(support)
-    cells = []
-    if len(hull) == 2:
-        # one-dimensional Newton polytope
-        lo, hi = hull
-        e = normalize_dir((hi[0] - lo[0], hi[1] - lo[1]))
-        perp = (-e[1], e[0])
-        all_label = tuple(support)
-        cells.append(Cell("ray", (0, 0), dir=perp, label=all_label))
-        cells.append(Cell("ray", (0, 0), dir=antipode(perp), label=all_label))
-        # chi.e > 0 minimizes at lo, chi.e < 0 at hi
-        if not f.ring.is_unit(f.terms[lo]):
-            cells.extend(_halfplane_cells(e, (lo,)))
-        if not f.ring.is_unit(f.terms[hi]):
-            cells.extend(_halfplane_cells(antipode(e), (hi,)))
-        return TropicalComplex(2, _dedupe_cells(cells))
     k = len(hull)
-    inward = []
+    cells, inward = [], []
     for idx in range(k):
         u, v = hull[idx], hull[(idx + 1) % k]
         d = (v[0] - u[0], v[1] - u[1])
@@ -504,10 +469,27 @@ def trop_Z_principal(f):
         v = hull[idx]
         if f.ring.is_unit(f.terms[v]):
             continue
-        prev_n = inward[(idx - 1) % k]
-        next_n = inward[idx]
-        cells.append(Cell("cone2", (0, 0), dir=prev_n, dir2=next_n, label=(v,)))
+        a, b = inward[idx - 1], inward[idx]
+        if a == antipode(b):
+            # an end of a segment: its half plane, as two salient cones
+            mid = (-a[1], a[0])
+            cones = [(a, mid), (mid, b)]
+        else:
+            cones = [(a, b)]
+        cells.extend(Cell("cone2", (0, 0), dir=c, dir2=d, label=(v,)) for c, d in cones)
     return TropicalComplex(2, _dedupe_cells(cells))
+
+
+def tropicalize(f, mode):
+    """The tropical set of the principal ideal (f) under one coefficient
+    setting: mode "Z" for the integer tropicalization, or a Valuation for
+    the corner locus over a valued field.  The zero polynomial vanishes
+    everywhere, which gives the whole plane."""
+    if f.is_zero:
+        return full_plane_complex(f.nvars)
+    if mode == "Z":
+        return trop_Z_principal(f)
+    return trop_hypersurface(f, mode)
 
 
 # -- sphere projection -------------------------------------------------------
@@ -530,28 +512,18 @@ def _project_cell(c):
         if origin:
             return SphereArcSet.empty()
         return SphereArcSet.point(c.base)
-    if c.kind == "segment":
-        base_zero = all(x == 0 for x in c.base)
-        end_zero = all(x == 0 for x in c.end)
-        if base_zero and end_zero:
-            return SphereArcSet.empty()
-        if base_zero:
+    if c.kind == "segment":  # its two ends differ
+        if origin:
             return SphereArcSet.point(c.end)
-        if end_zero:
+        if all(x == 0 for x in c.end):
             return SphereArcSet.point(c.base)
-        da, db = normalize_dir(c.base), normalize_dir(c.end)
-        if same_dir(da, antipode(db)):
-            # passes through the origin
-            return SphereArcSet.points([da, db])
-        return _short_arc(da, db)
+        # _short_arc keeps both ends of a segment through the origin
+        return _short_arc(normalize_dir(c.base), normalize_dir(c.end))
     if c.kind == "ray":
         du = normalize_dir(c.dir)
         if origin:
             return SphereArcSet.point(du)
-        da = normalize_dir(c.base)
-        if same_dir(da, antipode(du)):
-            return SphereArcSet.points([da, du])
-        return _short_arc(da, du)
+        return _short_arc(normalize_dir(c.base), du)
     # cone2: emitted with apex at the origin by construction
     if not origin:
         raise ValueError("cone2 cells are expected to have their apex at 0")
@@ -564,8 +536,6 @@ def sphere_projection(T):
     """Directions of the nonzero points of T, as an exact arc set (nvars 2)."""
     if T.nvars != 2:
         raise ValueError("sphere projection is exact only in the plane")
-    if T.full_plane:
-        return SphereArcSet.full_circle()
     return union_all(_project_cell(c) for c in T.cells)
 
 
@@ -625,9 +595,7 @@ def union_over_valuations(gens):
         g = f if red is None else reduce_mod_p(f, red)
         if g.is_zero:
             notes.append(f"a generator reduces to 0 mod {red}")
-            combined = full_plane_complex(f.nvars)
-        else:
-            combined = trop_hypersurface(g, val)
+        combined = tropicalize(g, val)
         entries.append(ValuationEntry(label, combined, sphere_projection(combined)))
     sphere_union = union_all(e.arcs for e in entries)
     return ValuationUnionReport(primes, entries, sphere_union, notes)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import troplex
 from troplex.cli import main
 from troplex.jobspec import bundled_path, load_job
 
@@ -275,11 +280,37 @@ def test_delta_zero_one_and_polynomial_goldens(capsys, tmp_path):
                        rank2={"ring": "Z", "trivial": True, "rank": 2})
     for rep in ("trivial", "rank2"):
         assert run(capsys, "alexander", z, "--rep", rep) == (0, "1\n", "")
-        assert run(capsys, "trop", z, "--rep", rep, "--valuation", "trivial") == (0, "", "")
+        for setting in ("trivial", "Z"):
+            assert run(capsys, "trop", z, "--rep", rep, "--valuation", setting) == (0, "", "")
     # a genuine polynomial: BS(1, 2) = <a, b | a b a^-1 b^-2>
     bs = write_document(tmp_path, "bs12", ["a", "b"], ["a b a^-1 b^-2"],
                         trivial={"ring": "Z", "trivial": True})
     assert run(capsys, "alexander", bs, "--rep", "trivial") == (0, "2 - t1\n", "")
+
+
+def test_unit_delta_outside_the_plane_and_the_rank_2_bound(capsys):
+    # Delta = 1 on the rank-4 wraag_k4: the empty set, in any setting
+    assert run(capsys, "trop", WR, "--rep", "trivial", "--valuation", "Z") == (0, "", "")
+    rc, out, err = run(capsys, "trop", WR, "--rep", "trivial", "--valuation", "fp:2")
+    assert rc == 2 and out == "" and "trop --contains" in err
+    rc, out, err = run(capsys, "bns-bound", WR, "--rep", "trivial")
+    assert rc == 2 and out == ""
+    assert "--phi" in err and "trop --contains" in err and "oracle" not in err
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # the read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(troplex.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "troplex", "bns-bound", EX, "--rep", "s3", "--rep", "trivial"],
+            stdout=write, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_alexander_over_a_large_prime_field(capsys, deadline):

@@ -1,5 +1,6 @@
 """Every function and class in src/troplex has a caller in the program,
-and every parameter with a default has a caller that sets it.
+every parameter with a default has a caller that sets it, and every
+field that a method sets is read.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in src/troplex or perfbench/ (a definition or an import alone does not
@@ -162,3 +163,43 @@ def test_every_option_is_set_by_a_caller():
                     changed = True
                     break
     assert not unset, "no call in src/troplex or perfbench/ sets:\n" + "\n".join(sorted(unset))
+
+
+def _fields(tree):
+    """Names assigned as self.<name> = ... anywhere in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self":
+                    yield t.attr
+
+
+def _reads(tree):
+    """Attribute names loaded, as x.<name> or getattr(x, "<name>", ...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_field_is_read():
+    """A self.<name> = ... in src/troplex is read somewhere in src/troplex
+    or perfbench/; a field that nothing reads is dead state."""
+    read = set()
+    for folder in READERS:
+        for path in folder.rglob("*.py"):
+            read.update(_reads(_parse(path)))
+    unread = sorted(
+        f"{path.relative_to(SOURCE)}: {name}"
+        for path in SOURCE.rglob("*.py")
+        for name in set(_fields(_parse(path))) - read
+    )
+    assert not unread, "fields nothing reads:\n" + "\n".join(unread)

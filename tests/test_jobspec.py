@@ -204,13 +204,37 @@ def test_phi_ab_and_named():
         JobSpec(doc).phi("sum")
 
 
+@pytest.mark.parametrize("kind, block, message", [
+    ("matrices", {"x1": [[1]]},
+     "representation 'r': no matrix for generator 'x2'"),
+    ("matrices", {"x1": [[1]], "x2": [[1]], "z": [[1]]},
+     "representation 'r': matrices for unknown generators ['z']"),
+    ("permutations", {"x2": [0]},
+     "representation 'r': no permutation for generator 'x1'"),
+    ("permutations", {"x1": [0], "x2": [0], "z": [0], "y": [0]},
+     "representation 'r': permutations for unknown generators ['y', 'z']"),
+    ("phis", {"x1": [1]}, "phi 'r': no vector for generator 'x2'"),
+    ("phis", {"x1": [1], "x2": [0], "z": [0]},
+     "phi 'r': vectors for unknown generators ['z']"),
+])
+def test_per_generator_lookup_messages(kind, block, message):
+    doc = doc54()
+    if kind == "phis":
+        doc["phis"] = {"r": block}
+        build = lambda job: job.phi("r")
+    else:
+        doc["representations"] = {"r": {"ring": "Z", kind: block}}
+        build = lambda job: job.representation("r")
+    with pytest.raises(JobError) as exc:
+        build(JobSpec(doc))
+    assert str(exc.value) == message
+
+
 def test_parse_valuation():
-    assert parse_valuation("Z") == ("Z", None)
-    kind, v = parse_valuation("trivial")
-    assert kind == "field" and v == TRIVIAL
-    kind, v = parse_valuation("p-adic:7")
-    assert kind == "field" and v == padic(7)
-    assert parse_valuation("fp:5") == ("reduce", 5)
+    assert parse_valuation("Z") == (None, "Z")
+    assert parse_valuation("trivial") == (None, TRIVIAL)
+    assert parse_valuation("p-adic:7") == (None, padic(7))
+    assert parse_valuation("fp:5") == (5, TRIVIAL)
     with pytest.raises(ValueError):
         parse_valuation("p-adic:4")
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -135,3 +136,21 @@ def test_is_prime_agrees_with_sympy_on_62_bit_numbers():
     # below the prime-field bound
     assert not is_prime(3215031751) and not is_prime(3825123056546413051)
     assert is_prime(4611686018427387847)
+
+
+def test_prime_factors_of_a_large_semiprime(deadline):
+    # trial division alone did not finish this in 10 s
+    with deadline(2):
+        assert prime_factors(1000000007 * 998244353) == [998244353, 1000000007]
+        assert prime_factors(-(1009 ** 3) * 2 ** 5) == [2, 1009]
+
+
+def test_prime_factors_agree_with_sympy_on_products_of_large_primes():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4)
+    for _ in range(20):
+        primes = [sympy.prevprime(rng.randrange(3, 2 ** rng.randint(8, 40)))
+                  for _ in range(rng.choice((2, 3)))]
+        primes.append(rng.choice(primes))  # a repeated factor
+        n = math.prod(primes)
+        assert prime_factors(n) == sorted(sympy.factorint(n)) == sorted(set(primes)), n

@@ -8,7 +8,7 @@ from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 from troplex.tropical import (
     Cell, TropicalComplex, cell_weight, full_plane_complex,
     trop_contains, trop_hypersurface, trop_Z_contains, trop_Z_principal,
-    sphere_projection, union_over_valuations,
+    sphere_projection, tropicalize, union_over_valuations,
 )
 from troplex.jumploci import IdealGens
 from troplex.sphere import SphereArcSet
@@ -97,7 +97,7 @@ def test_hypersurface_input_validation():
         trop_hypersurface(f3, TRIVIAL)
     # a monomial has empty tropical set
     T = trop_hypersurface(LaurentPoly.monomial(QQ, 2, (2, -1), Fraction(5)), TRIVIAL)
-    assert T.cells == [] and not T.full_plane
+    assert T.cells == []
     assert not T.contains((F(0), F(0)))
 
 
@@ -222,13 +222,13 @@ def test_integral_fan_degenerate_supports():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     # non-unit constant: everything
     T = trop_Z_principal(one * 2)
-    assert T.full_plane and T.contains((3, -5))
+    assert cell_data(T) == cell_data(full_plane_complex()) and T.contains((3, -5))
     # unit monomial: nothing
     T = trop_Z_principal(t1.shift((0, 1)))
-    assert not T.full_plane and T.cells == []
+    assert T.cells == []
     # zero: everything
     T = trop_Z_principal(LaurentPoly.zero(ZZ, 2))
-    assert T.full_plane
+    assert sphere_projection(T).full
     # collinear support with unit extremes: the perpendicular line only
     T = trop_Z_principal(one + t1 * t1)
     assert [c.kind for c in T.cells] == ["ray", "ray"]
@@ -244,10 +244,63 @@ def test_integral_fan_degenerate_supports():
         trop_Z_principal(QUADRIC_Q)  # integral tropicalization needs Z
 
 
+def test_integral_fan_of_a_diagonal_segment():
+    # 2 + 3 t1 t2: both ends are non-units, so each one's half plane is
+    # split into two salient cones at the normal turned a quarter turn
+    f = LaurentPoly(ZZ, 2, {(0, 0): 2, (1, 1): 3})
+    T = trop_Z_principal(f)
+    ends = ((0, 0), (1, 1))
+    assert cell_data(T) == [
+        ("cone2", (F(0), F(0)), (-1, -1), (1, -1), ((1, 1),)),
+        ("cone2", (F(0), F(0)), (-1, 1), (-1, -1), ((1, 1),)),
+        ("cone2", (F(0), F(0)), (1, -1), (1, 1), ((0, 0),)),
+        ("cone2", (F(0), F(0)), (1, 1), (-1, 1), ((0, 0),)),
+        ("ray", (F(0), F(0)), (-1, 1), None, ends),
+        ("ray", (F(0), F(0)), (1, -1), None, ends),
+    ]
+    assert sphere_projection(T).full
+
+
+def test_integral_fan_of_segments_matches_the_oracle():
+    rng = random.Random(113)
+    for _ in range(200):
+        d = (rng.randint(-2, 2), rng.randint(-2, 2))
+        if d == (0, 0):
+            continue
+        terms = {(k * d[0] + 1, k * d[1] - 1): rng.choice([1, -1, 2, -3])
+                 for k in rng.sample(range(4), rng.randint(2, 4))}
+        f = LaurentPoly(ZZ, 2, terms)
+        T = trop_Z_principal(f)
+        for _ in range(10):
+            chi = (rng.randint(-5, 5), rng.randint(-5, 5))
+            assert T.contains(chi) == trop_Z_contains(f, chi), (terms, chi)
+
+
+def test_tropicalize_dispatch():
+    assert cell_data(tropicalize(QUADRIC, "Z")) == cell_data(trop_Z_principal(QUADRIC))
+    assert cell_data(tropicalize(QUADRIC_Q, padic(3))) == cell_data(
+        trop_hypersurface(QUADRIC_Q, padic(3)))
+    for mode in ("Z", TRIVIAL):
+        T = tropicalize(LaurentPoly.zero(ZZ, 2), mode)
+        assert cell_data(T) == cell_data(full_plane_complex())
+        # a unit monomial is empty in any rank
+        assert tropicalize(LaurentPoly.monomial(ZZ, 4, (1, 0, -2, 3), -1), mode).cells == []
+    # other cells stop at the plane and point to the membership test
+    f3 = LaurentPoly.one(ZZ, 3) + LaurentPoly.var(ZZ, 3, 0)
+    for mode in ("Z", TRIVIAL):
+        with pytest.raises(ValueError, match="trop --contains"):
+            tropicalize(f3, mode)
+    with pytest.raises(ValueError, match="trop --contains"):
+        tropicalize(LaurentPoly.monomial(ZZ, 3, (1, 0, 0), 2), "Z")
+
+
 def test_full_plane_complex():
     T = full_plane_complex()
-    assert T.full_plane
-    assert len(T.cells) == 4
+    assert [(c.kind, c.dir, c.dir2) for c in T.cells] == [
+        ("cone2", (1, 0), (0, 1)), ("cone2", (0, 1), (-1, 0)),
+        ("cone2", (-1, 0), (0, -1)), ("cone2", (0, -1), (1, 0)),
+    ]
+    assert sphere_projection(T).full
     for w in [(0, 0), (5, -3), (Fraction(-7, 2), Fraction(1, 3))]:
         assert T.contains(w)
     with pytest.raises(ValueError):
@@ -316,7 +369,8 @@ def test_valuation_union_zero_reduction_note():
     rp = union_over_valuations(J)
     assert rp.notes == ["a generator reduces to 0 mod 2"]
     f2 = next(e for e in rp.entries if e.label == "trivial over F_2")
-    assert f2.combined.full_plane
+    assert sphere_projection(f2.combined).full
+    assert f2.arcs == SphereArcSet.full_circle()
 
 
 def test_valuation_union_non_principal_prevariety():
