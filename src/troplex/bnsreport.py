@@ -70,10 +70,9 @@ class BoundEntry:
     jump ideals were principal, i.e. the gcd step lost nothing.
     """
 
-    def __init__(self, descriptor, rep, mode, admissibility, included,
+    def __init__(self, descriptor, mode, admissibility, included,
                  arcs=None, exact=None, notes=()):
         self.descriptor = descriptor
-        self.rep = rep
         self.mode = mode
         self.admissibility = admissibility
         self.included = included
@@ -173,7 +172,7 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
     for descriptor, rep, mode in entries:
         verdict = _check_admissible(rep, mode, check_finite_image)
         if not verdict.ok:
-            excluded.append(BoundEntry(descriptor, rep, mode, verdict, False))
+            excluded.append(BoundEntry(descriptor, mode, verdict, False))
             continue
         if id(rep) not in shared:
             shared[id(rep)] = [jump_ideal(pres, rep, phi, i=i) for i in (0, 1)]
@@ -186,7 +185,7 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
             entry_notes.extend(ns)
         arcs = union_all(sphere_projection(T) for T in complexes)
         included.append(
-            BoundEntry(descriptor, rep, mode, verdict, True,
+            BoundEntry(descriptor, mode, verdict, True,
                        arcs=arcs, exact=exact, notes=entry_notes)
         )
     vacuous = not included

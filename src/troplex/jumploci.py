@@ -2,10 +2,25 @@
 
 Everything here works on the two matrices (d2, d1) produced by
 ``fpgroup.alexander_matrices``: homology jump ideals as minor ideals,
-the twisted Alexander polynomial as a GCD of minors of d2 (one canonical
-LaurentPoly, so "delta is 0 or 1" reads off the polynomials 0 and 1),
-the obstruction built on it, and the Novikov-ring admissibility check
-for a representation under a valuation.
+the twisted Alexander polynomial (the GCD of the (n-1)r-minors of d2,
+one canonical LaurentPoly, so "delta is 0 or 1" reads off the
+polynomials 0 and 1), the obstruction built on it, and the Novikov-ring
+admissibility check for a representation under a valuation.
+
+Neither delta nor J1 enumerates the minors of d2.  Kernel duality: d2 is
+m x nr, d1 is nr x r and d2 * d1 = 0, so with rank d1 = r and
+k = (n-1)r every k-row slice R of d2 of rank k spans the left kernel of
+d1, and its k-minors are d1's complementary r-minors times one factor:
+
+    det d2[R, S] = +-c_R * det d1[S^c],   c_R = det d2[R, S0] / det d1[S0^c]
+
+for any S0 with det d1[S0^c] != 0.  A slice with det d2[R, S0] = 0 has
+rank below k and no nonzero k-minor.  So the k-minors of d2 are the
+c_R * q for q in J0 = I_r(d1), delta = gcd_R(c_R * gcd J0), and one
+determinant of d2 per row slice replaces all C(m, k) * C(nr, k) minors
+(Wada, Topology 33, 1994; Kirk-Livingston, Topology 38, 1999).  J0 is
+empty only when rank d1 < r, which needs phi of rank 0; then both fall
+back to enumerating the minors of d2.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: by I_s(diag(A, B)) = {p*q : p in I_a(A), q in
@@ -15,11 +30,12 @@ d2 and of d1, and block sizes above rank d2 or rank d1 are skipped.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import fpgroup, linalg
 from .laurent import (
     LaurentPoly,
+    _exact_div_strict,
     canonical_associate,
     gcd_list,
     is_unit,
@@ -101,6 +117,41 @@ class IdealGens:
         return self._gcd
 
 
+def _by_duality(d2, d1, r):
+    """Delta and the (n-1)r-minors of d2 from J0 = I_r(d1) by kernel duality.
+
+    None when J0 is empty (rank d1 < r).  Otherwise (J0's generators,
+    gcd J0, delta, the k-minors of d2 up to units as a lazy iterator),
+    with delta the canonical zero when every row slice has rank below k.
+    S0 is the complement of the first r rows of d1 with a nonzero
+    determinant, trying generator blocks first: det(sigma(x_i) t^phi(x_i)
+    - I) has leading coefficient det sigma(x_i), so a block with
+    phi(x_i) != 0 always serves.
+    """
+    j0 = minors(d1, r)
+    if not j0:
+        return None
+    size = len(d1)
+    blocks = (range(i, i + r) for i in range(0, size, r))
+    for rows in chain(blocks, combinations(range(size), r)):
+        den = linalg.det_laurent([d1[i] for i in rows])
+        if not den.is_zero:
+            break
+    cols = [j for j in range(size) if j not in rows]
+    nums = []
+    for rsel in combinations(range(len(d2)), len(cols)):
+        # n = 1 leaves k = 0 and one empty slice, of determinant 1
+        num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
+               else LaurentPoly.one(den.ring, den.nvars))
+        if not num.is_zero:
+            nums.append(num)
+    g0 = gcd_list(j0)
+    delta = (gcd_list([_exact_div_strict(num * g0, den) for num in nums]) if nums
+             else LaurentPoly.zero(den.ring, den.nvars))
+    minors2 = (_exact_div_strict(num * q, den) for num in nums for q in j0)
+    return j0, g0, delta, minors2
+
+
 def jump_ideal(pres, rep, phi=None, i=1):
     """Degree-i homology jump ideal of the twisted presentation complex.
 
@@ -114,10 +165,14 @@ def jump_ideal(pres, rep, phi=None, i=1):
 
         I_s(diag(A, B)) = {p*q : p in I_a(A), q in I_b(B), a + b = s}
 
-    with I_0 = {1}: the same generators that enumeration finds.  Sizes a
-    above rank d2 or b above rank d1 have no nonzero minor and are
-    skipped.  The gcd of J1 is the gcd over the pairs (a, b) of
-    gcd(I_a(d2)) * gcd(I_b(d1)), exact in the UFD Z[t^+-1] or F[t^+-1].
+    with I_0 = {1}: the same generators that enumeration finds.  When
+    rank d1 = r, rank d2 <= (n-1)r leaves only a = (n-1)r, b = r, and
+    kernel duality (see the module docstring) gives I_a(d2) as the c_R*q
+    for q in J0, so J1 is generated by the c_R*q'*q with q', q in J0 and
+    gcd J1 = delta * gcd J0.  Otherwise sizes a above rank d2 or b above
+    rank d1 have no nonzero minor and are skipped, and the gcd of J1 is
+    the gcd over the pairs (a, b) of gcd(I_a(d2)) * gcd(I_b(d1)), exact
+    in the UFD Z[t^+-1] or F[t^+-1].
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
@@ -131,6 +186,13 @@ def jump_ideal(pres, rep, phi=None, i=1):
         gens = minors(d1, r)
         return IdealGens(rep.ring, phi.m, gens, source=f"{r}-minors of d1")
     size = r * pres.ngens
+    source = f"{size}-minors of diag(d2, d1)"
+    dual = _by_duality(d2, d1, r)
+    if dual is not None:
+        j0, g0, delta, minors2 = dual
+        gens = (p * q for p in minors2 for q in j0)
+        return IdealGens(rep.ring, phi.m, gens, source=source,
+                         gcd=canonical_associate(delta * g0))
     one = LaurentPoly.one(rep.ring, phi.m)
     rank2, rank1 = linalg.rank_laurent(d2), linalg.rank_laurent(d1)
     gens, gcds = [], []
@@ -140,7 +202,7 @@ def jump_ideal(pres, rep, phi=None, i=1):
         gens.extend(p * q for p in minors2 for q in minors1)
         gcds.append(gcd_list(minors2) * gcd_list(minors1))
     return IdealGens(
-        rep.ring, phi.m, gens, source=f"{size}-minors of diag(d2, d1)",
+        rep.ring, phi.m, gens, source=source,
         gcd=gcd_list(gcds) if gcds else None,
     )
 
@@ -183,23 +245,29 @@ class AlexVerdict:
 
 
 def twisted_alexander(pres, rep, phi=None, squarefree=False):
-    """Twisted Alexander polynomial via the minors of d2.
+    """Twisted Alexander polynomial: the GCD of the (n-1)*r minors of d2.
 
     The zero polynomial when the generic rank of d2 is below (n-1)*r (an
-    empty d2 has rank 0), otherwise the GCD of all (n-1)*r minors
-    (canonical associate, so a unit GCD is 1; integer content kept over Z;
-    squarefree part only if requested).  The excluded locus is not computed
+    empty d2 has rank 0), otherwise that GCD (canonical associate, so a
+    unit GCD is 1; integer content kept over Z; squarefree part only if
+    requested).  It comes from J0 and one determinant of d2 per row slice
+    by kernel duality (see the module docstring); only when J0 is empty
+    are the minors of d2 enumerated.  The excluded locus is not computed
     here: read it from jump_ideal(pres, rep, phi, i=0).
     """
     if phi is None:
         phi = fpgroup.AbelianEpi.from_abelianization(pres)
-    d2, _ = fpgroup.alexander_matrices(pres, rep, phi)
+    d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
     target = (pres.ngens - 1) * rep.rank
     if target == 0:
         return AlexVerdict(LaurentPoly.one(rep.ring, phi.m))
-    if linalg.rank_laurent(d2) < target:
-        return AlexVerdict(LaurentPoly.zero(rep.ring, phi.m))
-    delta = gcd_list(minors(d2, target))
+    dual = _by_duality(d2, d1, rep.rank)
+    if dual is not None:
+        delta = dual[2]
+    elif linalg.rank_laurent(d2) < target:
+        delta = LaurentPoly.zero(rep.ring, phi.m)
+    else:
+        delta = gcd_list(minors(d2, target))
     if squarefree:
         delta = squarefree_part(delta)
     return AlexVerdict(canonical_associate(delta))

@@ -170,13 +170,15 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
     monkeypatch.setattr(bnsreport, "jump_ideal", counted)
     job = onerel()
     s3, triv = job.representation("s3"), job.representation("trivial")
-    rp = assemble_bound(job.presentation, [
+    entries = [
         ("s3", s3, "Z"), ("s3", s3, TRIVIAL), ("s3", s3, padic(3)),
         ("trivial", triv, "Z"), ("trivial", triv, TRIVIAL),
-    ])
+    ]
+    rp = assemble_bound(job.presentation, entries)
     assert sorted(calls) == sorted((id(r), i) for r in (s3, triv) for i in (0, 1))
     # the same bound as each entry on its own
-    for e in rp.entries:
-        alone = assemble_bound(job.presentation, [(e.descriptor, e.rep, e.mode)])
+    assert [e.descriptor for e in rp.entries] == [d for d, _, _ in entries]
+    for entry, e in zip(entries, rp.entries):
+        alone = assemble_bound(job.presentation, [entry])
         assert alone.entries[0].arcs == e.arcs
         assert alone.entries[0].exact == e.exact

@@ -321,6 +321,25 @@ def test_alexander_over_a_large_prime_field(capsys, deadline):
             0, "1 + 4611686018427387845*t1 + t1^2 + 4611686018427387844*t2^2\n", "")
 
 
+REG_S3_DELTA = (
+    "1 - 6*t1 + 15*t1^2 - 20*t1^3 + 15*t1^4 - 6*t1^5 + t1^6 - 6*t2^2 + 24*t1*t2^2"
+    " - 36*t1^2*t2^2 + 24*t1^3*t2^2 - 6*t1^4*t2^2 + 9*t2^4 - 18*t1*t2^4 + 9*t1^2*t2^4\n"
+)
+
+
+def test_bundled_reg_s3_delta_and_bound(capsys, deadline):
+    # rank 6: d2 is 6 x 12, so enumeration takes all 924 of its 6-minors
+    # (6-12 s for Delta on a 2-core host); kernel duality takes one
+    with deadline(10):
+        assert run(capsys, "alexander", EX, "--rep", "reg_s3") == (0, REG_S3_DELTA, "")
+    with deadline(10):
+        rc, out, err = run(capsys, "bns-bound", EX, "--rep", "reg_s3",
+                           "--fixture", "brown_one_relator")
+    assert rc == 0 and err == ""
+    assert json_head(out)["comparison"]["result"] == "Equal"
+    assert out.strip().splitlines()[-1] == "comparison: Equal"
+
+
 @pytest.mark.parametrize("error", [
     ZeroDivisionError("pseudo-remainder by zero"),
     ArithmeticError("internal: division expected to be exact"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troplex import linalg
+from troplex import jumploci, linalg
 from troplex.fpgroup import (
     Presentation, Representation, AbelianEpi, build_orbifold,
     build_weighted_raag, homology_dims_at_character, alexander_matrices,
@@ -16,7 +16,9 @@ from troplex.jumploci import (
     minors, IdealGens, jump_ideal, twisted_alexander, kahler_obstruction,
     novikov_admissible,
 )
-from troplex.laurent import LaurentPoly, render, canonical_associate, squarefree_part
+from troplex.laurent import (
+    LaurentPoly, render, canonical_associate, gcd_list, squarefree_part,
+)
 from troplex.linalg import det_laurent, smat_mul
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 
@@ -332,6 +334,160 @@ def test_j1_takes_the_block_minors_only(monkeypatch):
     J1 = jump_ideal(job.presentation, job.representation("s3"), i=1)
     assert not J1.is_zero_ideal
     assert len(calls) <= 12
+
+
+# -- Delta and J1 by kernel duality against enumeration -------------------------
+
+
+def delta_by_enumeration(pres, rep, phi):
+    """Delta as the gcd of every (n-1)r-minor of d2 (zero if all vanish)."""
+    d2, _ = alexander_matrices(pres, rep, phi)
+    k = (pres.ngens - 1) * rep.rank
+    if k == 0:
+        return LaurentPoly.one(rep.ring, phi.m)
+    ms = minors(d2, k) if k <= len(d2) else []
+    return gcd_list(ms) if ms else LaurentPoly.zero(rep.ring, phi.m)
+
+
+def j1_by_blocks(pres, rep, phi):
+    """J1 as every product of an a-minor of d2 and a b-minor of d1 with
+    a + b = nr, with no rank bound on a or b; gcd() folds over them all."""
+    d2, d1 = alexander_matrices(pres, rep, phi)
+    size = rep.rank * pres.ngens
+    one = LaurentPoly.one(rep.ring, phi.m)
+    gens = []
+    for a in range(size - rep.rank, min(len(d2), size) + 1):
+        minors2 = minors(d2, a) if a else [one]
+        minors1 = minors(d1, size - a) if size - a else [one]
+        gens.extend(p * q for p in minors2 for q in minors1)
+    return IdealGens(rep.ring, phi.m, gens)
+
+
+def assert_duality_matches_enumeration(pres, rep, phi=None):
+    """Delta, J1's generators and gcd J1 agree with enumeration; returns
+    whether J0 was nonempty, i.e. whether kernel duality was used."""
+    if phi is None:
+        phi = AbelianEpi.from_abelianization(pres)
+    delta = twisted_alexander(pres, rep, phi).delta
+    assert delta == delta_by_enumeration(pres, rep, phi)
+    fast, slow = jump_ideal(pres, rep, phi, i=1), j1_by_blocks(pres, rep, phi)
+    assert {g.key() for g in fast.generators} == {g.key() for g in slow.generators}
+    assert fast.is_zero_ideal == slow.is_zero_ideal
+    assert fast.gcd() == slow.gcd()
+    J0 = jump_ideal(pres, rep, phi, i=0)
+    if not J0.is_zero_ideal:
+        assert fast.gcd() == canonical_associate(delta * J0.gcd())
+    return not J0.is_zero_ideal
+
+
+def commuting_rep(rng, n, rank):
+    """x_i -> M^e_i for one matrix M of finite order: the images commute,
+    so this represents every (weighted) RAAG on n vertices."""
+    M = {1: [[-1]], 2: S3_REPS["s3"].mats[0], 3: S3_REPS["perm3"].mats[0]}[rank]
+    mats = []
+    for _ in range(n):
+        A = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        for _ in range(rng.randint(0, 2)):
+            A = smat_mul(ZZ, A, M)
+        mats.append(A)
+    return Representation(ZZ, mats)
+
+
+DUAL_RINGS = (ZZ, GF(2), GF(3))
+PHIS = {
+    "full": lambda pres: AbelianEpi.from_abelianization(pres),
+    "rank1": lambda pres: AbelianEpi(pres, [(1,)] + [(0,)] * (pres.ngens - 1)),
+    "rank0": lambda pres: AbelianEpi(pres, [()] * pres.ngens),
+}
+
+
+def test_duality_matches_enumeration_seeded():
+    rng = random.Random(97)
+    routes = set()
+    # one relator, sigma of rank 1-3, phi of rank 2, 1 and 0
+    for k in range(36):
+        pres = kernel_presentation(random_pairs(rng, rng.randint(1, 2)))
+        name = ("trivial", "s3", "perm3")[k % 3]
+        ring = DUAL_RINGS[k // 3 % 3]
+        phi = PHIS[("full", "rank1", "rank0")[k // 9 % 3]](pres)
+        routes.add(assert_duality_matches_enumeration(pres, S3_REPS[name].over(ring), phi))
+    # RAAGs with more relators than n - 1
+    for k in range(18):
+        n, rank = ((3, 1), (4, 1), (5, 1), (3, 2))[k % 4]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = [(i, j, rng.randint(1, 2))
+                 for i, j in rng.sample(pairs, rng.randint(n, min(len(pairs), 6)))]
+        pres = build_weighted_raag(n, edges)
+        assert len(pres.relators) > n - 1
+        rep = commuting_rep(rng, n, rank).over(DUAL_RINGS[k % 3])
+        routes.add(assert_duality_matches_enumeration(pres, rep))
+    assert routes == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pairs, st.sampled_from(sorted(S3_REPS)), st.sampled_from(DUAL_RINGS),
+       st.sampled_from(sorted(PHIS)))
+def test_duality_matches_enumeration_property(pairs, name, ring, phi):
+    pres = kernel_presentation(pairs)
+    assert_duality_matches_enumeration(pres, S3_REPS[name].over(ring), PHIS[phi](pres))
+
+
+def test_duality_fallback_and_zero_delta():
+    pres = onerel().presentation
+    # phi of rank 0: the trivial sigma gives d1 = 0, J0 is empty, and
+    # both invariants come from enumeration; s3 keeps J0 nonempty (det of
+    # sigma(x1) - I is 3) and runs duality on constant entries
+    rank0 = PHIS["rank0"](pres)
+    assert not assert_duality_matches_enumeration(pres, S3_REPS["trivial"], rank0)
+    assert assert_duality_matches_enumeration(pres, S3_REPS["s3"], rank0)
+    assert twisted_alexander(pres, S3_REPS["s3"], rank0).describe() == "3"
+    # Delta = 0 with fewer relators than n - 1 (no row slice at all), and
+    # with a triangle plus a lone vertex: d2 has k = 3 rows, but every
+    # slice misses the lone vertex's column
+    for pres in (build_orbifold(2, []),
+                 build_weighted_raag(4, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])):
+        rep = Representation.trivial(ZZ, pres.ngens)
+        assert assert_duality_matches_enumeration(pres, rep)
+        assert twisted_alexander(pres, rep).is_zero
+        assert jump_ideal(pres, rep, i=1).is_zero_ideal
+
+
+def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
+    # d1 is 12 x 6 and d2 is 6 x 12: J0's C(12, 6) = 924 minors, one block
+    # of d1 for S0 and the single 6-row slice of d2, never minors(d2, .)
+    # or the rank of d2
+    job = onerel()
+    pres, rep = job.presentation, job.representation("reg_s3")
+    phi = AbelianEpi.from_abelianization(pres)
+    _, d1 = alexander_matrices(pres, rep, phi)
+    d1_rows = {tuple(g.key() for g in row) for row in d1}
+    real_det, real_minors = linalg.det_laurent, minors
+    calls, minor_shapes = [], []
+
+    def det_counting(M):
+        calls.append(all(tuple(g.key() for g in row) in d1_rows for row in M))
+        return real_det(M)
+
+    def minors_recording(M, k):
+        minor_shapes.append((len(M), len(M[0]), k))
+        return real_minors(M, k)
+
+    def no_rank(M):
+        raise AssertionError("rank_laurent called with J0 nonempty")
+
+    monkeypatch.setattr(linalg, "det_laurent", det_counting)
+    monkeypatch.setattr(linalg, "rank_laurent", no_rank)
+    monkeypatch.setattr(jumploci, "minors", minors_recording)
+    twisted_alexander(pres, rep, phi)
+    assert len(calls) <= 924 + 2 and calls.count(False) <= 1
+    assert minor_shapes == [(12, 6, 6)]
+    calls.clear()
+    minor_shapes.clear()
+    J1 = jump_ideal(pres, rep, phi, i=1)
+    assert len(calls) <= 924 + 2 and calls.count(False) <= 1
+    assert minor_shapes == [(12, 6, 6)]
+    # enumeration finds the same 143 distinct generators
+    assert len(J1.generators) == 143
 
 
 # -- orbifold and graph-group tables -------------------------------------------
