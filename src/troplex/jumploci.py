@@ -18,9 +18,11 @@ for any S0 with det d1[S0^c] != 0.  A slice with det d2[R, S0] = 0 has
 rank below k and no nonzero k-minor.  So the k-minors of d2 are the
 c_R * q for q in J0 = I_r(d1), delta = gcd_R(c_R * gcd J0), and one
 determinant of d2 per row slice replaces all C(m, k) * C(nr, k) minors
-(Wada, Topology 33, 1994; Kirk-Livingston, Topology 38, 1999).  J0 is
-empty only when rank d1 < r, which needs phi of rank 0; then both fall
-back to enumerating the minors of d2.
+(Wada, Topology 33, 1994; Kirk-Livingston, Topology 38, 1999).  S0 is
+the complement of a generator block sigma(x_i) t^phi(x_i) - I of d1,
+which is nonsingular whenever phi(x_i) != 0.  Only when every block is
+singular (phi of rank 0, constant entries) do both fall back to
+enumerating the minors of d2.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: by I_s(diag(A, B)) = {p*q : p in I_a(A), q in
@@ -30,7 +32,7 @@ d2 and of d1, and block sizes above rank d2 or rank d1 are skipped.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import fpgroup, linalg
 from .laurent import (
@@ -120,24 +122,23 @@ class IdealGens:
 def _by_duality(d2, d1, r):
     """Delta and the (n-1)r-minors of d2 from J0 = I_r(d1) by kernel duality.
 
-    None when J0 is empty (rank d1 < r).  Otherwise (J0's generators,
-    gcd J0, delta, the k-minors of d2 up to units as a lazy iterator),
-    with delta the canonical zero when every row slice has rank below k.
-    S0 is the complement of the first r rows of d1 with a nonzero
-    determinant, trying generator blocks first: det(sigma(x_i) t^phi(x_i)
-    - I) has leading coefficient det sigma(x_i), so a block with
-    phi(x_i) != 0 always serves.
+    S0 is the complement of the first generator block of d1 with a
+    nonzero determinant det(sigma(x_i) t^phi(x_i) - I), whose leading
+    coefficient is det sigma(x_i), so any x_i with phi(x_i) != 0 serves;
+    that block also proves rank d1 = r.  None when no block is
+    nonsingular (then phi(x_i) = 0 for every i).  Otherwise (J0's
+    generators, gcd J0, delta, the k-minors of d2 up to units as a lazy
+    iterator).  When every row slice has rank below k, delta and J1 are
+    zero and J0's minors are not taken: the tuple is ([], 0, 0, no minors).
     """
-    j0 = minors(d1, r)
-    if not j0:
-        return None
     size = len(d1)
-    blocks = (range(i, i + r) for i in range(0, size, r))
-    for rows in chain(blocks, combinations(range(size), r)):
-        den = linalg.det_laurent([d1[i] for i in rows])
+    for top in range(0, size, r):
+        den = linalg.det_laurent(d1[top:top + r])
         if not den.is_zero:
             break
-    cols = [j for j in range(size) if j not in rows]
+    else:
+        return None
+    cols = list(range(top)) + list(range(top + r, size))
     nums = []
     for rsel in combinations(range(len(d2)), len(cols)):
         # n = 1 leaves k = 0 and one empty slice, of determinant 1
@@ -145,9 +146,12 @@ def _by_duality(d2, d1, r):
                else LaurentPoly.one(den.ring, den.nvars))
         if not num.is_zero:
             nums.append(num)
+    if not nums:
+        zero = LaurentPoly.zero(den.ring, den.nvars)
+        return [], zero, zero, iter(())
+    j0 = minors(d1, r)
     g0 = gcd_list(j0)
-    delta = (gcd_list([_exact_div_strict(num * g0, den) for num in nums]) if nums
-             else LaurentPoly.zero(den.ring, den.nvars))
+    delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
     minors2 = (_exact_div_strict(num * q, den) for num in nums for q in j0)
     return j0, g0, delta, minors2
 
@@ -165,8 +169,9 @@ def jump_ideal(pres, rep, phi=None, i=1):
 
         I_s(diag(A, B)) = {p*q : p in I_a(A), q in I_b(B), a + b = s}
 
-    with I_0 = {1}: the same generators that enumeration finds.  When
-    rank d1 = r, rank d2 <= (n-1)r leaves only a = (n-1)r, b = r, and
+    with I_0 = {1}: the same generators that enumeration finds.  When a
+    generator block of d1 is nonsingular, rank d1 = r, so
+    rank d2 <= (n-1)r leaves only a = (n-1)r, b = r, and
     kernel duality (see the module docstring) gives I_a(d2) as the c_R*q
     for q in J0, so J1 is generated by the c_R*q'*q with q', q in J0 and
     gcd J1 = delta * gcd J0.  Otherwise sizes a above rank d2 or b above
@@ -251,9 +256,10 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
     empty d2 has rank 0), otherwise that GCD (canonical associate, so a
     unit GCD is 1; integer content kept over Z; squarefree part only if
     requested).  It comes from J0 and one determinant of d2 per row slice
-    by kernel duality (see the module docstring); only when J0 is empty
-    are the minors of d2 enumerated.  The excluded locus is not computed
-    here: read it from jump_ideal(pres, rep, phi, i=0).
+    by kernel duality (see the module docstring); only when every
+    generator block of d1 is singular are the minors of d2 enumerated.
+    The excluded locus is not computed here: read it from
+    jump_ideal(pres, rep, phi, i=0).
     """
     if phi is None:
         phi = fpgroup.AbelianEpi.from_abelianization(pres)

@@ -365,7 +365,7 @@ def j1_by_blocks(pres, rep, phi):
 
 def assert_duality_matches_enumeration(pres, rep, phi=None):
     """Delta, J1's generators and gcd J1 agree with enumeration; returns
-    whether J0 was nonempty, i.e. whether kernel duality was used."""
+    whether J0 was nonempty."""
     if phi is None:
         phi = AbelianEpi.from_abelianization(pres)
     delta = twisted_alexander(pres, rep, phi).delta
@@ -450,6 +450,41 @@ def test_duality_fallback_and_zero_delta():
         assert assert_duality_matches_enumeration(pres, rep)
         assert twisted_alexander(pres, rep).is_zero
         assert jump_ideal(pres, rep, i=1).is_zero_ideal
+
+
+def test_singular_generator_blocks_fall_back_to_enumeration(monkeypatch):
+    # the braid group <x1, x2 | x1x2x1 = x2x1x2> onto SL_2(Z) with phi of
+    # rank 0: both blocks sigma(x_i) - I are singular, yet J0 is nonempty,
+    # and Delta = 2 comes from the 2-minors of the 2 x 4 matrix d2
+    pres = Presentation(["x1", "x2"], [(1, 2, 1, -2, -1, -2)])
+    rep = Representation(ZZ, [[[1, 1], [0, 1]], [[1, 0], [-1, 1]]])
+    phi = PHIS["rank0"](pres)
+    shapes = []
+    real_minors = minors
+    monkeypatch.setattr(jumploci, "minors", lambda M, k: shapes.append(
+        (len(M), len(M[0]), k)) or real_minors(M, k))
+    assert twisted_alexander(pres, rep, phi).describe() == "2"
+    assert shapes == [(2, 4, 2)]
+    assert assert_duality_matches_enumeration(pres, rep, phi)
+
+
+def test_zero_delta_takes_no_minors(monkeypatch):
+    # the free group on two generators has no relator, so d2 has no row
+    # slice: Delta and J1 are zero after one block determinant of d1, and
+    # J0's C(12, 6) = 924 minors for reg_s3 are never taken
+    rep = onerel().representation("reg_s3")
+    pres = Presentation(["x1", "x2"], [])
+    real_det = linalg.det_laurent
+    calls = []
+
+    def no_minors(M, k):
+        raise AssertionError("minors called with Delta = 0")
+
+    monkeypatch.setattr(linalg, "det_laurent", lambda M: calls.append(M) or real_det(M))
+    monkeypatch.setattr(jumploci, "minors", no_minors)
+    assert twisted_alexander(pres, rep).is_zero
+    assert jump_ideal(pres, rep, i=1).is_zero_ideal
+    assert len(calls) == 2
 
 
 def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
