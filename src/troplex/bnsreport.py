@@ -167,7 +167,8 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
         )
     included, excluded, notes = [], [], []
     # J0 and J1 depend on the representation only, not on the setting:
-    # entries sharing one representation object share them
+    # entries sharing one representation object share them, and J1 takes
+    # its r-minors of d1 and their gcd from J0 instead of taking them again
     shared = {}
     for descriptor, rep, mode in entries:
         verdict = _check_admissible(rep, mode, check_finite_image)
@@ -175,7 +176,8 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
             excluded.append(BoundEntry(descriptor, mode, verdict, False))
             continue
         if id(rep) not in shared:
-            shared[id(rep)] = [jump_ideal(pres, rep, phi, i=i) for i in (0, 1)]
+            J0 = jump_ideal(pres, rep, phi, i=0)
+            shared[id(rep)] = [J0, jump_ideal(pres, rep, phi, i=1, j0=J0)]
         complexes, entry_notes = [], []
         exact = True
         for J in shared[id(rep)]:

@@ -27,7 +27,11 @@ enumerating the minors of d2.
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: by I_s(diag(A, B)) = {p*q : p in I_a(A), q in
 I_b(B), a + b = s} (I_0 = {1}) its generators are products of minors of
-d2 and of d1, and block sizes above rank d2 or rank d1 are skipped.
+d2 and of d1, and block sizes above rank d2 or rank d1 are skipped.  By
+duality they are the c_R*q_a*q_b over the generators q_a, q_b of J0,
+each formed once per unordered pair (b >= a), and a caller that already
+holds J0 hands it to jump_ideal(i=1) so that d1's r-minors and their
+gcd are taken once.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ class IdealGens:
         return self._gcd
 
 
-def _by_duality(d2, d1, r):
+def _by_duality(d2, d1, r, j0=None):
     """Delta and the (n-1)r-minors of d2 from J0 = I_r(d1) by kernel duality.
 
     S0 is the complement of the first generator block of d1 with a
@@ -128,8 +132,11 @@ def _by_duality(d2, d1, r):
     that block also proves rank d1 = r.  None when no block is
     nonsingular (then phi(x_i) = 0 for every i).  Otherwise (J0's
     generators, gcd J0, delta, the k-minors of d2 up to units as a lazy
-    iterator).  When every row slice has rank below k, delta and J1 are
-    zero and J0's minors are not taken: the tuple is ([], 0, 0, no minors).
+    iterator of rows, one per row slice R, the c_R*q in the order of J0's
+    generators q).  J0's generators and gcd come from j0 (an IdealGens)
+    when given, else from minors(d1, r).  When every row slice has rank
+    below k, delta and J1 are zero and J0 is not needed: the tuple is
+    ([], 0, 0, no rows).
     """
     size = len(d1)
     for top in range(0, size, r):
@@ -149,14 +156,17 @@ def _by_duality(d2, d1, r):
     if not nums:
         zero = LaurentPoly.zero(den.ring, den.nvars)
         return [], zero, zero, iter(())
-    j0 = minors(d1, r)
-    g0 = gcd_list(j0)
+    if j0 is None:
+        gens0 = minors(d1, r)
+        g0 = gcd_list(gens0)
+    else:
+        gens0, g0 = j0.generators, j0.gcd()
     delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
-    minors2 = (_exact_div_strict(num * q, den) for num in nums for q in j0)
-    return j0, g0, delta, minors2
+    rows = ((_exact_div_strict(num * q, den) for q in gens0) for num in nums)
+    return gens0, g0, delta, rows
 
 
-def jump_ideal(pres, rep, phi=None, i=1):
+def jump_ideal(pres, rep, phi=None, i=1, j0=None):
     """Degree-i homology jump ideal of the twisted presentation complex.
 
     Generated by the minors of size r*c_i of the block matrix
@@ -173,11 +183,19 @@ def jump_ideal(pres, rep, phi=None, i=1):
     generator block of d1 is nonsingular, rank d1 = r, so
     rank d2 <= (n-1)r leaves only a = (n-1)r, b = r, and
     kernel duality (see the module docstring) gives I_a(d2) as the c_R*q
-    for q in J0, so J1 is generated by the c_R*q'*q with q', q in J0 and
-    gcd J1 = delta * gcd J0.  Otherwise sizes a above rank d2 or b above
-    rank d1 have no nonzero minor and are skipped, and the gcd of J1 is
-    the gcd over the pairs (a, b) of gcd(I_a(d2)) * gcd(I_b(d1)), exact
-    in the UFD Z[t^+-1] or F[t^+-1].
+    for q in J0, so J1 is generated by the c_R*q_a*q_b with q_a, q_b in
+    J0 and gcd J1 = delta * gcd J0.  As c_R*q_a*q_b = c_R*q_b*q_a, only
+    b >= a is formed: the pairs b < a are the duplicates that IdealGens
+    would drop, so the generators and their order are those of the full
+    product.  Otherwise sizes a above rank d2 or b above rank d1 have no
+    nonzero minor and are skipped, and the gcd of J1 is the gcd over the
+    pairs (a, b) of gcd(I_a(d2)) * gcd(I_b(d1)), exact in the UFD
+    Z[t^+-1] or F[t^+-1].
+
+    j0, for i = 1 only, is the IdealGens that jump_ideal(pres, rep, phi,
+    i=0) returned for the same arguments: its generators and gcd then
+    stand in for d1's r-minors, which are not taken again.  The fallback
+    without a nonsingular generator block ignores it.
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
@@ -192,10 +210,11 @@ def jump_ideal(pres, rep, phi=None, i=1):
         return IdealGens(rep.ring, phi.m, gens, source=f"{r}-minors of d1")
     size = r * pres.ngens
     source = f"{size}-minors of diag(d2, d1)"
-    dual = _by_duality(d2, d1, r)
+    dual = _by_duality(d2, d1, r, j0)
     if dual is not None:
-        j0, g0, delta, minors2 = dual
-        gens = (p * q for p in minors2 for q in j0)
+        gens0, g0, delta, rows = dual
+        gens = (p * q for row in rows for a, p in enumerate(row)
+                for q in gens0[a:])
         return IdealGens(rep.ring, phi.m, gens, source=source,
                          gcd=canonical_associate(delta * g0))
     one = LaurentPoly.one(rep.ring, phi.m)

@@ -163,9 +163,10 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
     calls = []
     real = bnsreport.jump_ideal
 
-    def counted(pres, rep, phi=None, i=1):
-        calls.append((id(rep), i))
-        return real(pres, rep, phi, i=i)
+    def counted(pres, rep, phi=None, i=1, **kwargs):
+        J = real(pres, rep, phi, i=i, **kwargs)
+        calls.append((id(rep), i, kwargs.get("j0"), J))
+        return J
 
     monkeypatch.setattr(bnsreport, "jump_ideal", counted)
     job = onerel()
@@ -175,10 +176,52 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
         ("trivial", triv, "Z"), ("trivial", triv, TRIVIAL),
     ]
     rp = assemble_bound(job.presentation, entries)
-    assert sorted(calls) == sorted((id(r), i) for r in (s3, triv) for i in (0, 1))
+    assert sorted(c[:2] for c in calls) == sorted(
+        (id(r), i) for r in (s3, triv) for i in (0, 1))
+    # J1 is handed the very J0 of its representation, J0 nothing
+    j0_of = {rid: J for rid, i, _, J in calls if i == 0}
+    for rid, i, j0, _ in calls:
+        assert j0 is (j0_of[rid] if i == 1 else None)
     # the same bound as each entry on its own
     assert [e.descriptor for e in rp.entries] == [d for d, _, _ in entries]
     for entry, e in zip(entries, rp.entries):
         alone = assemble_bound(job.presentation, [entry])
         assert alone.entries[0].arcs == e.arcs
         assert alone.entries[0].exact == e.exact
+
+
+def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
+    # reg_s3 on the bundled relator: d1 is 12 x 6, so J0 is its C(12, 6) =
+    # 924 6-minors; J1 reuses them and takes one block of d1 for S0 and
+    # the single 6-row slice of d2
+    import troplex.bnsreport as bnsreport
+    from troplex import jumploci, linalg
+
+    job = onerel()
+    rep = job.representation("reg_s3")
+    real_det, real_minors, real_jump = (
+        linalg.det_laurent, jumploci.minors, bnsreport.jump_ideal)
+    dets, minor_shapes, degrees = [], [], []
+
+    def det_counting(M):
+        dets.append(len(M))
+        return real_det(M)
+
+    def minors_recording(M, k):
+        minor_shapes.append((len(M), len(M[0]), k))
+        return real_minors(M, k)
+
+    def jump_recording(pres, rep, phi=None, i=1, **kwargs):
+        degrees.append(i)
+        return real_jump(pres, rep, phi, i=i, **kwargs)
+
+    monkeypatch.setattr(linalg, "det_laurent", det_counting)
+    monkeypatch.setattr(jumploci, "minors", minors_recording)
+    monkeypatch.setattr(bnsreport, "jump_ideal", jump_recording)
+    with deadline(20):
+        rp = assemble_bound(job.presentation,
+                            [("reg_s3", rep, "Z"), ("reg_s3", rep, padic(3))])
+    assert len(rp.entries) == 2
+    assert minor_shapes == [(12, 6, 6)]
+    assert len(dets) <= 924 + 2
+    assert sorted(degrees) == [0, 1]

@@ -227,12 +227,34 @@ def j1_by_enumeration(pres, rep, phi=None):
     return IdealGens(rep.ring, phi.m, gens)
 
 
+def j1_by_all_ordered_pairs(pres, rep, phi):
+    """J1 from the c_R*q_a*q_b over every ordered pair (a, b) of J0's
+    generators, in stream order; None when kernel duality does not apply."""
+    d2, d1 = alexander_matrices(pres, rep, phi)
+    dual = jumploci._by_duality(d2, d1, rep.rank)
+    if dual is None:
+        return None
+    gens0, _, _, rows = dual
+    return IdealGens(rep.ring, phi.m, (p * q for row in rows for p in row for q in gens0))
+
+
 def assert_j1_matches_enumeration(pres, rep, phi=None):
+    if phi is None:
+        phi = AbelianEpi.from_abelianization(pres)
     fast = jump_ideal(pres, rep, phi, i=1)
     slow = j1_by_enumeration(pres, rep, phi)
     assert {g.key() for g in fast.generators} == {g.key() for g in slow.generators}
     assert fast.is_zero_ideal == slow.is_zero_ideal
     assert fast.gcd() == slow.gcd()
+    # handing J0 over, and forming each product once per unordered pair,
+    # change neither the generators nor their order
+    handed = jump_ideal(pres, rep, phi, i=1, j0=jump_ideal(pres, rep, phi, i=0))
+    for J in (handed, j1_by_all_ordered_pairs(pres, rep, phi)):
+        if J is None:
+            continue
+        assert [g.key() for g in J.generators] == [g.key() for g in fast.generators]
+        assert J.is_zero_ideal == fast.is_zero_ideal
+        assert J.gcd() == fast.gcd()
 
 
 S3_REPS = {
