@@ -27,8 +27,6 @@ from .fpgroup import (
     build_orbifold,
     build_product,
     build_weighted_raag,
-    fox_derivative,
-    homology_dims_at_character,
     parse_word,
     regular_representation,
     verify_representation,
@@ -93,9 +91,7 @@ __all__ = [
     "canonical_associate",
     "cell_weight",
     "compare_fixture",
-    "fox_derivative",
     "get_fixture",
-    "homology_dims_at_character",
     "jump_ideal",
     "kahler_obstruction",
     "laurent_gcd",

@@ -71,14 +71,13 @@ class BoundEntry:
     """
 
     def __init__(self, descriptor, mode, admissibility, included,
-                 arcs=None, exact=None, notes=()):
+                 arcs=None, exact=None):
         self.descriptor = descriptor
         self.mode = mode
         self.admissibility = admissibility
         self.included = included
         self.arcs = arcs
         self.exact = exact
-        self.notes = list(notes)
 
     @property
     def mode_label(self):
@@ -136,18 +135,6 @@ def _check_admissible(rep, mode, check_finite_image):
     return novikov_admissible(rep, mode, check_finite_image=check_finite_image)
 
 
-def _tropicalize_ideal(J, mode):
-    """(complex, exact flag, notes) for one jump ideal under one mode."""
-    exact = len(J.generators) <= 1
-    if J.is_zero_ideal:
-        notes = [f"{J.source}: zero ideal, tropical set is everything"]
-    elif not exact:
-        notes = [f"{J.source}: {len(J.generators)} generators, bounding by their gcd"]
-    else:
-        notes = []
-    return tropicalize(J.gcd(), mode), exact, notes
-
-
 def assemble_bound(pres, entries, phi=None, check_finite_image=False):
     """Union the tropical sphere sets of J_0 and J_1 over all admissible
     entries; the complement is the Sigma^1 upper bound.
@@ -178,18 +165,11 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
         if id(rep) not in shared:
             J0 = jump_ideal(pres, rep, phi, i=0)
             shared[id(rep)] = [J0, jump_ideal(pres, rep, phi, i=1, j0=J0)]
-        complexes, entry_notes = [], []
-        exact = True
-        for J in shared[id(rep)]:
-            T, ex, ns = _tropicalize_ideal(J, mode)
-            complexes.append(T)
-            exact = exact and ex
-            entry_notes.extend(ns)
+        ideals = shared[id(rep)]
+        complexes = [tropicalize(J.gcd(), mode) for J in ideals]
         arcs = union_all(sphere_projection(T) for T in complexes)
-        included.append(
-            BoundEntry(descriptor, mode, verdict, True,
-                       arcs=arcs, exact=exact, notes=entry_notes)
-        )
+        exact = all(len(J.generators) <= 1 for J in ideals)
+        included.append(BoundEntry(descriptor, mode, verdict, True, arcs=arcs, exact=exact))
     vacuous = not included
     if vacuous:
         combined = SphereArcSet.empty()

@@ -95,7 +95,7 @@ def _arcset_json(s):
 
 
 def _parse_point(text, nvars):
-    parts = text.split(",")
+    parts = text.split(",") if text else []  # "" is the point of R^0
     if len(parts) != nvars:
         raise JobError(f"point {text!r} has {len(parts)} coordinates, need {nvars}")
     try:
@@ -125,7 +125,7 @@ def cmd_trop(args):
     p, mode = parse_valuation(args.valuation)
     verdict = twisted_alexander(job.presentation, rep.over(GF(p)) if p else rep, phi)
     delta = verdict.delta_poly()
-    if args.contains:
+    if args.contains is not None:
         w = _parse_point(args.contains, phi.m)
         if verdict.is_zero:
             member = True
@@ -400,7 +400,9 @@ def main(argv=None):
     except BrokenPipeError:
         # the reader is gone: buffered output goes to devnull, so the
         # flush at shutdown stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
     except (JobError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,22 +21,12 @@ from fractions import Fraction
 
 from . import linalg
 from .laurent import LaurentPoly
-from .rings import QQ, ZZ
+from .rings import ZZ
 
 DEFAULT_MAX_QUOTIENT = 5040
 
 
 # -- words ----------------------------------------------------------------
-
-
-def free_reduce(word):
-    out = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def invert_word(word):
@@ -87,7 +77,7 @@ def commutator(a, b):
     return wa + wb + invert_word(wa) + invert_word(wb)
 
 
-# -- presentations and abelianization ------------------------------------
+# -- presentations --------------------------------------------------------
 
 
 class Presentation:
@@ -105,7 +95,6 @@ class Presentation:
             rels.append(rel)
         self.relators = rels
         self.nrels = len(rels)
-        self._ab = None
 
     def __repr__(self):
         return f"<Presentation {self.ngens} gens, {self.nrels} relators>"
@@ -117,30 +106,6 @@ class Presentation:
             for letter in rel:
                 M[abs(letter) - 1][j] += 1 if letter > 0 else -1
         return M
-
-    def abelianization(self):
-        if self._ab is None:
-            self._ab = AbelianizationData(self)
-        return self._ab
-
-
-class AbelianizationData:
-    """Smith-form data for G_ab: free rank, projections, torsion invariants."""
-
-    def __init__(self, pres):
-        M = pres.exponent_matrix()
-        n = pres.ngens
-        diag, U = linalg.smith_normal_form(M) if n else ([], [])
-        rank = sum(1 for d in diag if d != 0)
-        self.free_rank = n - rank
-        self.torsion = [d for d in diag if d > 1]
-        torsion_rows = [i for i, d in enumerate(diag) if d > 1]
-        self.gen_free = [
-            tuple(U[i][j] for i in range(rank, n)) for j in range(n)
-        ]
-        self.gen_torsion = [
-            tuple(U[i][j] % diag[i] for i in torsion_rows) for j in range(n)
-        ]
 
 
 # -- representations ------------------------------------------------------
@@ -227,32 +192,6 @@ def verify_representation(pres, rep):
     return all(rep.word_image(rel) == eye for rel in pres.relators)
 
 
-# -- Fox calculus ----------------------------------------------------------
-
-
-def fox_derivative(word, i):
-    """The free Fox derivative d(word)/d(x_{i+1}) as {prefix word: int}.
-
-    Rules: d(x)/dx = 1, d(x^-1)/dx = -x^-1, d(uv)/dx = du/dx + u dv/dx.
-    Prefixes are freely reduced; zero coefficients are dropped.
-    """
-    target = i + 1
-    out = {}
-    prefix = []
-    for letter in word:
-        if letter == target:
-            key = tuple(prefix)
-            out[key] = out.get(key, 0) + 1
-        if prefix and prefix[-1] == -letter:
-            prefix.pop()
-        else:
-            prefix.append(letter)
-        if letter == -target:
-            key = tuple(prefix)
-            out[key] = out.get(key, 0) - 1
-    return {w: c for w, c in out.items() if c != 0}
-
-
 # -- epimorphisms to free abelian groups ----------------------------------
 
 
@@ -276,9 +215,7 @@ class AbelianEpi:
             if any(img):
                 raise ValueError("phi does not kill every relator")
         if m > 0:
-            diag, _ = linalg.smith_normal_form(
-                [list(v) for v in vectors], track_left=False
-            )
+            diag, _ = linalg.smith_normal_form([list(v) for v in vectors])
             if sum(1 for d in diag if d == 1) < m or any(
                 d not in (0, 1) for d in diag
             ):
@@ -288,8 +225,13 @@ class AbelianEpi:
 
     @classmethod
     def from_abelianization(cls, pres):
-        ab = pres.abelianization()
-        return cls(pres, ab.gen_free)
+        """phi onto the free part of G_ab.  With U * M * V = D the Smith
+        form of the exponent matrix M, the rows of U past the rank of M
+        map each generator to its free coordinates."""
+        n = pres.ngens
+        diag, U = linalg.smith_normal_form(pres.exponent_matrix())
+        rank = sum(1 for d in diag if d != 0)
+        return cls(pres, [tuple(U[i][j] for i in range(rank, n)) for j in range(n)])
 
     def word_value(self, word):
         out = [0] * self.m
@@ -357,105 +299,6 @@ def alexander_matrices(pres, rep, phi=None):
                     entry = entry - LaurentPoly.one(ring, nv)
                 d1[i * r + a][b] = entry
     return d2, d1
-
-
-def _character_values(pres, ring, rho_free, torsion_values):
-    ab = pres.abelianization()
-    b = ab.free_rank
-    if len(rho_free) != b:
-        raise ValueError(f"need {b} character values (free rank)")
-    rho = [ring.check(x) for x in rho_free]
-    if any(x == 0 for x in rho):
-        raise ValueError("character values must be nonzero")
-    tors = []
-    if ab.torsion:
-        torsion_values = torsion_values or [ring.one()] * len(ab.torsion)
-        if len(torsion_values) != len(ab.torsion):
-            raise ValueError("need one torsion value per invariant")
-        for d, tau in zip(ab.torsion, torsion_values):
-            tau = ring.check(tau)
-            acc = ring.one()
-            for _ in range(d):
-                acc = ring.mul(acc, tau)
-            if acc != ring.one():
-                raise ValueError(f"torsion value {tau} does not satisfy tau^{d} = 1")
-            tors.append(tau)
-    elif torsion_values:
-        raise ValueError("presentation has no torsion characters")
-
-    def power(base, k):
-        if k < 0:
-            return power(ring.inv(base), -k)
-        acc = ring.one()
-        for _ in range(k):
-            acc = ring.mul(acc, base)
-        return acc
-
-    values = []
-    for g in range(pres.ngens):
-        val = ring.one()
-        for x, e in zip(rho, ab.gen_free[g]):
-            val = ring.mul(val, power(x, e))
-        for tau, e in zip(tors, ab.gen_torsion[g]):
-            val = ring.mul(val, power(tau, e))
-        values.append(val)
-    return values
-
-
-def homology_dims_at_character(pres, rep, rho_free, torsion_values=None):
-    """(dim H_0, dim H_1) of the sigma (x) rho - twisted complex at a character.
-
-    rho_free lists nonzero field values for the free abelianization
-    coordinates; torsion_values (optional) for the torsion invariants.
-    Representations over Z are computed over Q.
-    """
-    ring = QQ if rep.ring.kind == "Z" else rep.ring
-    if not ring.is_field:
-        raise ValueError("character homology needs field coefficients")
-    rep = rep.over(ring)
-    values = _character_values(pres, ring, rho_free, torsion_values)
-    inv_values = [ring.inv(v) for v in values]
-    r = rep.rank
-    n, m = pres.ngens, pres.nrels
-
-    def scaled_image(letter):
-        mat = rep.image(letter)
-        scale = values[letter - 1] if letter > 0 else inv_values[-letter - 1]
-        return [[ring.mul(scale, x) for x in row] for row in mat]
-
-    def scaled_word(word):
-        out = linalg.smat_identity(ring, r)
-        for letter in word:
-            out = linalg.smat_mul(ring, out, scaled_image(letter))
-        return out
-
-    d1 = [[ring.zero()] * r for _ in range(n * r)]
-    for i in range(n):
-        mat = scaled_image(i + 1)
-        for a in range(r):
-            for b in range(r):
-                entry = mat[a][b]
-                if a == b:
-                    entry = ring.sub(entry, ring.one())
-                d1[i * r + a][b] = entry
-    d2 = [[ring.zero()] * (n * r) for _ in range(m * r)]
-    for j, rel in enumerate(pres.relators):
-        for i in range(n):
-            block = [[ring.zero()] * r for _ in range(r)]
-            for word, coeff in fox_derivative(rel, i).items():
-                mat = scaled_word(word)
-                c = ring.from_int(coeff)
-                for a in range(r):
-                    for b in range(r):
-                        block[a][b] = ring.add(block[a][b], ring.mul(c, mat[a][b]))
-            for a in range(r):
-                for b in range(r):
-                    d2[j * r + a][i * r + b] = block[a][b]
-    rank1 = linalg.smat_rank(ring, d1)
-    rank2 = linalg.smat_rank(ring, d2)
-    dim_h0 = r - rank1
-    dim_h1 = n * r - rank1 - rank2
-    return dim_h0, dim_h1
 
 
 # -- presentation builders --------------------------------------------------

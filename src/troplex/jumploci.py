@@ -44,7 +44,6 @@ from .laurent import (
     _exact_div_strict,
     canonical_associate,
     gcd_list,
-    is_unit,
     render,
     squarefree_part,
 )
@@ -86,17 +85,17 @@ def minors(M, k):
 
 
 class IdealGens:
-    """A finite generating set for an ideal of Laurent polynomials.
+    """A finite generating set for an ideal of Laurent polynomials in
+    nvars variables over ring.
 
     Generators are stored as deduplicated canonical associates with zeros
-    dropped; the zero ideal is the empty list with is_zero_ideal set.  A
-    caller that knows the generators' gcd passes it as its canonical
-    associate; otherwise gcd() folds gcd_list over the generators once.
+    dropped; the zero ideal is the empty list with is_zero_ideal set, and
+    its gcd is the zero polynomial of ring and nvars.  A caller that knows
+    the generators' gcd passes it as its canonical associate; otherwise
+    gcd() folds gcd_list over the generators once.
     """
 
-    def __init__(self, ring, nvars, generators, source="", gcd=None):
-        self.ring = ring
-        self.nvars = nvars
+    def __init__(self, ring, nvars, generators, gcd=None):
         gens = []
         seen = set()
         for g in generators:
@@ -108,14 +107,13 @@ class IdealGens:
                 seen.add(key)
                 gens.append(g)
         self.generators = gens
-        self.source = source
         self.is_zero_ideal = not gens
         self._gcd = LaurentPoly.zero(ring, nvars) if self.is_zero_ideal else gcd
 
     def __repr__(self):
         if self.is_zero_ideal:
-            return f"<IdealGens (0) from {self.source}>"
-        return f"<IdealGens {len(self.generators)} gens from {self.source}>"
+            return "<IdealGens (0)>"
+        return f"<IdealGens {len(self.generators)} gens>"
 
     def gcd(self):
         if self._gcd is None:
@@ -206,17 +204,14 @@ def jump_ideal(pres, rep, phi=None, i=1, j0=None):
     if i == 0:
         # diag(d1, d0) with d0 an empty map: the zero columns never
         # enter a nonzero minor, so d1 alone suffices
-        gens = minors(d1, r)
-        return IdealGens(rep.ring, phi.m, gens, source=f"{r}-minors of d1")
+        return IdealGens(rep.ring, phi.m, minors(d1, r))
     size = r * pres.ngens
-    source = f"{size}-minors of diag(d2, d1)"
     dual = _by_duality(d2, d1, r, j0)
     if dual is not None:
         gens0, g0, delta, rows = dual
         gens = (p * q for row in rows for a, p in enumerate(row)
                 for q in gens0[a:])
-        return IdealGens(rep.ring, phi.m, gens, source=source,
-                         gcd=canonical_associate(delta * g0))
+        return IdealGens(rep.ring, phi.m, gens, gcd=canonical_associate(delta * g0))
     one = LaurentPoly.one(rep.ring, phi.m)
     rank2, rank1 = linalg.rank_laurent(d2), linalg.rank_laurent(d1)
     gens, gcds = [], []
@@ -225,10 +220,7 @@ def jump_ideal(pres, rep, phi=None, i=1, j0=None):
         minors1 = minors(d1, size - a) if size - a else [one]
         gens.extend(p * q for p in minors2 for q in minors1)
         gcds.append(gcd_list(minors2) * gcd_list(minors1))
-    return IdealGens(
-        rep.ring, phi.m, gens, source=source,
-        gcd=gcd_list(gcds) if gcds else None,
-    )
+    return IdealGens(rep.ring, phi.m, gens, gcd=gcd_list(gcds) if gcds else None)
 
 
 # -- twisted Alexander polynomial -------------------------------------------
@@ -253,10 +245,6 @@ class AlexVerdict:
     @property
     def is_zero(self):
         return self.delta.is_zero
-
-    @property
-    def is_unit(self):
-        return is_unit(self.delta)
 
     def delta_poly(self):
         return self.delta

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import INFINITY, ZZ, QQ, GF, Ring, reduce_scalar, valuate
+from .rings import GF, reduce_scalar, valuate
 
 
 def _lex_key(exps):
@@ -103,9 +103,6 @@ class LaurentPoly:
 
     def support(self):
         return sorted(self.terms, key=_lex_key)
-
-    def num_terms(self):
-        return len(self.terms)
 
     def lex_min_exponent(self):
         if self.is_zero:
@@ -227,9 +224,6 @@ class LaurentPoly:
             self.nvars,
             {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
         )
-
-    def map_coefficients(self, ring, fn):
-        return LaurentPoly(ring, self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
     # -- rendering ------------------------------------------------------
 

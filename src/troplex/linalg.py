@@ -76,11 +76,6 @@ def _gauss_jordan(ring, M, width=None):
     return r, int(det) if lift else det, A
 
 
-def smat_rank(ring, M):
-    """Rank over the ring's field of fractions."""
-    return _gauss_jordan(ring, M)[0]
-
-
 def smat_det(ring, M):
     """Exact determinant of a square scalar matrix."""
     if any(len(row) != len(M) for row in M):
@@ -101,27 +96,6 @@ def smat_inverse(ring, M):
 
 
 # -- Laurent matrices -----------------------------------------------------
-
-
-def lmat_identity(ring, nvars, n):
-    one = LaurentPoly.one(ring, nvars)
-    zero = LaurentPoly.zero(ring, nvars)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def lmat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _bareiss(M, det=False):
@@ -186,8 +160,7 @@ def _bezout_rows(A, U, t, i):
         return
     if a == 0:
         A[t], A[i] = A[i], A[t]
-        if U is not None:
-            U[t], U[i] = U[i], U[t]
+        U[t], U[i] = U[i], U[t]
         return
     g = math.gcd(a, b)
     x, y = _bezout_pair(a, b)
@@ -195,10 +168,9 @@ def _bezout_rows(A, U, t, i):
     rt = [x * u + y * v for u, v in zip(A[t], A[i])]
     ri = [p * u + q * v for u, v in zip(A[t], A[i])]
     A[t], A[i] = rt, ri
-    if U is not None:
-        ut = [x * u + y * v for u, v in zip(U[t], U[i])]
-        ui = [p * u + q * v for u, v in zip(U[t], U[i])]
-        U[t], U[i] = ut, ui
+    ut = [x * u + y * v for u, v in zip(U[t], U[i])]
+    ui = [p * u + q * v for u, v in zip(U[t], U[i])]
+    U[t], U[i] = ut, ui
 
 
 def _bezout_pair(a, b):
@@ -241,7 +213,7 @@ def _bezout_cols(A, t, j):
         row[t], row[j] = x * ct + y * cj, p * ct + q * cj
 
 
-def smith_normal_form(M, track_left=True):
+def smith_normal_form(M):
     """(diagonal, U) with U unimodular acting on the left; U*M*V = D.
 
     Column operations are untracked.  Diagonal entries are nonnegative
@@ -250,7 +222,7 @@ def smith_normal_form(M, track_left=True):
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [row[:] for row in M]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if track_left else None
+    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     t = 0
     while t < rows and t < cols:
         found = None
@@ -266,8 +238,7 @@ def smith_normal_form(M, track_left=True):
         i0, j0 = found
         if i0 != t:
             A[t], A[i0] = A[i0], A[t]
-            if U is not None:
-                U[t], U[i0] = U[i0], U[t]
+            U[t], U[i0] = U[i0], U[t]
         if j0 != t:
             for row in A:
                 row[t], row[j0] = row[j0], row[t]
@@ -286,8 +257,7 @@ def smith_normal_form(M, track_left=True):
     for i in range(rank_bound):
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
-            if U is not None:
-                U[i] = [-x for x in U[i]]
+            U[i] = [-x for x in U[i]]
     changed = True
     while changed:
         changed = False
@@ -305,8 +275,7 @@ def smith_normal_form(M, track_left=True):
                     row[i + 1] -= q * row[i]
                 if A[i + 1][i + 1] < 0:
                     A[i + 1] = [-x for x in A[i + 1]]
-                    if U is not None:
-                        U[i + 1] = [-x for x in U[i + 1]]
+                    U[i + 1] = [-x for x in U[i + 1]]
                 changed = True
     diag = [A[i][i] for i in range(min(rows, cols))]
     return diag, U

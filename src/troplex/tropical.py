@@ -26,9 +26,11 @@ Three flavors:
 The whole plane is the four quadrant cones of full_plane_complex; a unit
 monomial is the empty complex in any rank.
 
-Everything is exact: bases and endpoints are Fractions, directions are
-primitive integer vectors, and membership predicates share no code with
-the cell enumeration, so they can cross-check each other in tests.
+Everything is exact: bases and endpoints are Fractions and directions are
+primitive integer vectors.  The membership predicates trop_contains and
+trop_Z_contains read initial forms and share no code with the cell
+enumeration; the tests hold the cell-side membership test that checks
+the two against each other.
 """
 
 from __future__ import annotations
@@ -92,62 +94,9 @@ class Cell:
             a + d1 + d2 for a, d1, d2 in zip(self.base, self.dir, self.dir2)
         )
 
-    def contains(self, w):
-        w = tuple(Fraction(x) for x in w)
-        if self.kind == "vertex":
-            return w == self.base
-        if self.kind == "segment":
-            return _on_segment(self.base, self.end, w)
-        if self.kind == "ray":
-            s = _ray_param(self.base, self.dir, w)
-            return s is not None and s >= 0
-        return _in_cone2(self.base, self.dir, self.dir2, w)
-
 
 def _fmt_pt(p):
     return "(" + ", ".join(str(x) for x in p) + ")"
-
-
-def _on_segment(p, q, w):
-    """Is w on the planar segment [p, q]?  (Segments only arise in the plane.)"""
-    d = tuple(b - a for a, b in zip(p, q))
-    r = tuple(b - a for a, b in zip(p, w))
-    if d[0] * r[1] - d[1] * r[0] != 0:
-        return False
-    t = None
-    for dd, rr in zip(d, r):
-        if dd != 0:
-            t = rr / dd
-            break
-    if t is None:
-        return all(x == 0 for x in r)
-    return 0 <= t <= 1 and all(rr == t * dd for dd, rr in zip(d, r))
-
-
-def _ray_param(base, direction, w):
-    r = tuple(b - a for a, b in zip(base, w))
-    if len(base) == 2 and direction[0] * r[1] - direction[1] * r[0] != 0:
-        return None
-    s = None
-    for dd, rr in zip(direction, r):
-        if dd != 0:
-            s = Fraction(rr, dd) if not isinstance(rr, Fraction) else rr / dd
-            break
-    if s is None:
-        return Fraction(0) if all(x == 0 for x in r) else None
-    if all(rr == s * dd for dd, rr in zip(direction, r)):
-        return s
-    return None
-
-
-def _in_cone2(base, d1, d2, w):
-    r = tuple(b - a for a, b in zip(base, w))
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if det == 0:
-        raise ValueError("cone2 with dependent directions")
-    s = Fraction(r[0] * d2[1] - r[1] * d2[0], det)
-    t = Fraction(d1[0] * r[1] - d1[1] * r[0], det)
-    return s >= 0 and t >= 0
 
 
 class TropicalComplex:
@@ -157,45 +106,6 @@ class TropicalComplex:
 
     def __repr__(self):
         return f"<TropicalComplex {len(self.cells)} cells in R^{self.nvars}>"
-
-    def contains(self, w):
-        return any(c.contains(w) for c in self.cells)
-
-    def vertices(self):
-        """0-cells of the complex: cell corner points that are not smooth
-        interior points (a point with exactly two opposite incident
-        directions and no other cell data is interior to an edge)."""
-        incid = {}
-        for c in self.cells:
-            if c.kind == "vertex":
-                incid.setdefault(c.base, set()).add(None)
-            elif c.kind == "segment":
-                d = _primitive(tuple(b - a for a, b in zip(c.base, c.end)))
-                incid.setdefault(c.base, set()).add(d)
-                incid.setdefault(c.end, set()).add(antipode(d))
-            elif c.kind == "ray":
-                incid.setdefault(c.base, set()).add(tuple(c.dir))
-            else:
-                incid.setdefault(c.base, set()).add(tuple(c.dir))
-                incid.setdefault(c.base, set()).add(tuple(c.dir2))
-        out = []
-        for pt, dirs in sorted(incid.items()):
-            real = [d for d in dirs if d is not None]
-            if len(real) == 2 and real[0] == antipode(real[1]):
-                continue
-            out.append(pt)
-        return out
-
-
-def _primitive(v):
-    return normalize_dir(v) if len(v) == 2 else _primitive1(v)
-
-
-def _primitive1(v):
-    x = Fraction(v[0])
-    if x == 0:
-        raise ValueError("zero vector")
-    return (1,) if x > 0 else (-1,)
 
 
 def cell_weight(c):
@@ -553,28 +463,24 @@ class ValuationEntry:
 
 
 class ValuationUnionReport:
-    def __init__(self, primes, entries, sphere_union, notes):
+    def __init__(self, primes, entries, sphere_union):
         self.primes = primes
         self.entries = entries
         self.sphere_union = sphere_union
-        self.exact = True  # one polynomial: every prime that matters is listed
-        self.notes = notes
 
 
 def union_over_valuations(gens):
     """Tropicalize one polynomial over Q-trivial, p-adic, and mod-p for
     candidate primes.
 
-    gens: a one-element list of a LaurentPoly over Z, or a principal
-    IdealGens; several generators raise ValueError (pass their gcd, whose
-    tropical set contains the ideal's).  The candidate prime set is every
-    prime dividing a coefficient.  This is complete:
-    for any other prime, reduction mod p keeps the support and every
-    coefficient valuation is zero, so every tropicalization equals the
-    trivial one.
+    gens: a one-element list of a LaurentPoly over Z; several generators
+    raise ValueError (pass their gcd, whose tropical set contains the
+    ideal's).  The candidate prime set is every prime dividing a
+    coefficient.  This is complete: for any other prime, reduction mod p
+    keeps the support and every coefficient valuation is zero, so every
+    tropicalization equals the trivial one.  A reduction to zero gives
+    the whole plane.
     """
-    if hasattr(gens, "generators"):
-        gens = gens.generators
     gens = list(gens)
     if len(gens) != 1:
         raise ValueError(
@@ -585,7 +491,6 @@ def union_over_valuations(gens):
     if f.ring.kind != "Z":
         raise ValueError("prime-union tropicalization needs Z coefficients")
     primes = coefficient_primes(f)
-    notes = []
     settings = [("trivial over Q", TRIVIAL, None)]
     for p in primes:
         settings.append((f"{p}-adic over Q", padic(p), None))
@@ -593,9 +498,7 @@ def union_over_valuations(gens):
     entries = []
     for label, val, red in settings:
         g = f if red is None else reduce_mod_p(f, red)
-        if g.is_zero:
-            notes.append(f"a generator reduces to 0 mod {red}")
         combined = tropicalize(g, val)
         entries.append(ValuationEntry(label, combined, sphere_projection(combined)))
     sphere_union = union_all(e.arcs for e in entries)
-    return ValuationUnionReport(primes, entries, sphere_union, notes)
+    return ValuationUnionReport(primes, entries, sphere_union)

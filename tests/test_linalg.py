@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import lmat_identity, lmat_mul, smat_rank
 from troplex.laurent import LaurentPoly, render
 from troplex.linalg import (
-    smat_identity, smat_mul, smat_rank, smat_det, smat_inverse,
-    lmat_identity, lmat_mul, det_laurent, rank_laurent,
+    smat_identity, smat_mul, smat_det, smat_inverse, det_laurent, rank_laurent,
     smith_normal_form,
 )
 from troplex.rings import ZZ, QQ, GF

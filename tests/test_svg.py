@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from troplex.laurent import LaurentPoly
@@ -21,7 +19,7 @@ def test_renders_well_formed_document():
 
 
 def test_fractional_vertex_and_full_plane():
-    q = QUADRIC.map_coefficients(QQ, Fraction)
+    q = LaurentPoly(QQ, 2, QUADRIC.terms)
     text = render_svg(trop_hypersurface(q, padic(3)))
     assert "<circle" in text and "</svg>" in text
     text = render_svg(full_plane_complex(), title="everything")

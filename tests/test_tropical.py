@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cell_contains, complex_contains, vertices
 from troplex.laurent import LaurentPoly, reduce_mod_p
-from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
+from troplex.rings import ZZ, QQ, TRIVIAL, padic
 from troplex.tropical import (
-    Cell, TropicalComplex, cell_weight, full_plane_complex,
+    cell_weight, full_plane_complex,
     trop_contains, trop_hypersurface, trop_Z_contains, trop_Z_principal,
     sphere_projection, tropicalize, union_over_valuations,
 )
-from troplex.jumploci import IdealGens
 from troplex.sphere import SphereArcSet
 
 # the running example: (1 - t1)^2 - 3 t2^2, integral coefficients
 QUADRIC = LaurentPoly(ZZ, 2, {(0, 0): 1, (1, 0): -2, (2, 0): 1, (0, 2): -3})
-QUADRIC_Q = QUADRIC.map_coefficients(QQ, Fraction)
+QUADRIC_Q = LaurentPoly(QQ, 2, QUADRIC.terms)
 
 
 def cell_data(T):
@@ -37,7 +37,7 @@ def test_quadric_trivial_valuation():
         ("ray", (F(0), F(0)), (1, 0), None, ((0, 0), (0, 2))),
     ]
     assert all(cell_weight(c) == 2 for c in T.cells)
-    assert T.vertices() == [(F(0), F(0))]
+    assert vertices(T) == [(F(0), F(0))]
     # balancing: weighted primitive directions cancel
     total = [0, 0]
     for c in T.cells:
@@ -55,10 +55,10 @@ def test_quadric_3adic():
         ("ray", base, (0, 1), None, ((0, 0), (1, 0), (2, 0))),
         ("ray", base, (1, 0), None, ((0, 0), (0, 2))),
     ]
-    assert T.vertices() == [base]
-    assert T.contains(base)
-    assert T.contains((F(0), F(40)))
-    assert not T.contains((F(1), F(0)))
+    assert vertices(T) == [base]
+    assert complex_contains(T, base)
+    assert complex_contains(T, (F(0), F(40)))
+    assert not complex_contains(T, (F(1), F(0)))
 
 
 def test_quadric_2adic_matches_mod2_shape():
@@ -82,9 +82,9 @@ def test_quadric_mod3_line():
         ("ray", (F(0), F(0)), (0, 1), None, label),
     ]
     # two antipodal rays form a line; no vertex survives
-    assert T.vertices() == []
-    assert T.contains((F(0), F(17)))
-    assert not T.contains((F(1), F(0)))
+    assert vertices(T) == []
+    assert complex_contains(T, (F(0), F(17)))
+    assert not complex_contains(T, (F(1), F(0)))
 
 
 def test_hypersurface_input_validation():
@@ -98,7 +98,7 @@ def test_hypersurface_input_validation():
     # a monomial has empty tropical set
     T = trop_hypersurface(LaurentPoly.monomial(QQ, 2, (2, -1), Fraction(5)), TRIVIAL)
     assert T.cells == []
-    assert not T.contains((F(0), F(0)))
+    assert not complex_contains(T, (F(0), F(0)))
 
 
 def test_univariate_newton_polygon():
@@ -147,7 +147,7 @@ def test_oracle_agreement_100_points_per_figure():
                 w = (Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
                      Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
             member = trop_contains(f, val, w)
-            assert T.contains(w) == member, (val, w)
+            assert complex_contains(T, w) == member, (val, w)
             hits += member
         assert hits > 0  # the sample really exercises both sides
 
@@ -191,18 +191,18 @@ def test_integral_fan_two_cell_matches_inequalities():
         w = (Fraction(rng.randint(-12, 12), rng.randint(1, 3)),
              Fraction(rng.randint(-12, 12), rng.randint(1, 3)))
         inside = 2 * w[1] <= min(0, w[0], 2 * w[0])
-        assert cone.contains(w) == inside, w
+        assert cell_contains(cone, w) == inside, w
 
 
 def test_integral_membership_oracle():
     T = trop_Z_principal(QUADRIC)
     rng = random.Random(109)
-    assert trop_Z_contains(QUADRIC, (1, -1)) and T.contains((1, -1))
+    assert trop_Z_contains(QUADRIC, (1, -1)) and complex_contains(T, (1, -1))
     for _ in range(150):
         chi = (rng.randint(-6, 6), rng.randint(-6, 6))
         if chi == (0, 0):
             continue
-        assert T.contains(chi) == trop_Z_contains(QUADRIC, chi), chi
+        assert complex_contains(T, chi) == trop_Z_contains(QUADRIC, chi), chi
 
 
 def test_integral_fan_of_linear_poly():
@@ -222,7 +222,7 @@ def test_integral_fan_degenerate_supports():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     # non-unit constant: everything
     T = trop_Z_principal(one * 2)
-    assert cell_data(T) == cell_data(full_plane_complex()) and T.contains((3, -5))
+    assert cell_data(T) == cell_data(full_plane_complex()) and complex_contains(T, (3, -5))
     # unit monomial: nothing
     T = trop_Z_principal(t1.shift((0, 1)))
     assert T.cells == []
@@ -238,8 +238,8 @@ def test_integral_fan_degenerate_supports():
     kinds = sorted(c.kind for c in T.cells)
     assert kinds == ["cone2", "cone2", "ray", "ray"]
     for w in [(2, 5), (2, -5), (0, 1), (Fraction(1, 2), 0)]:
-        assert T.contains(w)
-    assert not T.contains((-1, 0))
+        assert complex_contains(T, w)
+    assert not complex_contains(T, (-1, 0))
     with pytest.raises(ValueError):
         trop_Z_principal(QUADRIC_Q)  # integral tropicalization needs Z
 
@@ -273,7 +273,7 @@ def test_integral_fan_of_segments_matches_the_oracle():
         T = trop_Z_principal(f)
         for _ in range(10):
             chi = (rng.randint(-5, 5), rng.randint(-5, 5))
-            assert T.contains(chi) == trop_Z_contains(f, chi), (terms, chi)
+            assert complex_contains(T, chi) == trop_Z_contains(f, chi), (terms, chi)
 
 
 def test_tropicalize_dispatch():
@@ -302,7 +302,7 @@ def test_full_plane_complex():
     ]
     assert sphere_projection(T).full
     for w in [(0, 0), (5, -3), (Fraction(-7, 2), Fraction(1, 3))]:
-        assert T.contains(w)
+        assert complex_contains(T, w)
     with pytest.raises(ValueError):
         full_plane_complex(3)
 
@@ -334,19 +334,13 @@ def test_sphere_projection_planar_only():
 # -- the union-of-valuations report ------------------------------------------------
 
 
-def principal_quadric_ideal():
-    return IdealGens(ZZ, 2, [QUADRIC], source="principal")
-
-
 def test_union_over_valuations_principal():
-    rp = union_over_valuations(principal_quadric_ideal())
+    rp = union_over_valuations([QUADRIC])
     assert rp.primes == [2, 3]
     assert [e.label for e in rp.entries] == [
         "trivial over Q", "2-adic over Q", "trivial over F_2",
         "3-adic over Q", "trivial over F_3",
     ]
-    assert rp.exact
-    assert rp.notes == []
     expected = SphereArcSet.point((0, 1)).union(SphereArcSet.arc((-1, -1), (1, 0)))
     assert rp.sphere_union == expected
     assert rp.sphere_union == sphere_projection(trop_Z_principal(QUADRIC))
@@ -354,20 +348,19 @@ def test_union_over_valuations_principal():
 
 def test_valuation_union_witness_point():
     """(1,-1) sits in the integral fan but in no single-valuation picture."""
-    rp = union_over_valuations(principal_quadric_ideal())
+    rp = union_over_valuations([QUADRIC])
     w = (1, -1)
     assert trop_Z_contains(QUADRIC, w)
-    assert trop_Z_principal(QUADRIC).contains(w)
+    assert complex_contains(trop_Z_principal(QUADRIC), w)
     for e in rp.entries:
-        assert not e.combined.contains(w), e.label
+        assert not complex_contains(e.combined, w), e.label
 
 
 def test_valuation_union_zero_reduction_note():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     t2 = LaurentPoly.var(ZZ, 2, 1)
-    J = IdealGens(ZZ, 2, [t1 * 2 + t2 * 2], source="even")
-    rp = union_over_valuations(J)
-    assert rp.notes == ["a generator reduces to 0 mod 2"]
+    # 2 t1 + 2 t2 reduces to 0 mod 2, whose tropical set is the whole plane
+    rp = union_over_valuations([t1 * 2 + t2 * 2])
     f2 = next(e for e in rp.entries if e.label == "trivial over F_2")
     assert sphere_projection(f2.combined).full
     assert f2.arcs == SphereArcSet.full_circle()
@@ -376,11 +369,10 @@ def test_valuation_union_zero_reduction_note():
 def test_valuation_union_non_principal_prevariety():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     t2 = LaurentPoly.var(ZZ, 2, 1)
-    J = IdealGens(ZZ, 2, [t1 - 1, t2 - 1], source="pair")
     # the prevariety (one point under the trivial valuation) is refused:
     # its complement would be no bound
     with pytest.raises(ValueError, match="exactly one polynomial, got 2"):
-        union_over_valuations(J)
+        union_over_valuations([t1 - 1, t2 - 1])
     with pytest.raises(ValueError, match="got 0"):
         union_over_valuations([])
-    assert union_over_valuations([t1 - 1]).exact
+    assert union_over_valuations([t1 - 1]).primes == []

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import cell_contains
 from troplex import tropical
 from troplex.cli import _tsv_rows
 from troplex.laurent import LaurentPoly
@@ -51,14 +52,14 @@ def _pair_enum_line(items):
 def _cell_subsumed(c, d):
     """Is cell c geometrically contained in a different cell d?"""
     if c.kind == "vertex":
-        return d.kind != "vertex" and d.contains(c.base)
+        return d.kind != "vertex" and cell_contains(d, c.base)
     if c.kind == "segment":
-        return d.kind != "vertex" and d.contains(c.base) and d.contains(c.end)
+        return d.kind != "vertex" and cell_contains(d, c.base) and cell_contains(d, c.end)
     if c.kind == "ray":
         if d.kind == "ray":
-            return tuple(c.dir) == tuple(d.dir) and d.contains(c.base)
+            return tuple(c.dir) == tuple(d.dir) and cell_contains(d, c.base)
         if d.kind == "cone2":
-            return d.contains(c.base) and d.contains(c.interior_point())
+            return cell_contains(d, c.base) and cell_contains(d, c.interior_point())
     return False
 
 
