@@ -14,7 +14,7 @@ from importlib import resources
 import jsonschema
 
 from . import fpgroup
-from .rings import GF, QQ, TRIVIAL, ZZ, padic, ring_from_tag
+from .rings import GF, QQ, TRIVIAL, padic, ring_from_tag
 
 
 class JobError(ValueError):

@@ -7,10 +7,24 @@ one canonical LaurentPoly, so "delta is 0 or 1" reads off the
 polynomials 0 and 1), the obstruction built on it, and the Novikov-ring
 admissibility check for a representation under a valuation.
 
-Neither delta nor J1 enumerates the minors of d2.  Kernel duality: d2 is
-m x nr, d1 is nr x r and d2 * d1 = 0, so with rank d1 = r and
-k = (n-1)r every k-row slice R of d2 of rank k spans the left kernel of
-d1, and its k-minors are d1's complementary r-minors times one factor:
+Neither delta nor J1 enumerates the minors of d2; the rank of phi
+chooses one of two routes.
+
+phi of rank 0 (finite abelianization).  Every entry of d2 and d1 is a
+constant of the PID Z or F, so each ideal is principal, generated by a
+determinantal divisor D_k, the gcd of the k-minors:
+
+    delta = D_(n-1)r(d2),  J0 = (D_r(d1)),
+    J1 = (gcd over a of D_a(d2) * D_(nr-a)(d1))
+
+by I_s(diag(A, B)) = sum over a + b = s of I_a(A) I_b(B).  D_k is 0
+above the rank; below it D_k is 1 over a field (one rank_laurent) and
+the product of the first k invariant factors over Z (one Smith form).
+
+phi of rank >= 1: kernel duality.  d2 is m x nr, d1 is nr x r and
+d2 * d1 = 0, so with rank d1 = r and k = (n-1)r every k-row slice R of
+d2 of rank k spans the left kernel of d1, and its k-minors are d1's
+complementary r-minors times one factor:
 
     det d2[R, S] = +-c_R * det d1[S^c],   c_R = det d2[R, S0] / det d1[S0^c]
 
@@ -19,23 +33,24 @@ rank below k and no nonzero k-minor.  So the k-minors of d2 are the
 c_R * q for q in J0 = I_r(d1), delta = gcd_R(c_R * gcd J0), and one
 determinant of d2 per row slice replaces all C(m, k) * C(nr, k) minors
 (Wada, Topology 33, 1994; Kirk-Livingston, Topology 38, 1999).  S0 is
-the complement of a generator block sigma(x_i) t^phi(x_i) - I of d1,
-which is nonsingular whenever phi(x_i) != 0.  Only when every block is
-singular (phi of rank 0, constant entries) do both fall back to
-enumerating the minors of d2.
+the complement of a generator block sigma(x_i) t^phi(x_i) - I of d1.
+Some phi(x_i) != 0, and then that block's determinant has leading
+coefficient det sigma(x_i) != 0, so S0 always exists.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
-matrix is never built: by I_s(diag(A, B)) = {p*q : p in I_a(A), q in
-I_b(B), a + b = s} (I_0 = {1}) its generators are products of minors of
-d2 and of d1, and block sizes above rank d2 or rank d1 are skipped.  By
-duality they are the c_R*q_a*q_b over the generators q_a, q_b of J0,
-each formed once per unordered pair (b >= a), and a caller that already
-holds J0 hands it to jump_ideal(i=1) so that d1's r-minors and their
-gcd are taken once.
+matrix is never built: a minor of a block-diagonal matrix is zero unless
+it takes as many rows as columns from each block, and then it is the
+product of the two block minors.  rank d1 = r and rank d2 <= (n-1)r
+leave only the products of a (n-1)r-minor of d2 and an r-minor of d1,
+which by duality are the c_R*q_a*q_b over the generators q_a, q_b of
+J0, each formed once per unordered pair (b >= a).  A caller that
+already holds J0 hands it to jump_ideal(i=1), so that d1's r-minors and
+their gcd are taken once.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from . import fpgroup, linalg
@@ -54,24 +69,12 @@ from .rings import valuate
 
 
 def minors(M, k):
-    """All k x k minors of a LaurentPoly matrix, canonicalized and deduped.
-
-    Zero minors are dropped; k = 0 gives [1] by the empty-determinant
-    convention.  Raises when k exceeds the matrix dimensions.
-    """
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if k < 0 or k > min(rows, cols):
-        raise ValueError(f"minor size {k} out of range for {rows} x {cols}")
-    probe = M[0][0] if rows and cols else None
-    if k == 0:
-        if probe is None:
-            raise ValueError("cannot infer the ring of an empty matrix")
-        return [LaurentPoly.one(probe.ring, probe.nvars)]
+    """All k x k minors of a LaurentPoly matrix, 1 <= k, canonicalized
+    and deduped; zero minors are dropped."""
     out = []
     seen = set()
-    for rsel in combinations(range(rows), k):
-        for csel in combinations(range(cols), k):
+    for rsel in combinations(range(len(M)), k):
+        for csel in combinations(range(len(M[0])), k):
             sub = [[M[i][j] for j in csel] for i in rsel]
             d = linalg.det_laurent(sub)
             if d.is_zero:
@@ -121,28 +124,51 @@ class IdealGens:
         return self._gcd
 
 
-def _by_duality(d2, d1, r, j0=None):
-    """Delta and the (n-1)r-minors of d2 from J0 = I_r(d1) by kernel duality.
+def _divisors(M, ring):
+    """[D_0, D_1, .., D_rank] of a matrix of constants (phi of rank 0).
 
-    S0 is the complement of the first generator block of d1 with a
-    nonzero determinant det(sigma(x_i) t^phi(x_i) - I), whose leading
-    coefficient is det sigma(x_i), so any x_i with phi(x_i) != 0 serves;
-    that block also proves rank d1 = r.  None when no block is
-    nonsingular (then phi(x_i) = 0 for every i).  Otherwise (J0's
-    generators, gcd J0, delta, the k-minors of d2 up to units as a lazy
-    iterator of rows, one per row slice R, the c_R*q in the order of J0's
-    generators q).  J0's generators and gcd come from j0 (an IdealGens)
-    when given, else from minors(d1, r).  When every row slice has rank
-    below k, delta and J1 are zero and J0 is not needed: the tuple is
-    ([], 0, 0, no rows).
+    D_k, the gcd of the k-minors, is 0 above the rank.  Up to the rank
+    it is 1 over a field and the product of the first k invariant
+    factors of the Smith form over Z.
+    """
+    if ring.kind != "Z":
+        return [1] * (linalg.rank_laurent(M) + 1)
+    out = [1]
+    for d in linalg.smith_normal_form([[x.terms.get((), 0) for x in row] for row in M])[0]:
+        if not d:
+            break
+        out.append(out[-1] * d)
+    return out
+
+
+def _divisor(divisors, k):
+    return divisors[k] if k < len(divisors) else 0
+
+
+def _j0(d1, r):
+    """J0 = I_r(d1) from every r-minor of d1 (phi of rank >= 1)."""
+    probe = d1[0][0]
+    return IdealGens(probe.ring, probe.nvars, minors(d1, r))
+
+
+def _by_duality(d2, d1, r, j0=None):
+    """Delta and the (n-1)r-minors of d2 from J0 by kernel duality.
+
+    phi has rank >= 1.  S0 is the complement of the first generator
+    block of d1 with a nonzero determinant det(sigma(x_i) t^phi(x_i) - I),
+    whose leading coefficient is det sigma(x_i), so the block of any x_i
+    with phi(x_i) != 0 serves; that block also proves rank d1 = r.
+    Returns (J0's generators, gcd J0, delta, the k-minors of d2 up to
+    units as a lazy iterator of rows, one per row slice R, the c_R*q in
+    the order of J0's generators q).  J0 is j0 (an IdealGens) when given,
+    else _j0(d1, r).  When every row slice has rank below k, delta and J1
+    are zero and J0 is not needed: the tuple is ([], 0, 0, no rows).
     """
     size = len(d1)
     for top in range(0, size, r):
         den = linalg.det_laurent(d1[top:top + r])
         if not den.is_zero:
             break
-    else:
-        return None
     cols = list(range(top)) + list(range(top + r, size))
     nums = []
     for rsel in combinations(range(len(d2)), len(cols)):
@@ -155,10 +181,8 @@ def _by_duality(d2, d1, r, j0=None):
         zero = LaurentPoly.zero(den.ring, den.nvars)
         return [], zero, zero, iter(())
     if j0 is None:
-        gens0 = minors(d1, r)
-        g0 = gcd_list(gens0)
-    else:
-        gens0, g0 = j0.generators, j0.gcd()
+        j0 = _j0(d1, r)
+    gens0, g0 = j0.generators, j0.gcd()
     delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
     rows = ((_exact_div_strict(num * q, den) for q in gens0) for num in nums)
     return gens0, g0, delta, rows
@@ -169,31 +193,21 @@ def jump_ideal(pres, rep, phi=None, i=1, j0=None):
 
     Generated by the minors of size r*c_i of the block matrix
     diag(d_{i+1}, d_i), with chain ranks c_0 = 1 and c_1 = n.  Only
-    degrees 0 and 1 exist for a presentation 2-complex.
+    degrees 0 and 1 exist for a presentation 2-complex.  J0 needs d1
+    alone, since the zero columns of d0 enter no nonzero minor.
 
-    J1 never builds diag(d2, d1).  A minor of a block-diagonal matrix is
-    zero unless it takes as many rows as columns from each block, and
-    then it is the product of the two block minors, so
+    J1 never builds diag(d2, d1); see the module docstring for both
+    routes.  At phi of rank 0 each ideal comes back on its one generator,
+    a determinantal divisor.  Otherwise J0 is every r-minor of d1, and
+    J1 is generated by the c_R*q_a*q_b with q_a, q_b in J0, so gcd J1 =
+    delta * gcd J0.  As c_R*q_a*q_b = c_R*q_b*q_a, only b >= a is formed:
+    the pairs b < a are the duplicates that IdealGens would drop, so the
+    generators and their order are those of the full product.
 
-        I_s(diag(A, B)) = {p*q : p in I_a(A), q in I_b(B), a + b = s}
-
-    with I_0 = {1}: the same generators that enumeration finds.  When a
-    generator block of d1 is nonsingular, rank d1 = r, so
-    rank d2 <= (n-1)r leaves only a = (n-1)r, b = r, and
-    kernel duality (see the module docstring) gives I_a(d2) as the c_R*q
-    for q in J0, so J1 is generated by the c_R*q_a*q_b with q_a, q_b in
-    J0 and gcd J1 = delta * gcd J0.  As c_R*q_a*q_b = c_R*q_b*q_a, only
-    b >= a is formed: the pairs b < a are the duplicates that IdealGens
-    would drop, so the generators and their order are those of the full
-    product.  Otherwise sizes a above rank d2 or b above rank d1 have no
-    nonzero minor and are skipped, and the gcd of J1 is the gcd over the
-    pairs (a, b) of gcd(I_a(d2)) * gcd(I_b(d1)), exact in the UFD
-    Z[t^+-1] or F[t^+-1].
-
-    j0, for i = 1 only, is the IdealGens that jump_ideal(pres, rep, phi,
-    i=0) returned for the same arguments: its generators and gcd then
-    stand in for d1's r-minors, which are not taken again.  The fallback
-    without a nonsingular generator block ignores it.
+    j0, for i = 1 at phi of rank >= 1 only, is the IdealGens that
+    jump_ideal(pres, rep, phi, i=0) returned for the same arguments: its
+    generators and gcd then stand in for d1's r-minors, which are not
+    taken again.
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
@@ -201,26 +215,20 @@ def jump_ideal(pres, rep, phi=None, i=1, j0=None):
         phi = fpgroup.AbelianEpi.from_abelianization(pres)
     d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
     r = rep.rank
+    if phi.m == 0:
+        div1 = _divisors(d1, rep.ring)
+        if i == 0:
+            gen = _divisor(div1, r)
+        else:
+            size = r * pres.ngens
+            gen = math.gcd(*(p * _divisor(div1, size - a)
+                             for a, p in enumerate(_divisors(d2, rep.ring))))
+        return IdealGens(rep.ring, 0, [LaurentPoly.constant(rep.ring, 0, gen)])
     if i == 0:
-        # diag(d1, d0) with d0 an empty map: the zero columns never
-        # enter a nonzero minor, so d1 alone suffices
-        return IdealGens(rep.ring, phi.m, minors(d1, r))
-    size = r * pres.ngens
-    dual = _by_duality(d2, d1, r, j0)
-    if dual is not None:
-        gens0, g0, delta, rows = dual
-        gens = (p * q for row in rows for a, p in enumerate(row)
-                for q in gens0[a:])
-        return IdealGens(rep.ring, phi.m, gens, gcd=canonical_associate(delta * g0))
-    one = LaurentPoly.one(rep.ring, phi.m)
-    rank2, rank1 = linalg.rank_laurent(d2), linalg.rank_laurent(d1)
-    gens, gcds = [], []
-    for a in range(max(0, size - rank1), rank2 + 1):
-        minors2 = minors(d2, a) if a else [one]
-        minors1 = minors(d1, size - a) if size - a else [one]
-        gens.extend(p * q for p in minors2 for q in minors1)
-        gcds.append(gcd_list(minors2) * gcd_list(minors1))
-    return IdealGens(rep.ring, phi.m, gens, gcd=gcd_list(gcds) if gcds else None)
+        return _j0(d1, r)
+    gens0, g0, delta, rows = _by_duality(d2, d1, r, j0)
+    gens = (p * q for row in rows for a, p in enumerate(row) for q in gens0[a:])
+    return IdealGens(rep.ring, phi.m, gens, gcd=canonical_associate(delta * g0))
 
 
 # -- twisted Alexander polynomial -------------------------------------------
@@ -262,25 +270,19 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
     The zero polynomial when the generic rank of d2 is below (n-1)*r (an
     empty d2 has rank 0), otherwise that GCD (canonical associate, so a
     unit GCD is 1; integer content kept over Z; squarefree part only if
-    requested).  It comes from J0 and one determinant of d2 per row slice
-    by kernel duality (see the module docstring); only when every
-    generator block of d1 is singular are the minors of d2 enumerated.
-    The excluded locus is not computed here: read it from
-    jump_ideal(pres, rep, phi, i=0).
+    requested).  At phi of rank 0 it is the determinantal divisor
+    D_(n-1)r(d2); otherwise it comes from J0 and one determinant of d2 per
+    row slice by kernel duality (see the module docstring).  The excluded
+    locus is not computed here: read it from jump_ideal(pres, rep, phi, i=0).
     """
     if phi is None:
         phi = fpgroup.AbelianEpi.from_abelianization(pres)
     d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
-    target = (pres.ngens - 1) * rep.rank
-    if target == 0:
-        return AlexVerdict(LaurentPoly.one(rep.ring, phi.m))
-    dual = _by_duality(d2, d1, rep.rank)
-    if dual is not None:
-        delta = dual[2]
-    elif linalg.rank_laurent(d2) < target:
-        delta = LaurentPoly.zero(rep.ring, phi.m)
+    if phi.m == 0:
+        k = (pres.ngens - 1) * rep.rank
+        delta = LaurentPoly.constant(rep.ring, 0, _divisor(_divisors(d2, rep.ring), k))
     else:
-        delta = gcd_list(minors(d2, target))
+        delta = _by_duality(d2, d1, rep.rank)[2]
     if squarefree:
         delta = squarefree_part(delta)
     return AlexVerdict(canonical_associate(delta))

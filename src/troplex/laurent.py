@@ -620,20 +620,6 @@ def initial_form_valued(f, w, v):
     return LaurentPoly(f.ring, f.nvars, keep)
 
 
-def initial_form_chi(f, chi):
-    """Terms of minimal chi-degree <u, chi>; coefficients untouched."""
-    if f.is_zero:
-        raise ValueError("initial form of the zero polynomial")
-    if len(chi) != f.nvars:
-        raise ValueError("character vector has wrong length")
-    chi = tuple(Fraction(x) for x in chi)
-    degs = {exps: sum(e * x for e, x in zip(exps, chi)) for exps in f.terms}
-    best = min(degs.values())
-    return LaurentPoly(
-        f.ring, f.nvars, {e: c for e, c in f.terms.items() if degs[e] == best}
-    )
-
-
 def reduce_mod_p(f, p):
     """Termwise reduction to F_p; requires p-integral coefficients."""
     target = GF(p)

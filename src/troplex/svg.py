@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .sphere import SphereArcSet
 from .tropical import sphere_projection
 
 _W = 420

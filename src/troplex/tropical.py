@@ -40,7 +40,6 @@ from math import gcd
 
 from .laurent import (
     coefficient_primes,
-    initial_form_chi,
     initial_form_valued,
     is_unit,
     reduce_mod_p,
@@ -308,7 +307,7 @@ def trop_Z_contains(f, chi):
     """chi lies in Trop_Z((f)) iff init_chi(f) is not a unit of Z[t^{+-1}]."""
     if f.ring.kind != "Z":
         raise ValueError("integer tropicalization needs Z coefficients")
-    return not is_unit(initial_form_chi(f, chi))
+    return not is_unit(initial_form_valued(f, chi, TRIVIAL))
 
 
 def _lower_chain(points):

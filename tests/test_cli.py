@@ -1,10 +1,12 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import troplex
 from troplex.cli import main
@@ -287,6 +289,18 @@ def test_alexander_of_a_presentation_of_z_terminates(capsys, tmp_path, deadline)
         assert run(capsys, "alexander", str(path), "--rep", "trivial") == (0, "1\n", "")
 
 
+def test_triangle_group_product_is_consistent_at_phi_of_rank_0(capsys, tmp_path, deadline):
+    # (2,3,7) x (2,3,7): 6 generators, 17 relators and a finite
+    # abelianization, so d2 is constant and Delta is read off one Smith
+    # form or rank per field instead of C(17, 5) * C(6, 5) minors
+    tri, prod = tmp_path / "t237.json", tmp_path / "t237x2.json"
+    assert run(capsys, "orbifold", "--g", "0", "--mu", "2,3,7", "-o", str(tri)) == (0, "", "")
+    assert run(capsys, "product", str(tri), str(tri), "-o", str(prod)) == (0, "", "")
+    with deadline(5):
+        assert run(capsys, "kaehler-test", str(prod), "--fields", "q,fp:2,fp:3") == (
+            0, "Q: Delta = 1\nF_2: Delta = 1\nF_3: Delta = 1\nconsistent (Delta = 1)\n", "")
+
+
 def write_document(tmp_path, name, generators, relators, **representations):
     doc = {
         "name": name,
@@ -415,3 +429,77 @@ def test_input_errors_exit_2(capsys):
     rc, out, err = run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z",
                        "--contains", "1")
     assert rc == 2 and err == "error: point '1' has 1 coordinates, need 2\n"
+
+
+def readme_examples():
+    """(argv, stdout) for each command in the README's command-line block
+    that is followed by the output it prints, as "# " lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, argv = [], None
+    for line in block.splitlines():
+        if line.startswith("troplex "):
+            argv = shlex.split(line, comments=True)[1:]
+            examples.append((argv, ""))
+        elif line.startswith("# ") and argv is not None:
+            examples[-1] = (argv, examples[-1][1] + line[2:] + "\n")
+        else:
+            argv = None
+    return [(argv, out) for argv, out in examples if out]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "alexander", "alexander", "trop", "kaehler-test"]
+    for argv, expected in examples:
+        argv = [str(bundled_path(a.removeprefix("path/to/"))) if a.startswith("path/to/")
+                else a for a in argv]
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+# -- every accepted small document exits 0, 2 or 3 ------------------------------
+
+
+@st.composite
+def small_documents(draw):
+    """1-3 generators, 0-4 relators of length at most 6 (with x_i^k for
+    every generator when G_ab is to be finite), and one trivial
+    representation of rank 1-2 over Z, Q, fp:2 or fp:3."""
+    n = draw(st.integers(1, 3))
+    letter = st.integers(1, n).flatmap(
+        lambda g: st.sampled_from((f"x{g}", f"x{g}^-1")))
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(" ".join),
+                             max_size=4))
+    if draw(st.booleans()):
+        relators += [f"x{g}^{draw(st.integers(1, 6))}" for g in range(1, n + 1)]
+    rep = {"ring": draw(st.sampled_from(("Z", "Q", "fp:2", "fp:3"))), "trivial": True,
+           "rank": draw(st.integers(1, 2))}
+    return {
+        "name": "fuzz",
+        "presentation": {"generators": [f"x{g}" for g in range(1, n + 1)],
+                         "relators": relators},
+        "representations": {"t": rep},
+    }
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_documents(), st.sampled_from(("Z", "trivial", "p-adic:2", "fp:2", "fp:3")),
+       st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+def test_small_documents_exit_0_2_or_3(capsys, tmp_path, deadline, doc, valuation, point):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    m = load_job(path).phi("ab").m
+    contains = "--contains=" + ",".join(str(x) for x in point[:m])
+    for argv in (
+        ["alexander", str(path), "--rep", "t"],
+        ["trop", str(path), "--rep", "t", "--valuation", valuation],
+        ["trop", str(path), "--rep", "t", "--valuation", valuation, contains],
+        ["bns-bound", str(path), "--rep", "t", "--valuation", valuation],
+        ["kaehler-test", str(path), "--rep", "t", "--fields", "q,fp:2,fp:3"],
+    ):
+        with deadline(10):
+            rc, _, err = run(capsys, *argv)
+        assert rc in (0, 2, 3), (argv, rc, err)
+        assert "Traceback" not in err and "internal error:" not in err, (argv, err)

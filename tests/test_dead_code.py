@@ -1,6 +1,6 @@
 """Every function and class in src/troplex has a caller in the program,
-every parameter with a default has a caller that sets it, and every
-field that a method sets is read.
+every parameter with a default has a caller that sets it, every field
+that a method sets is read, and every imported name is loaded.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in src/troplex or perfbench/ (a definition or an import alone does not
@@ -196,3 +196,30 @@ def test_every_field_is_read():
         for name in set(_fields(_parse(path))) - read
     )
     assert not unread, "fields nothing reads:\n" + "\n".join(unread)
+
+
+def _unused_imports(tree):
+    """Names the module imports but never loads.  from __future__ binds
+    no name, and the strings of a module's __all__ count as loads: they
+    are the package's re-exports."""
+    imported, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            loaded.update(e.value for e in node.value.elts)
+    return imported - loaded
+
+
+def test_every_import_is_loaded():
+    unused = sorted(
+        f"{path.relative_to(SOURCE)}: {name}"
+        for path in SOURCE.rglob("*.py")
+        for name in _unused_imports(_parse(path))
+    )
+    assert not unused, "imported and never loaded:\n" + "\n".join(unused)

@@ -56,9 +56,6 @@ def test_minors_counts_and_values():
     N = [[t1 + one, zero], [zero, t2 - one]]
     assert sorted(render(m) for m in minors(N, 1)) == ["1 + t1", "1 - t2"]
     assert minors(N, 2) == [canonical_associate((t1 + one) * (t2 - one))]
-    assert minors(M, 0) == [one]
-    with pytest.raises(ValueError):
-        minors(M, 3)
 
 
 def lmat_block_diag(A, B):
@@ -230,23 +227,31 @@ def j1_by_enumeration(pres, rep, phi=None):
 
 def j1_by_all_ordered_pairs(pres, rep, phi):
     """J1 from the c_R*q_a*q_b over every ordered pair (a, b) of J0's
-    generators, in stream order; None when kernel duality does not apply."""
-    d2, d1 = alexander_matrices(pres, rep, phi)
-    dual = jumploci._by_duality(d2, d1, rep.rank)
-    if dual is None:
+    generators, in stream order; None at phi of rank 0, where kernel
+    duality is not used."""
+    if phi.m == 0:
         return None
-    gens0, _, _, rows = dual
+    d2, d1 = alexander_matrices(pres, rep, phi)
+    gens0, _, _, rows = jumploci._by_duality(d2, d1, rep.rank)
     return IdealGens(rep.ring, phi.m, (p * q for row in rows for p in row for q in gens0))
+
+
+def assert_same_ideal(fast, slow, phi):
+    """fast has slow's generators, or at phi of rank 0 (constant entries
+    over the PID Z or F) the one generator gcd(slow)."""
+    if phi.m == 0:
+        assert fast.generators == ([] if slow.is_zero_ideal else [slow.gcd()])
+    else:
+        assert {g.key() for g in fast.generators} == {g.key() for g in slow.generators}
+    assert fast.is_zero_ideal == slow.is_zero_ideal
+    assert fast.gcd() == slow.gcd()
 
 
 def assert_j1_matches_enumeration(pres, rep, phi=None):
     if phi is None:
         phi = AbelianEpi.from_abelianization(pres)
     fast = jump_ideal(pres, rep, phi, i=1)
-    slow = j1_by_enumeration(pres, rep, phi)
-    assert {g.key() for g in fast.generators} == {g.key() for g in slow.generators}
-    assert fast.is_zero_ideal == slow.is_zero_ideal
-    assert fast.gcd() == slow.gcd()
+    assert_same_ideal(fast, j1_by_enumeration(pres, rep, phi), phi)
     # handing J0 over, and forming each product once per unordered pair,
     # change neither the generators nor their order
     handed = jump_ideal(pres, rep, phi, i=1, j0=jump_ideal(pres, rep, phi, i=0))
@@ -387,17 +392,18 @@ def j1_by_blocks(pres, rep, phi):
 
 
 def assert_duality_matches_enumeration(pres, rep, phi=None):
-    """Delta, J1's generators and gcd J1 agree with enumeration; returns
-    whether J0 was nonempty."""
+    """Delta, J0's and J1's generators and gcd J1 agree with enumeration
+    (at phi of rank 0: each ideal's one generator is the gcd of the
+    enumerated ones); returns whether J0 was nonempty."""
     if phi is None:
         phi = AbelianEpi.from_abelianization(pres)
     delta = twisted_alexander(pres, rep, phi).delta
     assert delta == delta_by_enumeration(pres, rep, phi)
-    fast, slow = jump_ideal(pres, rep, phi, i=1), j1_by_blocks(pres, rep, phi)
-    assert {g.key() for g in fast.generators} == {g.key() for g in slow.generators}
-    assert fast.is_zero_ideal == slow.is_zero_ideal
-    assert fast.gcd() == slow.gcd()
+    fast = jump_ideal(pres, rep, phi, i=1)
+    assert_same_ideal(fast, j1_by_blocks(pres, rep, phi), phi)
     J0 = jump_ideal(pres, rep, phi, i=0)
+    _, d1 = alexander_matrices(pres, rep, phi)
+    assert_same_ideal(J0, IdealGens(rep.ring, phi.m, minors(d1, rep.rank)), phi)
     if not J0.is_zero_ideal:
         assert fast.gcd() == canonical_associate(delta * J0.gcd())
     return not J0.is_zero_ideal
@@ -457,9 +463,9 @@ def test_duality_matches_enumeration_property(pairs, name, ring, phi):
 
 def test_duality_fallback_and_zero_delta():
     pres = onerel().presentation
-    # phi of rank 0: the trivial sigma gives d1 = 0, J0 is empty, and
-    # both invariants come from enumeration; s3 keeps J0 nonempty (det of
-    # sigma(x1) - I is 3) and runs duality on constant entries
+    # phi of rank 0, so every entry is a constant: the trivial sigma
+    # gives d1 = 0 and an empty J0, s3 keeps J0 nonempty (det of
+    # sigma(x1) - I is 3), and both take their determinantal divisors
     rank0 = PHIS["rank0"](pres)
     assert not assert_duality_matches_enumeration(pres, S3_REPS["trivial"], rank0)
     assert assert_duality_matches_enumeration(pres, S3_REPS["s3"], rank0)
@@ -478,17 +484,136 @@ def test_duality_fallback_and_zero_delta():
 def test_singular_generator_blocks_fall_back_to_enumeration(monkeypatch):
     # the braid group <x1, x2 | x1x2x1 = x2x1x2> onto SL_2(Z) with phi of
     # rank 0: both blocks sigma(x_i) - I are singular, yet J0 is nonempty,
-    # and Delta = 2 comes from the 2-minors of the 2 x 4 matrix d2
+    # and Delta = 2, the gcd of the 2-minors of the 2 x 4 matrix d2, is
+    # read off its Smith form without taking a single minor
     pres = Presentation(["x1", "x2"], [(1, 2, 1, -2, -1, -2)])
     rep = Representation(ZZ, [[[1, 1], [0, 1]], [[1, 0], [-1, 1]]])
     phi = PHIS["rank0"](pres)
-    shapes = []
-    real_minors = minors
-    monkeypatch.setattr(jumploci, "minors", lambda M, k: shapes.append(
-        (len(M), len(M[0]), k)) or real_minors(M, k))
+
+    def no_minors(M, k):
+        raise AssertionError("minors called at phi of rank 0")
+
+    monkeypatch.setattr(jumploci, "minors", no_minors)
     assert twisted_alexander(pres, rep, phi).describe() == "2"
-    assert shapes == [(2, 4, 2)]
+    assert jump_ideal(pres, rep, phi, i=0).generators == [LaurentPoly.one(ZZ, 0)]
+    assert render(jump_ideal(pres, rep, phi, i=1).gcd()) == "2"
+    monkeypatch.undo()
     assert assert_duality_matches_enumeration(pres, rep, phi)
+
+
+# -- phi of rank 0 by determinantal divisors against enumeration ---------------
+
+
+def group_elements(mats):
+    """Every element of the finite group the integer matrices generate."""
+    frozen = lambda m: tuple(map(tuple, m))
+    found = {frozen(m) for m in mats}
+    frontier = list(found)
+    while frontier:
+        g = frontier.pop()
+        for h in mats:
+            x = frozen(smat_mul(ZZ, h, g))
+            if x not in found:
+                found.add(x)
+                frontier.append(x)
+    return sorted(found)
+
+
+# sigma(x_i) - I is singular over every ring for 1, the identity and the
+# reflections; -1 and -I only over F_2, the rotations only over F_3
+FINITE_GROUPS = (group_elements([[[-1]]]), group_elements(S3_REPS["s3"].mats))
+RANK0_RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+def finite_abelianization_case(images, words, powers):
+    """<x_1..x_n | x_i^(k_i * ord sigma(x_i)), w * u_w> with sigma the
+    representation x_i -> images[i] and u_w a shortest word with
+    sigma(u_w) = sigma(w)^-1, so every relator lies in its kernel and the
+    power relators leave G_ab finite.  Returns (pres, sigma over Z)."""
+    n = len(images)
+    rep = Representation(ZZ, [[list(row) for row in m] for m in images])
+    frozen = lambda m: tuple(map(tuple, m))
+    letters = [g for g in range(-n, n + 1) if g]
+    # a shortest word for each element, breadth first from the identity
+    word_for = {frozen(rep.identity()): ()}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in letters:
+                x = frozen(rep.word_image(w + (g,)))
+                if x not in word_for:
+                    word_for[x] = w + (g,)
+                    nxt.append(w + (g,))
+        frontier = nxt
+    relators = []
+    for g, k in enumerate(powers, 1):
+        order, x = 1, rep.image(g)
+        while frozen(x) != frozen(rep.identity()):
+            x, order = smat_mul(ZZ, x, rep.image(g)), order + 1
+        relators.append((g,) * (k * order))
+    for w in words:
+        w = free_reduce(w)
+        inverse = frozen(rep.word_image(invert_word(w)))
+        r = free_reduce(w + word_for[inverse])
+        if r:
+            relators.append(r)
+    pres = Presentation([f"x{g}" for g in range(1, n + 1)], relators)
+    assert verify_representation(pres, rep)
+    return pres, rep
+
+
+def assert_rank0_matches_enumeration(pres, rep):
+    """The determinantal-divisor route against enumeration, without a
+    single minor taken by jumploci; returns whether every generator
+    block sigma(x_i) - I is singular."""
+    phi = AbelianEpi.from_abelianization(pres)
+    assert phi.m == 0
+    real_minors = jumploci.minors
+
+    def no_minors(M, k):
+        raise AssertionError("minors called at phi of rank 0")
+
+    jumploci.minors = no_minors
+    try:
+        delta = twisted_alexander(pres, rep, phi).delta
+        J0 = jump_ideal(pres, rep, phi, i=0)
+        J1 = jump_ideal(pres, rep, phi, i=1)
+    finally:
+        jumploci.minors = real_minors
+    assert delta == delta_by_enumeration(pres, rep, phi)
+    assert_same_ideal(J1, j1_by_blocks(pres, rep, phi), phi)
+    _, d1 = alexander_matrices(pres, rep, phi)
+    assert_same_ideal(J0, IdealGens(rep.ring, 0, minors(d1, rep.rank)), phi)
+    r = rep.rank
+    return all(det_laurent(d1[top:top + r]).is_zero for top in range(0, len(d1), r))
+
+
+def test_rank0_route_matches_enumeration_seeded():
+    rng = random.Random(131)
+    singular = set()
+    for k in range(24):
+        n = rng.randint(2, 3)
+        group = FINITE_GROUPS[k % 2]
+        images = [rng.choice(group) for _ in range(n)]
+        words = [random_word(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+        pres, rep = finite_abelianization_case(images, words,
+                                               [rng.randint(1, 2) for _ in range(n)])
+        ring = RANK0_RINGS[k // 2 % 4]
+        singular.add(assert_rank0_matches_enumeration(pres, rep.over(ring)))
+    assert singular == {True, False}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(2, 3), st.sampled_from(FINITE_GROUPS),
+       st.sampled_from(RANK0_RINGS))
+def test_rank0_route_matches_enumeration_property(data, n, group, ring):
+    letters = st.sampled_from([g for g in range(-n, n + 1) if g])
+    images = data.draw(st.lists(st.sampled_from(group), min_size=n, max_size=n))
+    words = data.draw(st.lists(st.lists(letters, min_size=1, max_size=4), max_size=2))
+    powers = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    pres, rep = finite_abelianization_case(images, words, powers)
+    assert_rank0_matches_enumeration(pres, rep.over(ring))
 
 
 def test_zero_delta_takes_no_minors(monkeypatch):

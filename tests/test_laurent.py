@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from troplex.laurent import (
     LaurentPoly, render, is_unit, canonical_associate, exact_div,
     laurent_gcd, gcd_list, squarefree_part, partial_derivative,
-    initial_form_valued, initial_form_chi, reduce_mod_p, coefficient_primes,
+    initial_form_valued, reduce_mod_p, coefficient_primes,
 )
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 
@@ -215,11 +215,13 @@ def test_initial_form_valued_padic():
 
 
 def test_initial_form_chi():
-    init = initial_form_chi(QUADRIC, (0, 1))
+    # the chi-initial form over Z: the trivial valuation is 0 on every
+    # nonzero coefficient, so only the chi-degree <u, chi> counts
+    init = initial_form_valued(QUADRIC, (0, 1), TRIVIAL)
     assert init.terms == {(0, 0): 1, (1, 0): -2, (2, 0): 1}
-    init = initial_form_chi(QUADRIC, (1, -1))
+    init = initial_form_valued(QUADRIC, (1, -1), TRIVIAL)
     assert init.terms == {(0, 2): -3}
-    init = initial_form_chi(QUADRIC, (-1, -1))
+    init = initial_form_valued(QUADRIC, (-1, -1), TRIVIAL)
     assert init.terms == {(2, 0): 1, (0, 2): -3}
 
 
