@@ -7,13 +7,21 @@ abelianization quotient:
     Sigma^1(G) is contained in the complement of S(Trop(J_{<=1})),
 
 taken over either the integer-coefficient tropicalization (any sigma over
-Z) or a valued field (sigma admissible for the Novikov completion).  Each
-jump ideal J_i is replaced by the principal ideal on its generator gcd;
-since J_i lies inside (gcd), the gcd's tropical set is contained in the
-ideal's, so the complement only grows: the emitted bound stays valid, and
-is exact whenever the ideal was principal.  (The opposite shortcut, the
-prevariety cut out by the generators, contains the variety and would
-shrink the complement; it is never used here.)
+Z) or a valued field (sigma admissible for the Novikov completion).  At
+phi of rank >= 1, J_1 = C * J_0^2 with C generated by jumploci's c_R, so
+J_1 lies in J_0, V_0 in V_1, and gcd J_0 divides gcd J_1 = delta * gcd J_0.
+As Trop(fg) = Trop(f) u Trop(g) (initial forms multiply in a domain),
+each entry reads gcd J_1 alone.  Since J_1 lies inside (gcd), the gcd's
+tropical set lies inside the ideal's: the complement only grows and the
+bound stays valid.  (The opposite shortcut, the prevariety cut out by the
+generators, contains the variety and would shrink the complement; it is
+never used here.)
+
+No entry is exact ("exact": false, a gcd over-approximation): at phi of
+rank 2 two generators have independent phi(x), and their blocks
+det(sigma(x) t^phi(x) - I), nonzero r-minors of d1 each holding 0 and
+r * phi(x) on the line through phi(x), are not associates, so J_0 never
+has one generator.
 
 Reports keep every entry's admissibility verdict; inadmissible entries
 are excluded from the union and listed separately.  No admissible entry
@@ -66,18 +74,16 @@ class BoundEntry:
     """One (representation, coefficient setting) contribution.
 
     mode is the string "Z" for the integer-coefficient tropicalization or
-    a Valuation for the valued-field one.  exact records whether both
-    jump ideals were principal, i.e. the gcd step lost nothing.
+    a Valuation for the valued-field one.  arcs, on an included entry, is
+    S(Trop(gcd J_1)), a gcd over-approximation (see the module docstring).
     """
 
-    def __init__(self, descriptor, mode, admissibility, included,
-                 arcs=None, exact=None):
+    def __init__(self, descriptor, mode, admissibility, included, arcs=None):
         self.descriptor = descriptor
         self.mode = mode
         self.admissibility = admissibility
         self.included = included
         self.arcs = arcs
-        self.exact = exact
 
     @property
     def mode_label(self):
@@ -106,9 +112,8 @@ class BoundReport:
     def summary_lines(self):
         out = []
         for e in self.entries:
-            flag = "exact" if e.exact else "gcd over-approximation"
             out.append(f"entry {e.descriptor} [{e.mode_label}]: "
-                       f"admissible ({e.admissibility.condition}), {flag}")
+                       f"admissible ({e.admissibility.condition}), gcd over-approximation")
             out.append(f"  arcs: {e.arcs.describe()}")
         for e in self.excluded:
             out.append(f"entry {e.descriptor} [{e.mode_label}]: "
@@ -136,7 +141,7 @@ def _check_admissible(rep, mode, check_finite_image):
 
 
 def assemble_bound(pres, entries, phi=None, check_finite_image=False):
-    """Union the tropical sphere sets of J_0 and J_1 over all admissible
+    """Union the tropical sphere sets of gcd J_1 over all admissible
     entries; the complement is the Sigma^1 upper bound.
 
     entries: list of (descriptor, representation, mode) with mode "Z" or
@@ -153,23 +158,18 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
             "characters with trop --contains"
         )
     included, excluded, notes = [], [], []
-    # J0 and J1 depend on the representation only, not on the setting:
-    # entries sharing one representation object share them, and J1 takes
-    # its r-minors of d1 and their gcd from J0 instead of taking them again
-    shared = {}
+    # gcd J1 depends on the representation only, not on the setting:
+    # entries sharing one representation object share it
+    gcds = {}
     for descriptor, rep, mode in entries:
         verdict = _check_admissible(rep, mode, check_finite_image)
         if not verdict.ok:
             excluded.append(BoundEntry(descriptor, mode, verdict, False))
             continue
-        if id(rep) not in shared:
-            J0 = jump_ideal(pres, rep, phi, i=0)
-            shared[id(rep)] = [J0, jump_ideal(pres, rep, phi, i=1, j0=J0)]
-        ideals = shared[id(rep)]
-        complexes = [tropicalize(J.gcd(), mode) for J in ideals]
-        arcs = union_all(sphere_projection(T) for T in complexes)
-        exact = all(len(J.generators) <= 1 for J in ideals)
-        included.append(BoundEntry(descriptor, mode, verdict, True, arcs=arcs, exact=exact))
+        if id(rep) not in gcds:
+            gcds[id(rep)] = jump_ideal(pres, rep, phi, i=1).gcd()
+        arcs = sphere_projection(tropicalize(gcds[id(rep)], mode))
+        included.append(BoundEntry(descriptor, mode, verdict, True, arcs=arcs))
     vacuous = not included
     if vacuous:
         combined = SphereArcSet.empty()

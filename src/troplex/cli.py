@@ -142,11 +142,13 @@ def cmd_trop(args):
         )
         return EXIT_VACUOUS
     T = tropicalize(delta, mode)
+    if args.svg:  # drawn first: a refused picture leaves no rows and no file
+        picture = render_svg(T, title=f"{job.name}: {args.rep} / {args.valuation}")
     for row in _tsv_rows(T):
         print(row)
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(render_svg(T, title=f"{job.name}: {args.rep} / {args.valuation}"))
+            fh.write(picture)
     return EXIT_OK
 
 
@@ -174,7 +176,7 @@ def cmd_bns_bound(args):
                 "mode": e.mode_label,
                 "admissible": True,
                 "condition": e.admissibility.condition,
-                "exact": e.exact,
+                "exact": False,  # never known: see bnsreport's module docstring
                 "arcs": _arcset_json(e.arcs),
             }
             for e in report.entries
@@ -278,15 +280,15 @@ def cmd_wraag(args):
     if isinstance(verts, list):
         names = [str(v) for v in verts]
         nverts = len(names)
-    elif isinstance(verts, int):
+    elif type(verts) is int:  # not a float, and not a bool like true
         nverts = verts
     else:
         raise JobError("graph 'vertices' must be a count or a list of names")
     edges = []
     for e in graph["edges"]:
-        if not isinstance(e, list) or len(e) != 3:
-            raise JobError(f"bad edge {e!r}: want [i, j, weight] with 1-based i, j")
-        edges.append(tuple(int(x) for x in e))
+        if not isinstance(e, list) or len(e) != 3 or not all(type(x) is int for x in e):
+            raise JobError(f"bad edge {e!r}: want integers [i, j, weight] with 1-based i, j")
+        edges.append(tuple(e))
     pres = fpgroup.build_weighted_raag(nverts, edges, names=names)
     name = str(graph.get("name", "wraag"))
     return _emit_document(presentation_document(name, pres), args.output)

@@ -43,9 +43,7 @@ it takes as many rows as columns from each block, and then it is the
 product of the two block minors.  rank d1 = r and rank d2 <= (n-1)r
 leave only the products of a (n-1)r-minor of d2 and an r-minor of d1,
 which by duality are the c_R*q_a*q_b over the generators q_a, q_b of
-J0, each formed once per unordered pair (b >= a).  A caller that
-already holds J0 hands it to jump_ideal(i=1), so that d1's r-minors and
-their gcd are taken once.
+J0, each formed once per unordered pair (b >= a).
 """
 
 from __future__ import annotations
@@ -151,7 +149,7 @@ def _j0(d1, r):
     return IdealGens(probe.ring, probe.nvars, minors(d1, r))
 
 
-def _by_duality(d2, d1, r, j0=None):
+def _by_duality(d2, d1, r):
     """Delta and the (n-1)r-minors of d2 from J0 by kernel duality.
 
     phi has rank >= 1.  S0 is the complement of the first generator
@@ -160,9 +158,9 @@ def _by_duality(d2, d1, r, j0=None):
     with phi(x_i) != 0 serves; that block also proves rank d1 = r.
     Returns (J0's generators, gcd J0, delta, the k-minors of d2 up to
     units as a lazy iterator of rows, one per row slice R, the c_R*q in
-    the order of J0's generators q).  J0 is j0 (an IdealGens) when given,
-    else _j0(d1, r).  When every row slice has rank below k, delta and J1
-    are zero and J0 is not needed: the tuple is ([], 0, 0, no rows).
+    the order of J0's generators q).  When every row slice has rank below
+    k, delta and J1 are zero and J0 is not needed: the tuple is
+    ([], 0, 0, no rows).
     """
     size = len(d1)
     for top in range(0, size, r):
@@ -180,15 +178,14 @@ def _by_duality(d2, d1, r, j0=None):
     if not nums:
         zero = LaurentPoly.zero(den.ring, den.nvars)
         return [], zero, zero, iter(())
-    if j0 is None:
-        j0 = _j0(d1, r)
+    j0 = _j0(d1, r)
     gens0, g0 = j0.generators, j0.gcd()
     delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
     rows = ((_exact_div_strict(num * q, den) for q in gens0) for num in nums)
     return gens0, g0, delta, rows
 
 
-def jump_ideal(pres, rep, phi=None, i=1, j0=None):
+def jump_ideal(pres, rep, phi=None, i=1):
     """Degree-i homology jump ideal of the twisted presentation complex.
 
     Generated by the minors of size r*c_i of the block matrix
@@ -203,11 +200,6 @@ def jump_ideal(pres, rep, phi=None, i=1, j0=None):
     delta * gcd J0.  As c_R*q_a*q_b = c_R*q_b*q_a, only b >= a is formed:
     the pairs b < a are the duplicates that IdealGens would drop, so the
     generators and their order are those of the full product.
-
-    j0, for i = 1 at phi of rank >= 1 only, is the IdealGens that
-    jump_ideal(pres, rep, phi, i=0) returned for the same arguments: its
-    generators and gcd then stand in for d1's r-minors, which are not
-    taken again.
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
@@ -226,7 +218,7 @@ def jump_ideal(pres, rep, phi=None, i=1, j0=None):
         return IdealGens(rep.ring, 0, [LaurentPoly.constant(rep.ring, 0, gen)])
     if i == 0:
         return _j0(d1, r)
-    gens0, g0, delta, rows = _by_duality(d2, d1, r, j0)
+    gens0, g0, delta, rows = _by_duality(d2, d1, r)
     gens = (p * q for row in rows for a, p in enumerate(row) for q in gens0[a:])
     return IdealGens(rep.ring, phi.m, gens, gcd=canonical_associate(delta * g0))
 

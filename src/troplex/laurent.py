@@ -101,9 +101,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(self.key())
 
-    def support(self):
-        return sorted(self.terms, key=_lex_key)
-
     def lex_min_exponent(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no terms")

@@ -124,8 +124,7 @@ def test_zero_ideal_forces_full_circle_and_violation():
     # against a fixture for a different group must then report Violation
     orb = build_orbifold(1, [2])
     rp = assemble_bound(orb, [("trivial", Representation.trivial(GF(2), 3), TRIVIAL)])
-    e = rp.entries[0]
-    assert not e.exact
+    assert rp.summary_lines()[0].endswith(", gcd over-approximation")
     assert rp.combined == SphereArcSet.full_circle()
     assert rp.complement == SphereArcSet.empty()
     c = compare_fixture(rp, brown_one_relator())
@@ -162,10 +161,9 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
     calls = []
     real = bnsreport.jump_ideal
 
-    def counted(pres, rep, phi=None, i=1, **kwargs):
-        J = real(pres, rep, phi, i=i, **kwargs)
-        calls.append((id(rep), i, kwargs.get("j0"), J))
-        return J
+    def counted(pres, rep, phi=None, i=1):
+        calls.append((id(rep), i))
+        return real(pres, rep, phi, i=i)
 
     monkeypatch.setattr(bnsreport, "jump_ideal", counted)
     job = onerel()
@@ -175,24 +173,21 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
         ("trivial", triv, "Z"), ("trivial", triv, TRIVIAL),
     ]
     rp = assemble_bound(job.presentation, entries)
-    assert sorted(c[:2] for c in calls) == sorted(
-        (id(r), i) for r in (s3, triv) for i in (0, 1))
-    # J1 is handed the very J0 of its representation, J0 nothing
-    j0_of = {rid: J for rid, i, _, J in calls if i == 0}
-    for rid, i, j0, _ in calls:
-        assert j0 is (j0_of[rid] if i == 1 else None)
+    # one degree-1 jump ideal per representation, and no J0
+    assert sorted(calls) == sorted((id(r), 1) for r in (s3, triv))
     # the same bound as each entry on its own
     assert [e.descriptor for e in rp.entries] == [d for d, _, _ in entries]
-    for entry, e in zip(entries, rp.entries):
+    lines = rp.summary_lines()
+    for k, (entry, e) in enumerate(zip(entries, rp.entries)):
         alone = assemble_bound(job.presentation, [entry])
         assert alone.entries[0].arcs == e.arcs
-        assert alone.entries[0].exact == e.exact
+        assert alone.summary_lines()[:2] == lines[2 * k:2 * k + 2]
 
 
 def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
-    # reg_s3 on the bundled relator: d1 is 12 x 6, so J0 is its C(12, 6) =
-    # 924 6-minors; J1 reuses them and takes one block of d1 for S0 and
-    # the single 6-row slice of d2
+    # reg_s3 on the bundled relator: d1 is 12 x 6, so J1 takes its
+    # C(12, 6) = 924 6-minors once, one block of d1 for S0 and the single
+    # 6-row slice of d2
     import troplex.bnsreport as bnsreport
     from troplex import jumploci, linalg
 
@@ -210,9 +205,9 @@ def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
         minor_shapes.append((len(M), len(M[0]), k))
         return real_minors(M, k)
 
-    def jump_recording(pres, rep, phi=None, i=1, **kwargs):
+    def jump_recording(pres, rep, phi=None, i=1):
         degrees.append(i)
-        return real_jump(pres, rep, phi, i=i, **kwargs)
+        return real_jump(pres, rep, phi, i=i)
 
     monkeypatch.setattr(linalg, "det_laurent", det_counting)
     monkeypatch.setattr(jumploci, "minors", minors_recording)
@@ -223,4 +218,4 @@ def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
     assert len(rp.entries) == 2
     assert minor_shapes == [(12, 6, 6)]
     assert len(dets) <= 924 + 2
-    assert sorted(degrees) == [0, 1]
+    assert degrees == [1]

@@ -107,6 +107,22 @@ def test_trop_svg(capsys, tmp_path):
     assert "</svg>" in text
 
 
+def test_trop_svg_off_the_plane_writes_nothing(capsys, tmp_path):
+    # BS(1, 2) has phi of rank 1: the picture is refused before any row
+    # is printed or the file is opened
+    doc = tmp_path / "bs12.json"
+    doc.write_text(json.dumps({
+        "name": "bs12",
+        "presentation": {"generators": ["a", "b"], "relators": ["a b a^-1 b^-2"]},
+        "representations": {"trivial": {"ring": "Z", "trivial": True}},
+    }))
+    target = tmp_path / "f.svg"
+    rc, out, err = run(capsys, "trop", str(doc), "--rep", "trivial",
+                       "--valuation", "p-adic:2", "--svg", str(target))
+    assert (rc, out, err) == (2, "", "error: SVG rendering is planar only\n")
+    assert not target.exists()
+
+
 def test_bns_bound_sharp(capsys):
     rc, out, err = run(capsys, "bns-bound", EX, "--rep", "s3", "--rep", "trivial",
                        "--fixture", "brown_one_relator")
@@ -261,6 +277,21 @@ def test_wraag_document(capsys, tmp_path):
     graph.write_text(json.dumps({"vertices": 2}))
     rc, out, err = run(capsys, "wraag", "--graph", str(graph))
     assert rc == 2 and err == "error: graph document needs an 'edges' list\n"
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"vertices": 3, "edges": [[1, 2, 1.7]]},
+     "bad edge [1, 2, 1.7]: want integers [i, j, weight] with 1-based i, j"),
+    ({"vertices": 3, "edges": [[2, 3, True]]},
+     "bad edge [2, 3, True]: want integers [i, j, weight] with 1-based i, j"),
+    ({"vertices": True, "edges": []},
+     "graph 'vertices' must be a count or a list of names"),
+], ids=["float-weight", "bool-weight", "bool-vertices"])
+def test_wraag_takes_integers_only(capsys, tmp_path, graph, message):
+    # a float or a boolean is refused, not truncated to an integer
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    assert run(capsys, "wraag", "--graph", str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_product_document(capsys, tmp_path):

@@ -1,10 +1,11 @@
-"""A golden table for the CLI: about 140 commands run in-process, each
+"""A golden table for the CLI: about 150 commands run in-process, each
 compared with its recorded (exit code, sha256 of stdout).
 
 The commands cover `alexander`, `trop` under six coefficient settings,
 `kaehler-test` and `bns-bound` under five settings, on the bundled
-documents and on six small documents written under tmp_path.  Print a
-fresh table with
+documents and on six small documents written under tmp_path, plus three
+`bns-bound` commands with two representations under four settings each.
+Print a fresh table with
 
     PYTHONPATH=src python tests/test_cli_table.py
 
@@ -40,6 +41,10 @@ BUNDLED = {
 }
 TROP = ["Z", "trivial", "p-adic:2", "p-adic:3", "fp:2", "fp:3"]
 BOUND = ["Z", "trivial", "p-adic:3", "fp:2", "fp:3"]
+# two representations under four settings in one command, so that the
+# settings of one representation share its jump ideal
+SHARED = ("bns-bound {one_relator} --rep s3 --rep trivial"
+          " --valuation Z --valuation p-adic:3 --valuation fp:2 --valuation trivial")
 
 
 def commands():
@@ -53,6 +58,7 @@ def commands():
             out += [f"trop {{{doc}}} --rep {rep} --valuation {v}" for v in TROP]
             out.append(f"kaehler-test {{{doc}}} --rep {rep} --fields q,fp:2,fp:3")
             out += [f"bns-bound {{{doc}}} --rep {rep} --valuation {v}" for v in BOUND]
+    out += [SHARED, f"{SHARED} --fixture brown_one_relator", f"{SHARED} --check-finite-image"]
     return out
 
 
@@ -222,6 +228,9 @@ TABLE = {
     'bns-bound {col2} --rep trivial --valuation p-adic:3': (0, '849bb447aa7aff732dc98e67ac5dc17fe2225afa0be82de2eb3409177265fcf8'),
     'bns-bound {col2} --rep trivial --valuation fp:2': (0, '3a07f08ca46fea44cc54d090c132ec6ba646d74047584e66bfb1ca00917548b4'),
     'bns-bound {col2} --rep trivial --valuation fp:3': (0, 'f27e5070cbd9a71390a69de29baab2bc45aa9a985530b985a996f1f9b3f8c69f'),
+    'bns-bound {one_relator} --rep s3 --rep trivial --valuation Z --valuation p-adic:3 --valuation fp:2 --valuation trivial': (0, 'ab48d35e1c573d07ffa0c7c6c42df7143d16a1ac2e09d757d9e1f28df42eab74'),
+    'bns-bound {one_relator} --rep s3 --rep trivial --valuation Z --valuation p-adic:3 --valuation fp:2 --valuation trivial --fixture brown_one_relator': (0, 'c78f8a4a48ed30e3705def1f17cc55d2724c9091d3777c75a293205c70d4c75c'),
+    'bns-bound {one_relator} --rep s3 --rep trivial --valuation Z --valuation p-adic:3 --valuation fp:2 --valuation trivial --check-finite-image': (0, 'b94a8fcc656e22683a879cfc4aea2400b44acff18cedf0913d98f50779a089bc'),
 }
 
 

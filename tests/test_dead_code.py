@@ -4,8 +4,10 @@ that a method sets is read, and every imported name is loaded.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in src/troplex or perfbench/ (a definition or an import alone does not
-count).  The tests are no caller: a helper or an option that only a test
-reaches belongs in that test.
+count); a def or class in a class body counts only as an attribute
+(x.name), so that a local variable of the same name does not hide it.
+The tests are no caller: a helper or an option that only a test reaches
+belongs in that test.
 """
 
 import ast
@@ -25,23 +27,25 @@ KEPT = {
 }
 
 
-def _definitions(tree, owner=""):
-    """(qualified name, bare name) of every def and class, nested ones too."""
+def _definitions(tree, owner="", member=False):
+    """(qualified name, bare name, member) of every def and class, nested
+    ones too, member telling whether a class body holds it."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qual = f"{owner}.{node.name}" if owner else node.name
-            yield qual, node.name
-            yield from _definitions(node, qual if isinstance(node, ast.ClassDef) else owner)
+            yield qual, node.name, member
+            klass = isinstance(node, ast.ClassDef)
+            yield from _definitions(node, qual if klass else owner, klass)
         else:
-            yield from _definitions(node, owner)
+            yield from _definitions(node, owner, member)
 
 
-def _references(tree):
+def _references(tree, names, attributes):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
 
 
 def _parse(path):
@@ -49,16 +53,16 @@ def _parse(path):
 
 
 def test_every_definition_has_a_caller():
-    used = set()
+    names, attributes = set(), set()
     for folder in READERS:
         for path in folder.rglob("*.py"):
-            used.update(_references(_parse(path)))
+            _references(_parse(path), names, attributes)
     unused = []
     for path in sorted(SOURCE.rglob("*.py")):
-        for qual, name in _definitions(_parse(path)):
+        for qual, name, member in _definitions(_parse(path)):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if qual in KEPT or name in used:
+            if qual in KEPT or name in attributes or (name in names and not member):
                 continue
             unused.append(f"{path.relative_to(SOURCE)}: {qual}")
     assert not unused, "no caller in src/troplex or perfbench/:\n" + "\n".join(unused)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import free_reduce, homology_dims_at_character
 from troplex import jumploci, linalg
+from troplex.bnsreport import assemble_bound
 from troplex.fpgroup import (
     Presentation, Representation, AbelianEpi, build_orbifold,
     build_weighted_raag, alexander_matrices,
@@ -22,6 +23,8 @@ from troplex.laurent import (
 )
 from troplex.linalg import det_laurent, smat_mul
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
+from troplex.sphere import union_all
+from troplex.tropical import sphere_projection, tropicalize
 
 
 def onerel():
@@ -252,12 +255,10 @@ def assert_j1_matches_enumeration(pres, rep, phi=None):
         phi = AbelianEpi.from_abelianization(pres)
     fast = jump_ideal(pres, rep, phi, i=1)
     assert_same_ideal(fast, j1_by_enumeration(pres, rep, phi), phi)
-    # handing J0 over, and forming each product once per unordered pair,
-    # change neither the generators nor their order
-    handed = jump_ideal(pres, rep, phi, i=1, j0=jump_ideal(pres, rep, phi, i=0))
-    for J in (handed, j1_by_all_ordered_pairs(pres, rep, phi)):
-        if J is None:
-            continue
+    # forming each product once per unordered pair changes neither the
+    # generators nor their order
+    J = j1_by_all_ordered_pairs(pres, rep, phi)
+    if J is not None:
         assert [g.key() for g in J.generators] == [g.key() for g in fast.generators]
         assert J.is_zero_ideal == fast.is_zero_ideal
         assert J.gcd() == fast.gcd()
@@ -344,6 +345,29 @@ word_pairs = st.lists(
 @given(word_pairs, st.sampled_from(("trivial", "s3")), st.sampled_from(J1_RINGS))
 def test_j1_matches_enumeration_property(pairs, name, ring):
     assert_j1_matches_enumeration(kernel_presentation(pairs), S3_REPS[name].over(ring))
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pairs, st.sampled_from(sorted(S3_REPS)), st.sampled_from((ZZ, GF(2), GF(3))),
+       st.sampled_from(("Z", TRIVIAL, padic(3))))
+def test_bound_entry_reads_gcd_j1_alone(pairs, name, ring, mode):
+    """At phi of rank 2 J0 has two generators or more, so no entry is ever
+    exact; and as gcd J0 divides gcd J1, an entry's arcs, S(Trop(gcd J1)),
+    are the union of the sets of gcd J0 and gcd J1."""
+    pres = kernel_presentation(pairs)
+    rep = S3_REPS[name].over(ring)
+    J0 = jump_ideal(pres, rep, i=0)
+    assert len(J0.generators) >= 2
+    rp = assemble_bound(pres, [(name, rep, mode)])
+    if not rp.entries:  # Z on a prime field, or p-adic:3 on one
+        assert rp.vacuous and len(rp.excluded) == 1
+        return
+    both = union_all(sphere_projection(tropicalize(J.gcd(), mode))
+                     for J in (J0, jump_ideal(pres, rep, i=1)))
+    arcs = rp.entries[0].arcs
+    assert arcs == both
+    assert arcs.components == both.components
+    assert arcs.describe() == both.describe()
 
 
 def test_j1_takes_the_block_minors_only(monkeypatch):
