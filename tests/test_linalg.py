@@ -55,6 +55,16 @@ def invariant_factors_oracle(M):
     return out
 
 
+def check_smith_transform(M, diag, U):
+    """U is unimodular and its rows past the rank span M's left kernel
+    (they are independent since U is invertible)."""
+    assert abs(int_det(U)) == 1
+    rank = sum(1 for d in diag if d != 0)
+    cols = len(M[0])
+    for row in U[rank:]:
+        assert [sum(u * M[i][j] for i, u in enumerate(row)) for j in range(cols)] == [0] * cols
+
+
 def test_smat_basics():
     eye = smat_identity(QQ, 3)
     A = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
@@ -115,7 +125,12 @@ def test_laurent_matrix_ops():
 def test_smith_normal_form_fixed():
     diag, U = smith_normal_form([[2, 4], [6, 8]])
     assert diag == [2, 4]
-    assert abs(int_det(U)) == 1
+    check_smith_transform([[2, 4], [6, 8]], diag, U)
+    # a left kernel: the second row is twice the first
+    M = [[1, 2], [2, 4], [3, 5]]
+    diag, U = smith_normal_form(M)
+    assert diag == [1, 1]
+    check_smith_transform(M, diag, U)
     diag, _ = smith_normal_form([[1, 0], [0, 1]])
     assert diag == [1, 1]
     diag, _ = smith_normal_form([[0, 0], [0, 0]])
@@ -138,7 +153,7 @@ def test_smith_normal_form_matches_minor_gcd_oracle():
                 assert b % a == 0
             else:
                 assert b == 0
-        assert abs(int_det(U)) == 1
+        check_smith_transform(M, diag, U)
 
 
 def test_smith_normal_form_when_the_pivot_divides(deadline):
@@ -160,7 +175,7 @@ def test_smith_normal_form_matches_determinantal_divisors(deadline):
             M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
             diag, U = smith_normal_form(M)
             assert diag == invariant_factors_oracle(M), M
-            assert abs(int_det(U)) == 1
+            check_smith_transform(M, diag, U)
 
 
 # -- the two elimination loops against independent oracles ----------------

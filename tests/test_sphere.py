@@ -62,6 +62,19 @@ def test_complement_of_point_wraps():
     assert c.complement() == p
 
 
+@pytest.mark.parametrize("d", [(1, 1), (1, 0)])
+def test_circle_minus_a_point_splits_at_the_next_boundary(d):
+    # the run of every atom but the point d wraps around the circle; it
+    # is stored as two arcs meeting at the next boundary direction ccw
+    # of d, which is (0, 1) for both: the axes are always boundaries
+    c = SphereArcSet.point(d).complement()
+    assert c.components == [
+        ("arc", d, (0, 1), False, True),
+        ("arc", (0, 1), d, False, False),
+    ]
+    assert not c.is_empty
+
+
 def test_union_and_intersection_fixed():
     a = SphereArcSet.arc((1, 0), (0, 1))
     b = SphereArcSet.arc((1, 1), (-1, 0))
