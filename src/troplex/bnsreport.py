@@ -74,15 +74,15 @@ class BoundEntry:
     """One (representation, coefficient setting) contribution.
 
     mode is the string "Z" for the integer-coefficient tropicalization or
-    a Valuation for the valued-field one.  arcs, on an included entry, is
-    S(Trop(gcd J_1)), a gcd over-approximation (see the module docstring).
+    a Valuation for the valued-field one.  arcs is None on an excluded
+    entry, else S(Trop(gcd J_1)), a gcd over-approximation (see the module
+    docstring).
     """
 
-    def __init__(self, descriptor, mode, admissibility, included, arcs=None):
+    def __init__(self, descriptor, mode, admissibility, arcs=None):
         self.descriptor = descriptor
         self.mode = mode
         self.admissibility = admissibility
-        self.included = included
         self.arcs = arcs
 
     @property
@@ -90,7 +90,7 @@ class BoundEntry:
         return "Z" if self.mode == "Z" else repr(self.mode)
 
     def __repr__(self):
-        state = "included" if self.included else "excluded"
+        state = "excluded" if self.arcs is None else "included"
         return f"<BoundEntry {self.descriptor} [{self.mode_label}] {state}>"
 
 
@@ -164,12 +164,12 @@ def assemble_bound(pres, entries, phi=None, check_finite_image=False):
     for descriptor, rep, mode in entries:
         verdict = _check_admissible(rep, mode, check_finite_image)
         if not verdict.ok:
-            excluded.append(BoundEntry(descriptor, mode, verdict, False))
+            excluded.append(BoundEntry(descriptor, mode, verdict))
             continue
         if id(rep) not in gcds:
             gcds[id(rep)] = jump_ideal(pres, rep, phi, i=1).gcd()
         arcs = sphere_projection(tropicalize(gcds[id(rep)], mode))
-        included.append(BoundEntry(descriptor, mode, verdict, True, arcs=arcs))
+        included.append(BoundEntry(descriptor, mode, verdict, arcs=arcs))
     vacuous = not included
     if vacuous:
         combined = SphereArcSet.empty()

@@ -66,8 +66,6 @@ def _tsv_rows(T):
         else:
             d1 = [str(x) for x in c.dir]
             d2 = [str(x) for x in c.dir2]
-        while len(d1) < 2:
-            d1.append(".")
         label = ";".join(",".join(str(e) for e in u) for u in c.label) or "."
         rows.append("\t".join([c.kind] + base + d1 + d2 + [label]))
     return rows
@@ -142,13 +140,11 @@ def cmd_trop(args):
         )
         return EXIT_VACUOUS
     T = tropicalize(delta, mode)
-    if args.svg:  # drawn first: a refused picture leaves no rows and no file
+    if args.svg:  # drawn and written first: a refused picture or path prints no rows
         picture = render_svg(T, title=f"{job.name}: {args.rep} / {args.valuation}")
+        _write_file(args.svg, lambda fh: fh.write(picture))
     for row in _tsv_rows(T):
         print(row)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(picture)
     return EXIT_OK
 
 
@@ -247,10 +243,18 @@ def cmd_kaehler_test(args):
     return EXIT_OK
 
 
+def _write_file(path, write):
+    """write(fh) into path; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as e:
+        raise JobError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _emit_document(doc, out):
     if out:
-        with open(out, "w") as fh:
-            dump_document(doc, fh)
+        _write_file(out, lambda fh: dump_document(doc, fh))
     else:
         dump_document(doc, sys.stdout)
     return EXIT_OK

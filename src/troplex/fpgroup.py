@@ -179,8 +179,6 @@ def _scalar_converter(src, dst):
             return int(x)
 
         return to_int
-    if src == dst:
-        return lambda x: x
     raise ValueError(f"cannot convert scalars from {src!r} to {dst!r}")
 
 
@@ -205,29 +203,23 @@ class AbelianEpi:
         vectors = [tuple(v) for v in vectors]
         if any(len(v) != m for v in vectors):
             raise ValueError("phi vectors must share one length")
-        for rel in pres.relators:
-            img = [0] * m
-            for letter in rel:
-                s = 1 if letter > 0 else -1
-                vec = vectors[abs(letter) - 1]
-                for k in range(m):
-                    img[k] += s * vec[k]
-            if any(img):
-                raise ValueError("phi does not kill every relator")
+        self.m = m
+        self.vectors = vectors
+        if any(any(self.word_value(rel)) for rel in pres.relators):
+            raise ValueError("phi does not kill every relator")
         if m > 0:
             diag, _ = linalg.smith_normal_form([list(v) for v in vectors])
             if sum(1 for d in diag if d == 1) < m or any(
                 d not in (0, 1) for d in diag
             ):
                 raise ValueError("phi is not surjective onto Z^m (Smith form)")
-        self.m = m
-        self.vectors = vectors
 
     @classmethod
     def from_abelianization(cls, pres):
-        """phi onto the free part of G_ab.  With U * M * V = D the Smith
-        form of the exponent matrix M, the rows of U past the rank of M
-        map each generator to its free coordinates."""
+        """phi onto the free part of G_ab.  The rows of the Smith transform
+        U past the rank of the exponent matrix M (generators by relators)
+        are a Z-basis of M's left kernel, the homomorphisms G -> Z; read
+        by generator, they give each generator's free coordinates."""
         n = pres.ngens
         diag, U = linalg.smith_normal_form(pres.exponent_matrix())
         rank = sum(1 for d in diag if d != 0)

@@ -293,13 +293,6 @@ class KahlerVerdict:
             return "<KahlerVerdict Consistent>"
         return f"<KahlerVerdict NotKahler {self.witnesses}>"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KahlerVerdict)
-            and self.consistent == other.consistent
-            and sorted(self.witnesses) == sorted(other.witnesses)
-        )
-
 
 def kahler_obstruction(verdicts):
     """A group whose twisted Alexander polynomial is neither 0 nor a unit

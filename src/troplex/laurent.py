@@ -306,8 +306,6 @@ def canonical_associate(f):
 def _poly_exact_div(f, g):
     """Exact division for polynomials with nonnegative exponents; None if inexact."""
     R = f.ring
-    if f.is_zero:
-        return f
     gl = max(g.terms, key=_lex_key)
     glc = g.terms[gl]
     rem = dict(f.terms)
@@ -421,13 +419,10 @@ def _lc_deg(f, x):
 
 def _pseudo_rem(A, B, x):
     """prem(A, B) in variable x with the deterministic lc(B)^(dA-dB+1) scaling."""
-    R = A.ring
     lB, dB = _lc_deg(B, x)
     dA = A.degree_in(x)
     if dB < 0:
         raise ZeroDivisionError("pseudo-remainder by zero")
-    if dA < dB:
-        return A
     steps = 0
     rem = A
     while not rem.is_zero and rem.degree_in(x) >= dB:
@@ -443,12 +438,11 @@ def _pseudo_rem(A, B, x):
 
 
 def _prs_gcd(A, B, x):
-    """GCD of two x-primitive polynomials via the subresultant PRS."""
+    """GCD of two nonzero x-primitive polynomials via the subresultant
+    PRS; the result is x-primitive."""
     one = LaurentPoly.one(A.ring, A.nvars)
     if A.degree_in(x) < B.degree_in(x):
         A, B = B, A
-    if B.is_zero:
-        return _content_pp(A, x)[1]
     g = one
     h = one
     while True:
@@ -458,8 +452,6 @@ def _prs_gcd(A, B, x):
             if B.degree_in(x) == 0:
                 return one
             return _content_pp(B, x)[1]
-        if B.degree_in(x) == 0:
-            return one
         A, B = B, _exact_div_strict(R, g * h**delta)
         g, _ = _lc_deg(A, x)
         if delta > 0:
@@ -489,9 +481,7 @@ def _poly_gcd(f, g):
     cf, pf = _content_pp(f, x)
     cg, pg = _content_pp(g, x)
     c = _poly_gcd(cf, cg)
-    h = _prs_gcd(pf, pg, x)
-    h = _content_pp(h, x)[1]
-    return c * h
+    return c * _prs_gcd(pf, pg, x)
 
 
 def laurent_gcd(f, g):

@@ -158,10 +158,6 @@ def _bezout_rows(A, U, t, i):
     a, b = A[t][t], A[i][t]
     if b == 0:
         return
-    if a == 0:
-        A[t], A[i] = A[i], A[t]
-        U[t], U[i] = U[i], U[t]
-        return
     g = math.gcd(a, b)
     x, y = _bezout_pair(a, b)
     p, q = -(b // g), a // g
@@ -201,10 +197,6 @@ def _bezout_cols(A, t, j):
     a, b = A[t][t], A[t][j]
     if b == 0:
         return
-    if a == 0:
-        for row in A:
-            row[t], row[j] = row[j], row[t]
-        return
     g = math.gcd(a, b)
     x, y = _bezout_pair(a, b)
     p, q = -(b // g), a // g
@@ -214,10 +206,12 @@ def _bezout_cols(A, t, j):
 
 
 def smith_normal_form(M):
-    """(diagonal, U) with U unimodular acting on the left; U*M*V = D.
+    """(diag, U): the invariant factors of M and a unimodular U.
 
-    Column operations are untracked.  Diagonal entries are nonnegative
-    and form a divisibility chain d1 | d2 | ...
+    diag has min(rows, cols) entries, nonnegative, forming a divisibility
+    chain d1 | d2 | ... with zeros last.  U acts on the left and its rows
+    past the rank are a Z-basis of M's left kernel.  Column operations
+    are untracked, and the rows of U below the rank carry no meaning.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -242,6 +236,7 @@ def smith_normal_form(M):
         if j0 != t:
             for row in A:
                 row[t], row[j0] = row[j0], row[t]
+        # each step keeps A[t][t] or replaces it by a gcd: it stays nonzero
         while True:
             for i in range(t + 1, rows):
                 _bezout_rows(A, U, t, i)
@@ -252,30 +247,11 @@ def smith_normal_form(M):
             ):
                 break
         t += 1
-    # sign normalization and the divisibility chain
-    rank_bound = t
-    for i in range(rank_bound):
-        if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank_bound - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b and b % a:
-                # fold (a, b) into (gcd, lcm): col_i += col_{i+1}, then a
-                # Bezout row op, then a shear to clean the fill-in
-                for row in A:
-                    row[i] += row[i + 1]
-                _bezout_rows(A, U, i, i + 1)
-                g = A[i][i]
-                q = A[i][i + 1] // g
-                for row in A:
-                    row[i + 1] -= q * row[i]
-                if A[i + 1][i + 1] < 0:
-                    A[i + 1] = [-x for x in A[i + 1]]
-                    U[i + 1] = [-x for x in U[i + 1]]
-                changed = True
-    diag = [A[i][i] for i in range(min(rows, cols))]
-    return diag, U
+    # the nonzero pivots give the invariant factors by (gcd, lcm) folds:
+    # per prime this is a selection sort of the exponents
+    diag = [abs(A[i][i]) for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (min(rows, cols) - t), U

@@ -217,23 +217,11 @@ class SphereArcSet:
         end_closed = last[0] == "point"
         if not same_dir(start, end):
             return [("arc", start, end, start_closed, end_closed)]
-        # wrap-around run (circle minus a point): split at an interior
-        # boundary point, which exists because axis dirs are always atoms
-        for j in range(1, len(run) - 1):
-            if run[j][0] == "point":
-                head = SphereArcSet._run_to_components(run[: j + 1])
-                tail = run[j + 1 :]
-                mid = run[j][1]
-                tail_comps = (
-                    [("arc", mid, end, False, end_closed)]
-                    if not same_dir(mid, end)
-                    else []
-                )
-                # the tail cannot wrap again; it starts open at mid
-                if tail and not tail_comps:
-                    raise AssertionError("unexpected second wrap in arc run")
-                return head + tail_comps
-        raise AssertionError("wrap-around run without interior point atom")
+        # a run stops before an atom outside the set, so it closes up only
+        # as the circle minus the point start; split it at the next boundary
+        # point, which differs from start since the four axes are boundaries
+        mid = run[1][1]
+        return [("arc", start, mid, False, True), ("arc", mid, end, False, False)]
 
     # -- set algebra ----------------------------------------------------------
 
@@ -254,12 +242,8 @@ class SphereArcSet:
 
     @property
     def is_empty(self):
-        if self.full:
-            return False
-        if not self.components:
-            return True
-        canon = self.canonical()
-        return not canon.components and not canon.full
+        # a component is a point or an arc between distinct directions
+        return not self.full and not self.components
 
     def is_subset(self, other):
         return self.difference(other).is_empty

@@ -204,6 +204,49 @@ def test_non_representation_exits_2(capsys, tmp_path):
         assert run(capsys, command, str(path), "--rep", "bad") == (2, "", expected)
 
 
+def s3_variants(tmp_path):
+    """one_relator with its s3 matrices also given as strings over Z, over
+    Q, and over Q with a non-integer entry (not a representation over Z)."""
+    doc = json.loads(Path(EX).read_text())
+    mats = doc["representations"]["s3"]["matrices"]
+    strings = {g: [[str(x) for x in row] for row in m] for g, m in mats.items()}
+    half = {g: [[1]] for g in mats}
+    half["x1"] = [["1/2"]]
+    doc["representations"] = {
+        "s3_strings": {"ring": "Z", "matrices": strings},
+        "s3_q": {"ring": "Q", "matrices": strings},
+        "half_q": {"ring": "Q", "matrices": half},
+        "half_z": {"ring": "Z", "matrices": half},
+    }
+    path = tmp_path / "s3_variants.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_string_entries_and_ring_conversion(capsys, tmp_path):
+    doc = s3_variants(tmp_path)
+    golden = (0, "1 - 2*t1 + t1^2 - 3*t2^2\n", "")
+    assert run(capsys, "alexander", doc, "--rep", "s3_strings") == golden
+    assert run(capsys, "alexander", doc, "--rep", "s3_q", "--ring", "Z") == golden
+    assert run(capsys, "alexander", doc, "--rep", "half_q", "--ring", "Z") == (
+        2, "", "error: 1/2 is not an integer\n")
+    assert run(capsys, "alexander", doc, "--rep", "half_z") == (
+        2, "", "error: entry '1/2' is not an element of Z\n")
+
+
+def test_unwritable_output_path_exits_2(capsys, tmp_path):
+    # the target is opened before anything is printed
+    target = tmp_path / "missing_dir" / "f.svg"
+    rc, out, err = run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z",
+                       "--svg", str(target))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    target = tmp_path / "missing_dir" / "o.json"
+    assert run(capsys, "orbifold", "--g", "1", "-o", str(target)) == (
+        2, "", f"error: cannot write {target}: No such file or directory\n")
+    assert not (tmp_path / "missing_dir").exists()
+
+
 def test_bns_bound_violation(capsys, tmp_path):
     path = tmp_path / "orb12.json"
     rc, out, err = run(capsys, "orbifold", "--g", "1", "--mu", "2", "-o", str(path))
@@ -447,7 +490,7 @@ def test_internal_errors_exit_5(capsys, monkeypatch, error):
     assert "Traceback" not in err
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     rc, out, err = run(capsys, "alexander", EX, "--rep", "bogus")
     assert rc == 2 and out == ""
     assert err == ("error: unknown representation 'bogus'; "
@@ -460,6 +503,15 @@ def test_input_errors_exit_2(capsys):
     rc, out, err = run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z",
                        "--contains", "1")
     assert rc == 2 and err == "error: point '1' has 1 coordinates, need 2\n"
+    assert run(capsys, "trop", EX, "--rep", "s3", "--valuation", "Z",
+               "--contains", "a,1") == (2, "", "error: bad point 'a,1'\n")
+    missing = tmp_path / "nope.json"
+    rc, out, err = run(capsys, "wraag", "--graph", str(missing))
+    assert (rc, out) == (2, "") and err.startswith(f"error: cannot read {missing}: ")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"vertices": 2,')
+    rc, out, err = run(capsys, "wraag", "--graph", str(broken))
+    assert (rc, out) == (2, "") and err.startswith(f"error: {broken} is not valid JSON: ")
 
 
 def readme_examples():

@@ -178,13 +178,17 @@ def _fields(tree):
 
 
 def _reads(tree):
-    """Attribute names loaded, as x.<name> or getattr(x, "<name>", ...)."""
-    for node in ast.walk(tree):
+    """Attribute names loaded, as x.<name> or getattr(x, "<name>", ...),
+    outside __repr__: a field that only its own repr shows is unread."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__repr__":
+            continue
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
         elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
               and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
             yield node.args[1].value
+        yield from _reads(node)
 
 
 def test_every_field_is_read():

@@ -26,6 +26,19 @@ def test_fractional_vertex_and_full_plane():
     assert "<polygon" in text
 
 
+def test_segment_and_sphere_points():
+    # 1 + t1 + t2 + 9 t1 t2 under the 3-adic valuation: the segment from 0
+    # to (-2, -2), four rays, and a sphere set of two points and one arc
+    f = LaurentPoly(QQ, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 9})
+    T = trop_hypersurface(f, padic(3))
+    text = render_svg(T)
+    # reach 3 puts the origin at (210, 210) and one unit at 200/3 pixels
+    assert ('<line x1="210.00" y1="210.00" x2="76.67" y2="343.33" '
+            'stroke="#1f3b73" stroke-width="2.5"/>') in text
+    assert text.count('stroke-width="2.5"') == len(T.cells) == 5
+    assert text.count("<path ") == 1 and text.count('r="5"') == 2
+
+
 def test_planar_only():
     f = LaurentPoly(QQ, 1, {(0,): 3, (1,): -4, (2,): 1})
     with pytest.raises(ValueError, match="planar"):

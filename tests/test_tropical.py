@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -322,6 +323,45 @@ def test_sphere_projection_of_figures():
     assert S_3 == expected
     S_full = sphere_projection(full_plane_complex())
     assert S_full == SphereArcSet.full_circle()
+
+
+# 3-adic figures with one segment each (the last has three): its base at
+# the origin, its end at the origin, through the origin, and off it
+SEGMENT_FIGURES = [
+    ({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 9},
+     [((0, 0), (-2, -2))],
+     SphereArcSet.points([(1, 0), (0, 1)]).union(SphereArcSet.arc((-1, 0), (0, -1)))),
+    ({(0, 0): 9, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+     [((2, 2), (0, 0))],
+     SphereArcSet.points([(-1, 0), (0, -1)]).union(SphereArcSet.arc((1, 0), (0, 1)))),
+    ({(0, 0): 1, (1, 0): 3, (0, 1): 3, (1, 1): 1},
+     [((-1, 1), (1, -1))],
+     SphereArcSet.arc((0, 1), (-1, 0)).union(SphereArcSet.arc((0, -1), (1, 0)))),
+    ({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 2): 9},
+     [((-2, 0), (0, -2)), ((-2, 0), (0, 0)), ((0, 0), (0, -2))],
+     SphereArcSet.points([(1, 0), (0, 1)]).union(SphereArcSet.arc((-2, 1), (1, -2)))),
+]
+
+
+@pytest.mark.parametrize("terms, segments, arcs", SEGMENT_FIGURES,
+                         ids=["base-at-0", "end-at-0", "through-0", "off-0"])
+def test_sphere_projection_of_segments_matches_the_oracle(terms, segments, arcs):
+    """The projection is the closure of the directions of T's nonzero
+    points: those reached at some scale, plus each ray's own direction."""
+    T = trop_hypersurface(LaurentPoly(QQ, 2, terms), padic(3))
+    assert sorted((c.base, c.end) for c in T.cells if c.kind == "segment") == [
+        (tuple(map(F, a)), tuple(map(F, b))) for a, b in segments]
+    S = sphere_projection(T)
+    assert S.components == arcs.components
+    scales = {F(a) / b for a in range(1, 13) for b in range(1, 13)}
+    rays = [c.dir for c in T.cells if c.kind == "ray"]
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            if gcd(x, y) != 1:
+                continue
+            reached = any(complex_contains(T, (s * x, s * y)) for s in scales)
+            limit = (x, y) in rays
+            assert S.contains((x, y)) == (reached or limit), (x, y)
 
 
 def test_sphere_projection_planar_only():
