@@ -364,8 +364,6 @@ def _active_vars(f, g):
     out = []
     span = [False] * f.nvars
     for poly in (f, g):
-        if poly.is_zero:
-            continue
         lo, hi = poly.min_exponents(), poly.max_exponents()
         for i in range(f.nvars):
             if hi[i] > lo[i] or hi[i] > 0:
@@ -465,12 +463,11 @@ def _poly_gcd(f, g):
     The recursion reads exponents as polynomial degrees, but exact division
     in the subresultant PRS works in the Laurent ring and can hand back a
     negative exponent (t1^-1 would pass for a constant).  Monomials are
-    units, so each input is first shifted to minimum exponent 0.
+    units, so each input is first shifted to minimum exponent 0.  g is
+    nonzero; f is zero only as the seed of `_content_pp`'s fold.
     """
     if f.is_zero:
         return g
-    if g.is_zero:
-        return f
     f, g = (_shift_to_zero(h) for h in (f, g))
     active = _active_vars(f, g)
     if not active:

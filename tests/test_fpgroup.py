@@ -178,6 +178,17 @@ def test_abelian_epi_values():
     assert phi.word_value((2,)) == (0, 1)
     assert phi.word_value(pres.relators[0]) == (0, 0)
     assert phi.word_value((1, 2, 2)) == (1, 2)
+    # given vectors must kill every relator and map onto Z^m
+    pres = Presentation(["x1", "x2"], [(1, 2, 2)])
+    assert AbelianEpi(pres, [(2,), (-1,)]).word_value((1, 2)) == (1,)
+    with pytest.raises(ValueError, match="does not kill every relator"):
+        AbelianEpi(pres, [(1,), (0,)])
+    with pytest.raises(ValueError, match="not surjective"):
+        AbelianEpi(pres, [(4,), (-2,)])
+    with pytest.raises(ValueError, match="one vector per generator"):
+        AbelianEpi(pres, [(2,)])
+    with pytest.raises(ValueError, match="share one length"):
+        AbelianEpi(pres, [(2,), (-1, 0)])
 
 
 # -- Alexander matrices ------------------------------------------------------

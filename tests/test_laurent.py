@@ -190,6 +190,10 @@ def test_squarefree_part_char_p():
     F3 = GF(3)
     g = LaurentPoly(F3, 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
     assert squarefree_part(g) == LaurentPoly(F3, 2, {(0, 0): 1, (1, 0): 2})
+    # (1 + t1)(1 + t2)^2 over F_2: the square hides in the gcd with the
+    # partials, and its root is taken by recursion
+    a, b = (LaurentPoly(F2, 2, {(0, 0): 1, e: 1}) for e in ((1, 0), (0, 1)))
+    assert squarefree_part(a * b * b) == a * b
 
 
 def test_initial_form_valued_trivial():
