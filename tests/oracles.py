@@ -6,6 +6,7 @@ at a character), so that the tests can check one against the other.
 Nothing in src/troplex calls them.
 """
 
+import math
 from fractions import Fraction
 
 from troplex import linalg
@@ -60,16 +61,27 @@ def smat_rank(ring, M):
 
 
 def abelianization(pres):
-    """(free rank, torsion invariants, free coordinates per generator,
-    torsion coordinates per generator) of G_ab, from the Smith form
-    U * M * V = D of the exponent matrix M."""
+    """(free rank, torsion orders, free coordinates per generator,
+    torsion coordinates per generator) of G_ab.
+
+    Row i of the unimodular Smith transform U of the exponent matrix M is
+    a functional on Z^n; it sends the relators onto d_i Z with d_i the
+    gcd of the entries of U[i] * M.  G_ab is the sum of Z/d_i over the
+    rows with d_i > 1 and Z over the rows with d_i = 0, so generator j
+    has coordinate U[i][j] mod d_i.  The d_i need not form a divisibility
+    chain: Z/2 + Z/3 keeps its two orders."""
     n = pres.ngens
-    diag, U = linalg.smith_normal_form(pres.exponent_matrix())
-    rank = sum(1 for d in diag if d != 0)
-    torsion_rows = [i for i, d in enumerate(diag) if d > 1]
-    gen_free = [tuple(U[i][j] for i in range(rank, n)) for j in range(n)]
-    gen_torsion = [tuple(U[i][j] % diag[i] for i in torsion_rows) for j in range(n)]
-    return n - rank, [diag[i] for i in torsion_rows], gen_free, gen_torsion
+    M = pres.exponent_matrix()
+    _, U = linalg.smith_normal_form(M)
+    orders = [
+        math.gcd(*(sum(u * row[c] for u, row in zip(U[i], M)) for c in range(pres.nrels)))
+        for i in range(n)
+    ]
+    free_rows = [i for i, d in enumerate(orders) if d == 0]
+    torsion_rows = [i for i, d in enumerate(orders) if d > 1]
+    gen_free = [tuple(U[i][j] for i in free_rows) for j in range(n)]
+    gen_torsion = [tuple(U[i][j] % orders[i] for i in torsion_rows) for j in range(n)]
+    return len(free_rows), [orders[i] for i in torsion_rows], gen_free, gen_torsion
 
 
 def _character_values(pres, ring, rho_free, torsion_values):
@@ -83,7 +95,7 @@ def _character_values(pres, ring, rho_free, torsion_values):
     if torsion:
         torsion_values = torsion_values or [ring.one()] * len(torsion)
         if len(torsion_values) != len(torsion):
-            raise ValueError("need one torsion value per invariant")
+            raise ValueError("need one torsion value per torsion order")
         for d, tau in zip(torsion, torsion_values):
             tau = ring.check(tau)
             acc = ring.one()
@@ -118,7 +130,8 @@ def homology_dims_at_character(pres, rep, rho_free, torsion_values=None):
     """(dim H_0, dim H_1) of the sigma (x) rho - twisted complex at a character.
 
     rho_free lists nonzero field values for the free abelianization
-    coordinates; torsion_values (optional) for the torsion invariants.
+    coordinates; torsion_values (optional) one root of unity per torsion
+    order of abelianization().
     Representations over Z are computed over Q.  The complex is built
     from the free Fox derivatives evaluated at the character, sharing no
     code with alexander_matrices or the minor ideals.

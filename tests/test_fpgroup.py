@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from troplex.fpgroup import (
 )
 from troplex.jobspec import load_job, bundled_path
 from troplex.laurent import LaurentPoly, render, canonical_associate
+from troplex.linalg import smith_normal_form
 from troplex.rings import ZZ, QQ, GF
 
 ONEREL_NAMES = ["x1", "x2"]
@@ -91,6 +93,47 @@ def test_abelianization_with_torsion():
     assert phi.m == 1 and phi.vectors == [(1,), (0,)]
     # the torsion invariants that the character-homology oracle reads
     assert abelianization(pres) == (1, [2], [(1,), (0,)], [(0,), (1,)])
+
+
+def test_abelianization_of_coprime_torsion():
+    # <x1, x2 | x1^2, x2^3> has G_ab = Z/2 + Z/3; its Smith pivots are 2
+    # and 3, and the invariant factors 1 and 6 are no coordinates
+    pres = Presentation(["x1", "x2"], [(1, 1), (2, 2, 2)])
+    assert abelianization(pres) == (0, [2, 3], [(), ()], [(1, 0), (0, 1)])
+    # over F_7 the primitive 6th root 3 gives x1 -> 3^3 = 6, x2 -> 3^2 = 2;
+    # the Fox images 1 + x1 and 1 + x2 + x2^2 vanish there, so d2 = 0,
+    # d1 = (5, 1) has rank 1, and H_0 = 0, H_1 = 2 - 1 = 1
+    triv = Representation.trivial(GF(7), 2)
+    assert homology_dims_at_character(pres, triv, (), torsion_values=[6, 2]) == (0, 1)
+    # x1 -> 1, x2 -> 2: the Fox image of x1^2 is 2, so d2 has rank 1
+    assert homology_dims_at_character(pres, triv, (), torsion_values=[1, 2]) == (0, 0)
+
+
+def test_abelianization_characters_kill_every_relator():
+    # the oracle's coordinates are homomorphisms G -> Z and G -> Z/d, and
+    # its orders multiply out to the torsion of G_ab (the nonzero Smith
+    # invariant factors) for exponent matrices with mixed signs and ranks
+    rng = random.Random(41)
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        relators = []
+        for _ in range(m):
+            word = []
+            for g in range(1, n + 1):
+                e = rng.choice([0, 0, 1, -1, 2, -2, 3, -3, 4, 6])
+                word += [g if e > 0 else -g] * abs(e)
+            relators.append(tuple(word))
+        pres = Presentation([f"x{g}" for g in range(1, n + 1)], relators)
+        free_rank, orders, gen_free, gen_torsion = abelianization(pres)
+        diag, _ = smith_normal_form(pres.exponent_matrix())
+        assert free_rank == n - sum(1 for d in diag if d)
+        assert math.prod(orders) == math.prod(d for d in diag if d)
+        for rel in relators:
+            for k in range(free_rank):
+                assert sum((1 if x > 0 else -1) * gen_free[abs(x) - 1][k] for x in rel) == 0
+            for k, d in enumerate(orders):
+                assert sum((1 if x > 0 else -1) * gen_torsion[abs(x) - 1][k]
+                           for x in rel) % d == 0
 
 
 # -- Fox derivatives ---------------------------------------------------------
