@@ -49,6 +49,7 @@ J0, each formed once per unordered pair (b >= a).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 
 from . import fpgroup, linalg
@@ -92,14 +93,26 @@ class IdealGens:
     Generators are stored as deduplicated canonical associates with zeros
     dropped; the zero ideal is the empty list with is_zero_ideal set, and
     its gcd is the zero polynomial of ring and nvars.  A caller that knows
-    the generators' gcd passes it as its canonical associate; otherwise
-    gcd() folds gcd_list over the generators once.
+    the generators' gcd passes it as its canonical associate; then the
+    ideal is zero exactly when the gcd is, and the generator iterable is
+    left unconsumed until .generators is first read.  Otherwise gcd()
+    folds gcd_list over the generators once.
     """
 
     def __init__(self, ring, nvars, generators, gcd=None):
+        self._source = generators
+        if gcd is None:
+            self.is_zero_ideal = not self.generators
+            gcd = LaurentPoly.zero(ring, nvars) if self.is_zero_ideal else None
+        else:
+            self.is_zero_ideal = gcd.is_zero
+        self._gcd = gcd
+
+    @cached_property
+    def generators(self):
         gens = []
         seen = set()
-        for g in generators:
+        for g in self._source:
             if g.is_zero:
                 continue
             g = canonical_associate(g)
@@ -107,9 +120,7 @@ class IdealGens:
             if key not in seen:
                 seen.add(key)
                 gens.append(g)
-        self.generators = gens
-        self.is_zero_ideal = not gens
-        self._gcd = LaurentPoly.zero(ring, nvars) if self.is_zero_ideal else gcd
+        return gens
 
     def __repr__(self):
         if self.is_zero_ideal:
@@ -199,7 +210,9 @@ def jump_ideal(pres, rep, phi=None, i=1):
     J1 is generated by the c_R*q_a*q_b with q_a, q_b in J0, so gcd J1 =
     delta * gcd J0.  As c_R*q_a*q_b = c_R*q_b*q_a, only b >= a is formed:
     the pairs b < a are the duplicates that IdealGens would drop, so the
-    generators and their order are those of the full product.
+    generators and their order are those of the full product.  J1 gets
+    that gcd up front, so its products are formed only if a caller reads
+    its generators.
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")

@@ -13,6 +13,19 @@ That expanded rendering (coefficient 1 omitted on nonconstant terms,
 exponents as ``t3^-2``, single spaces around ``+``/``-``) is the
 golden-file contract for every consumer of ``str(f)``.
 
+Normal form
+-----------
+Every polynomial holds distinct exponent tuples of length nvars and
+nonzero coefficients in the form ``ring.check`` returns (``Fraction``
+over Q, a residue in ``[0, p)`` over F_p).  The public constructor
+enforces this on any input.  Results built here from terms already in
+normal form go through ``_trusted``, which skips those checks:
+products, sums, negation, shifts and exact quotients.  Products
+accumulate in raw coefficient arithmetic (``_add_products``), and
+``_from_raw`` reduces mod p and drops zeros once per term, so a Bareiss
+update a*d - b*c is one pass.  Exact division works in place on the
+dividend's exponents against the quotient's forced minimum exponents.
+
 GCDs are computed by content/primitive-part recursion (Gauss's lemma)
 with a subresultant pseudo-remainder sequence in the chosen main
 variable; over Z the content GCD is retained, over a field the result is
@@ -22,6 +35,7 @@ the canonical (monic at the least term) associate.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, lt, sub
 
 from .rings import GF, reduce_scalar, valuate
 
@@ -29,6 +43,38 @@ from .rings import GF, reduce_scalar, valuate
 def _lex_key(exps):
     # last variable most significant; fixes the printed term order
     return tuple(reversed(exps))
+
+
+def _trusted(ring, nvars, terms):
+    """A LaurentPoly on terms already in normal form, without the checks
+    of the public constructor: distinct exponent tuples of length nvars,
+    nonzero coefficients as ring.check returns them."""
+    f = object.__new__(LaurentPoly)
+    f.ring, f.nvars, f.terms = ring, nvars, terms
+    return f
+
+
+def _add_products(acc, f, g, negate=False):
+    """acc += f * g, or acc -= f * g, on term dicts in raw coefficient
+    arithmetic: nothing is reduced mod p and zero sums stay in acc."""
+    get = acc.get
+    for e1, c1 in f.items():
+        if negate:
+            c1 = -c1
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            c = get(e)
+            acc[e] = c1 * c2 if c is None else c + c1 * c2
+    return acc
+
+
+def _from_raw(ring, nvars, acc):
+    """The polynomial of an _add_products sum: each coefficient reduced
+    mod p once, zeros dropped once."""
+    p = ring.p
+    if p:
+        return _trusted(ring, nvars, {e: r for e, c in acc.items() if (r := c % p)})
+    return _trusted(ring, nvars, {e: c for e, c in acc.items() if c})
 
 
 class LaurentPoly:
@@ -132,7 +178,7 @@ class LaurentPoly:
             (exps, c), = self.terms.items()
             if all(e == 0 for e in exps):
                 return c
-        raise ValueError("not a constant polynomial")
+        raise ArithmeticError("internal: not a constant polynomial")
 
     # -- arithmetic -----------------------------------------------------
 
@@ -154,13 +200,13 @@ class LaurentPoly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
-        return LaurentPoly(R, self.nvars, terms)
+        return _trusted(R, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         R = self.ring
-        return LaurentPoly(R, self.nvars, {e: R.neg(c) for e, c in self.terms.items()})
+        return _trusted(R, self.nvars, {e: R.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -176,21 +222,10 @@ class LaurentPoly:
             c = R.check(other)
             if c == 0:
                 return LaurentPoly.zero(R, self.nvars)
-            return LaurentPoly(
-                R, self.nvars, {e: R.mul(cc, c) for e, cc in self.terms.items()}
-            )
+            # a product of nonzero elements of a domain is nonzero
+            return _trusted(R, self.nvars, {e: R.mul(cc, c) for e, cc in self.terms.items()})
         self._check_same(other)
-        terms = {}
-        zero = R.zero()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = R.add(terms.get(e, zero), R.mul(c1, c2))
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return LaurentPoly(R, self.nvars, terms)
+        return _from_raw(R, self.nvars, _add_products({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -216,10 +251,11 @@ class LaurentPoly:
 
     def shift(self, exps):
         """Multiply by the monomial t^exps (a unit)."""
-        return LaurentPoly(
-            self.ring,
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"exponent tuple {exps} has wrong length (nvars={self.nvars})")
+        return _trusted(
+            self.ring, self.nvars, {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
         )
 
     # -- rendering ------------------------------------------------------
@@ -303,51 +339,52 @@ def canonical_associate(f):
 # -- exact division ------------------------------------------------------
 
 
-def _poly_exact_div(f, g):
-    """Exact division for polynomials with nonnegative exponents; None if inexact."""
-    R = f.ring
-    gl = max(g.terms, key=_lex_key)
-    glc = g.terms[gl]
-    rem = dict(f.terms)
-    q = {}
-    while rem:
-        rl = max(rem, key=_lex_key)
-        e = tuple(a - b for a, b in zip(rl, gl))
-        if any(x < 0 for x in e):
-            return None
-        c = rem[rl]
-        if R.kind == "Z":
-            if c % glc:
-                return None
-            qc = c // glc
-        else:
-            qc = R.mul(c, R.inv(glc))
-        q[e] = qc
-        for ge, gc in g.terms.items():
-            ke = tuple(a + b for a, b in zip(e, ge))
-            s = R.sub(rem.get(ke, R.zero()), R.mul(qc, gc))
-            if s == 0:
-                rem.pop(ke, None)
-            else:
-                rem[ke] = s
-    return LaurentPoly(R, f.nvars, q)
-
-
 def exact_div(f, g):
-    """f / g in the Laurent ring, or None when g does not divide f."""
+    """f / g in the Laurent ring, or None when g does not divide f.
+
+    Long division by g's lex-leading term, in place on f's exponents.
+    Minimum exponents are additive over products, so a quotient term
+    below min_exponents(f) - min_exponents(g) in some variable proves
+    the division inexact.
+    """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero:
         return f
     f._check_same(g)
-    mf, mg = f.min_exponents(), g.min_exponents()
-    # min exponents are additive over products, so the quotient's shift is forced
-    fshift = f.shift(tuple(-m for m in mf))
-    gshift = g.shift(tuple(-m for m in mg))
-    q = _poly_exact_div(fshift, gshift)
-    if q is None:
-        return None
-    return q.shift(tuple(a - b for a, b in zip(mf, mg)))
+    R = f.ring
+    p = R.p
+    low = tuple(map(sub, f.min_exponents(), g.min_exponents()))
+    gl = max(g.terms, key=_lex_key)
+    glc = g.terms[gl]
+    inv = None if R.kind == "Z" else R.inv(glc)
+    tail = [(e, c) for e, c in g.terms.items() if e != gl]
+    rem = dict(f.terms)
+    q = {}
+    while rem:
+        rl = max(rem, key=_lex_key)
+        e = tuple(map(sub, rl, gl))
+        if any(map(lt, e, low)):
+            return None
+        # the leading term cancels exactly
+        c = rem.pop(rl)
+        if inv is None:
+            qc, r = divmod(c, glc)
+            if r:
+                return None
+        else:
+            qc = c * inv % p if p else c * inv
+        q[e] = qc
+        for ge, gc in tail:
+            ke = tuple(map(add, e, ge))
+            s = rem.get(ke, 0) - qc * gc
+            if p:
+                s %= p
+            if s:
+                rem[ke] = s
+            else:
+                rem.pop(ke, None)
+    return _trusted(R, f.nvars, q)
 
 
 def _exact_div_strict(f, g):
@@ -507,7 +544,7 @@ def gcd_list(polys):
         if is_unit(acc):
             return canonical_associate(acc)
     if acc is None:
-        raise ValueError("gcd of an empty list")
+        raise ArithmeticError("internal: gcd of an empty list")
     return canonical_associate(acc) if not acc.is_zero else acc
 
 

@@ -4,7 +4,9 @@ Two entry types are supported, with one elimination loop each.  Ring
 scalars (int / Fraction / residue, with an explicit Ring) go through
 Gauss-Jordan over a field, with Z embedded in Q.  LaurentPoly entries go
 through fraction-free Bareiss, whose divisions are exact by Sylvester's
-identity.  Lifting scalars to constant LaurentPolys to share one loop
+identity; each update forms its two products in one raw pass over the
+term dicts, and the first pivot step, whose divisor is 1, divides not at
+all.  Lifting scalars to constant LaurentPolys to share one loop
 makes a small inverse over Z about 28 times slower.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .laurent import LaurentPoly, _exact_div_strict
+from .laurent import LaurentPoly, _add_products, _exact_div_strict, _from_raw
 from .rings import QQ
 
 
@@ -109,12 +111,18 @@ def _bareiss(M, det=False):
     rows and columns plus its own row and column: skipped columns take no
     part in any update, so Sylvester's identity still makes every
     division by the previous pivot exact.
+
+    Each update (A[r][c]*A[i][j] - A[i][c]*A[r][j]) / prev is one pass
+    over the term dicts: both products go into one raw sum, which is
+    reduced once and then divided.  Before the first pivot prev is the
+    constant 1 and the division is skipped.
     """
     rows, cols = len(M), len(M[0]) if M else 0
     if not rows or not cols:
         return 0, None
     A = [row[:] for row in M]
-    prev = LaurentPoly.one(A[0][0].ring, A[0][0].nvars)
+    ring, nvars = A[0][0].ring, A[0][0].nvars
+    prev = LaurentPoly.one(ring, nvars)
     r, sign = 0, 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if not A[i][c].is_zero), None)
@@ -125,10 +133,16 @@ def _bareiss(M, det=False):
         if piv != r:
             A[r], A[piv] = A[piv], A[r]
             sign = -sign
+        top = A[r]
+        lead = top[c].terms
         for i in range(r + 1, rows):
+            row = A[i]
+            below = row[c].terms
             for j in range(c + 1, cols):
-                A[i][j] = _exact_div_strict(A[r][c] * A[i][j] - A[i][c] * A[r][j], prev)
-        prev = A[r][c]
+                num = _from_raw(ring, nvars, _add_products(
+                    _add_products({}, lead, row[j].terms), below, top[j].terms, negate=True))
+                row[j] = _exact_div_strict(num, prev) if r else num
+        prev = top[c]
         r += 1
         if r == rows:
             break
@@ -138,7 +152,7 @@ def _bareiss(M, det=False):
 def det_laurent(M):
     """Bareiss determinant of a square LaurentPoly matrix."""
     if not M:
-        raise ValueError("determinant of an empty matrix")
+        raise ArithmeticError("internal: determinant of an empty matrix")
     rank, pivot = _bareiss(M, det=True)
     if rank < len(M):
         return LaurentPoly.zero(pivot.ring, pivot.nvars)

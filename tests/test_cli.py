@@ -512,6 +512,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
     broken.write_text('{"vertices": 2,')
     rc, out, err = run(capsys, "wraag", "--graph", str(broken))
     assert (rc, out) == (2, "") and err.startswith(f"error: {broken} is not valid JSON: ")
+    # the library constructors' checks, reached through a document
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({
+        "name": "dup", "presentation": {"generators": ["a", "a"], "relators": ["a a"]},
+        "representations": {}}))
+    assert run(capsys, "alexander", str(dup), "--rep", "trivial") == (
+        2, "", "error: duplicate generator names\n")
+    rect = tmp_path / "rect.json"
+    rect.write_text(json.dumps({
+        "name": "rect", "presentation": {"generators": ["a"], "relators": ["a a"]},
+        "representations": {"bad": {"ring": "Z", "matrices": {"a": [[1, 0]]}}}}))
+    assert run(capsys, "alexander", str(rect), "--rep", "bad") == (
+        2, "", "error: representation matrices must be square\n")
 
 
 def readme_examples():

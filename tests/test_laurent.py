@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from troplex.laurent import (
     LaurentPoly, render, is_unit, canonical_associate, exact_div,
     laurent_gcd, gcd_list, squarefree_part, partial_derivative,
-    initial_form_valued, reduce_mod_p, coefficient_primes,
+    initial_form_valued, reduce_mod_p, coefficient_primes, _exact_div_strict,
 )
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 
@@ -18,14 +18,35 @@ def P(terms, ring=ZZ, nvars=2):
 
 QUADRIC = P({(0, 0): 1, (1, 0): -2, (2, 0): 1, (0, 2): -3})
 
+# every coefficient ring, with nvars 0 (phi of rank 0) to 3
+KERNEL_CASES = [(ring, nvars) for ring in (ZZ, QQ, GF(2), GF(3)) for nvars in range(4)]
+
 
 def random_poly(rng, ring=ZZ, nvars=2, max_terms=4, span=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(-span, span) for _ in range(nvars))
         c = rng.choice([-3, -2, -1, 1, 2, 3])
+        if ring.kind == "Q":
+            c = Fraction(c, rng.randint(1, 3))
         terms[e] = terms.get(e, 0) + c
     return LaurentPoly(ring, nvars, {e: c for e, c in terms.items() if c})
+
+
+def assert_normal(f):
+    """f is what the public constructor builds from its own terms: no zero
+    coefficient, a residue in [0, p) over F_p, and a Fraction over Q."""
+    assert f == LaurentPoly(f.ring, f.nvars, f.terms)
+    kind = Fraction if f.ring.kind == "Q" else int
+    assert all(type(c) is kind for c in f.terms.values())
+
+
+class Pairs(list):
+    """(exponents, coefficient) pairs passed as terms: unlike a dict they
+    can hold a list as an exponent."""
+
+    def items(self):
+        return iter(self)
 
 
 def test_constructor_cleans_zeros():
@@ -36,14 +57,44 @@ def test_constructor_cleans_zeros():
         P({(0,): 1})  # wrong exponent length
 
 
+def test_constructor_checks_and_normalizes():
+    with pytest.raises(ValueError, match="nvars must be >= 0"):
+        LaurentPoly(ZZ, -1)
+    with pytest.raises(ValueError, match="wrong length"):
+        P({(0, 0, 0): 1})
+    with pytest.raises(ValueError, match="duplicate exponent tuple"):
+        P(Pairs([([1, 0], 1), ((1, 0), 2)]))
+    with pytest.raises(ValueError, match="not an element of Z"):
+        P({(0, 0): 1.5})
+    assert P(Pairs([([1, 0], 1)])).terms == {(1, 0): 1}
+    q = LaurentPoly(QQ, 1, {(0,): 2, (1,): Fraction(1, 2)})
+    assert q.terms == {(0,): 2, (1,): Fraction(1, 2)}
+    assert_normal(q)
+    assert LaurentPoly(GF(3), 1, {(0,): 7, (1,): -1, (2,): 3}).terms == {(0,): 1, (1,): 2}
+
+
+def test_constant_value():
+    assert LaurentPoly.constant(QQ, 2, 3).constant_value() == 3
+    assert LaurentPoly.zero(GF(3), 0).constant_value() == 0
+    # only the gcd recursion asks, and only for constants: an internal error
+    with pytest.raises(ArithmeticError, match="not a constant polynomial"):
+        QUADRIC.constant_value()
+
+
 def test_arithmetic_ring_axioms():
     rng = random.Random(23)
-    for _ in range(25):
-        f, g, h = (random_poly(rng) for _ in range(3))
-        assert (f + g) * h == f * h + g * h
-        assert f * g == g * f
-        assert f - f == LaurentPoly.zero(ZZ, 2)
-        assert f * LaurentPoly.one(ZZ, 2) == f
+    for ring, nvars in KERNEL_CASES:
+        zero, one = LaurentPoly.zero(ring, nvars), LaurentPoly.one(ring, nvars)
+        for _ in range(25):
+            f, g, h = (random_poly(rng, ring, nvars) for _ in range(3))
+            assert (f + g) * h == f * h + g * h
+            assert f * g == g * f
+            assert f - f == zero
+            assert f * one == f
+            u = tuple(rng.randint(-2, 2) for _ in range(nvars))
+            assert f.shift(u).shift(tuple(-x for x in u)) == f
+            for result in (f * g, f + g, f - g, -f, f * ring.from_int(2), f.shift(u)):
+                assert_normal(result)
 
 
 def test_pow_and_shift():
@@ -53,6 +104,8 @@ def test_pow_and_shift():
     assert f ** 0 == LaurentPoly.one(ZZ, 2)
     assert t1 ** -3 == LaurentPoly.monomial(ZZ, 2, (-3, 0), 1)
     assert f.shift((1, 2)).terms == {(2, 2): 1, (1, 2): 1}
+    with pytest.raises(ValueError, match="wrong length"):
+        f.shift((1,))
     with pytest.raises(ValueError):
         f ** -1  # negative powers only for monomials
 
@@ -106,18 +159,66 @@ def test_canonical_associate_properties():
         assert canonical_associate(f * u) == c
 
 
-def test_exact_div():
+def test_exact_div(deadline):
     rng = random.Random(31)
-    for _ in range(30):
-        f, g = random_poly(rng), random_poly(rng)
-        if g.is_zero:
-            continue
-        q = exact_div(f * g, g)
-        assert q == f
+    for ring, nvars in KERNEL_CASES:
+        for _ in range(30):
+            f, g = random_poly(rng, ring, nvars), random_poly(rng, ring, nvars)
+            if g.is_zero:
+                continue
+            q = exact_div(f * g, g)
+            assert q == f
+            assert_normal(q)
     t1 = LaurentPoly.var(ZZ, 2, 0)
-    assert exact_div(t1 + 1, t1 - 1) is None
-    assert exact_div(t1 + 1, LaurentPoly.constant(ZZ, 2, 2)) is None  # content blocks
-    assert exact_div((t1 + 1) * 2, LaurentPoly.constant(ZZ, 2, 2)) == t1 + 1
+    one = LaurentPoly.one(ZZ, 2)
+    # without the bound on the quotient's exponents the long division of an
+    # inexact pair would go on through t1^-1, t1^-2, ... for ever
+    with deadline(10):
+        assert exact_div(t1 + 1, t1 - 1) is None
+        assert exact_div(t1 + 1, LaurentPoly.constant(ZZ, 2, 2)) is None  # content blocks
+        assert exact_div((t1 + 1) * 2, LaurentPoly.constant(ZZ, 2, 2)) == t1 + 1
+        # inexact only by an exponent
+        assert exact_div(one, t1 + 1) is None
+        assert exact_div(t1 * t1 + 1, t1 + 1) is None
+        with pytest.raises(ArithmeticError, match="division expected to be exact"):
+            _exact_div_strict(one, t1 + 1)
+
+
+def sympy_divides(sympy, f, g):
+    """g | f by sympy on the polynomial parts: a monomial shift is a unit
+    of the Laurent ring and no variable divides a polynomial part."""
+    n = max(f.nvars, 1)
+    xs = sympy.symbols(f"x0:{n}")
+    domain = {"Z": sympy.ZZ, "Q": sympy.QQ}.get(f.ring.kind) or sympy.GF(f.ring.p)
+
+    def poly(h):
+        h = h.shift(tuple(-m for m in h.min_exponents()))
+        terms = {e + (0,) * (n - h.nvars): sympy.Rational(c.numerator, c.denominator)
+                 for e, c in h.terms.items()}
+        return sympy.Poly.from_dict(terms, *xs, domain=domain)
+
+    return poly(f).rem(poly(g), auto=False).is_zero
+
+
+def test_exact_div_decides_divisibility_like_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    for ring, nvars in KERNEL_CASES:
+        t = LaurentPoly.var(ring, nvars, nvars - 1) if nvars else None
+        for _ in range(8):
+            f, g = (random_poly(rng, ring, nvars, max_terms=3, span=2) for _ in range(2))
+            if g.is_zero:
+                continue
+            pairs = [(f, g), (f * g, g)]
+            if t is not None:
+                pairs += [(f * g, g * (t + 1)), (LaurentPoly.one(ring, nvars), t + 1),
+                          (f * g * t ** -2, g * t)]
+            for a, b in pairs:
+                q = exact_div(a, b)
+                assert (q is not None) == sympy_divides(sympy, a, b), (a, b)
+                if q is not None:
+                    assert q * b == a
+                    assert_normal(q)
 
 
 def test_gcd_divisibility_and_idempotence():
@@ -155,7 +256,8 @@ def test_gcd_list():
     one = LaurentPoly.one(ZZ, 2)
     polys = [(t1 - one) * (t1 + one), (t1 - one) * 3, (t1 - one) ** 2]
     assert gcd_list(polys) == canonical_associate(t1 - one)
-    with pytest.raises(ValueError):
+    # no caller passes an empty list: an internal error, not bad input
+    with pytest.raises(ArithmeticError, match="gcd of an empty list"):
         gcd_list([])
 
 

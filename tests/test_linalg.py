@@ -120,6 +120,9 @@ def test_laurent_matrix_ops():
     # det via cofactors agrees with the hand expansion ad - bc
     C = [[t1, t2], [one, t1 + t2]]
     assert det_laurent(C) == t1 * (t1 + t2) - t2 * one
+    # every caller passes a nonempty matrix: an internal error, not bad input
+    with pytest.raises(ArithmeticError, match="determinant of an empty matrix"):
+        det_laurent([])
 
 
 def test_smith_normal_form_fixed():
@@ -180,7 +183,7 @@ def test_smith_normal_form_matches_determinantal_divisors(deadline):
 
 # -- the two elimination loops against independent oracles ----------------
 
-LAURENT_RINGS = (ZZ, GF(2), GF(3))
+LAURENT_RINGS = (ZZ, QQ, GF(2), GF(3))
 
 
 def leibniz(M):
@@ -235,7 +238,12 @@ def check_laurent_elimination(M):
     assert rank_laurent(M) == minor_rank(M)
     n = min(len(M), len(M[0]))
     square = [row[:n] for row in M[:n]]
-    assert det_laurent(square) == leibniz(square)
+    det = det_laurent(square)
+    assert det == leibniz(square)
+    # in the public constructor's normal form, a Fraction over Q included
+    assert det == LaurentPoly(det.ring, det.nvars, det.terms)
+    assert all(type(c) is (Fraction if det.ring.kind == "Q" else int)
+               for c in det.terms.values())
 
 
 def test_laurent_elimination_matches_leibniz_seeded():
@@ -247,7 +255,7 @@ def test_laurent_elimination_matches_leibniz_seeded():
              for _ in range(rng.randint(0, 2))]
             for _ in range(rows * cols)
         ]
-        M = laurent_matrix(rng.choice(LAURENT_RINGS), rng.randint(1, 2), rows, cols,
+        M = laurent_matrix(rng.choice(LAURENT_RINGS), rng.randint(0, 2), rows, cols,
                            entries, rng.choice((None, "column", "rows")))
         check_laurent_elimination(M)
 
@@ -263,9 +271,14 @@ def test_det_stops_at_the_first_column_without_pivot(monkeypatch):
                         lambda f, g: divisions.append(g) or real(f, g))
     t = LaurentPoly.var(ZZ, 1, 0)
     zero = LaurentPoly.zero(ZZ, 1)
-    M = [[zero, t, t], [zero, t, t + 1], [zero, t * t, t]]
+    one = LaurentPoly.one(ZZ, 1)
+    # 4x4: past the zero column, the first pivot step divides by the
+    # constant 1 and is skipped, so only the second step's divisions by the
+    # pivot t show whether elimination went on
+    M = [[zero, t, t, one], [zero, t, t + 1, one], [zero, t * t, t, one],
+         [zero, one, one, t]]
     assert det_laurent(M) == zero and not divisions
-    assert rank_laurent(M) == 2 and divisions
+    assert rank_laurent(M) == 3 and divisions == [t, t]
 
 
 laurent_terms = st.lists(
@@ -275,7 +288,7 @@ laurent_terms = st.lists(
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(LAURENT_RINGS), st.integers(1, 2), st.integers(1, 4),
+@given(st.sampled_from(LAURENT_RINGS), st.integers(0, 2), st.integers(1, 4),
        st.integers(1, 5), st.lists(laurent_terms, min_size=20, max_size=20),
        st.sampled_from((None, "column", "rows")))
 def test_laurent_elimination_matches_leibniz_property(ring, nvars, rows, cols, entries,
