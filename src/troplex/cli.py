@@ -11,6 +11,7 @@ a tool killed by a closed pipe; nothing is printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -306,7 +307,10 @@ def cmd_product(args):
     return _emit_document(presentation_document(name, pres), args.output)
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: building it costs more than most
+    jobs, and parse_args leaves it unchanged, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="troplex",
         description="Exact twisted Alexander invariants and their tropicalizations.",
@@ -397,8 +401,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

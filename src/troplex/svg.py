@@ -2,8 +2,9 @@
 
 The one place floating point is allowed: everything upstream is exact,
 and these pictures are presentation only.  Layout: the plane with axes,
-cells drawn on top (2-cells shaded, then rays/segments, then vertex
-dots), and the unit circle with the cells' sphere arcs stroked on it.
+cells drawn on top (2-cells shaded, then rays/segments; a planar
+complex has no vertex cells), and the unit circle with the cells' sphere
+arcs stroked on it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,7 @@ def _unit(v):
 
 
 def _draw_cell(canvas, c, far):
-    if c.kind == "vertex":
-        x, y = canvas.xy(c.base)
-        canvas.add(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#1f3b73"/>')
-    elif c.kind == "segment":
+    if c.kind == "segment":
         x1, y1 = canvas.xy(c.base)
         x2, y2 = canvas.xy(c.end)
         canvas.add(
@@ -143,7 +141,7 @@ def render_svg(T, title=""):
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
         'stroke="#cccccc" stroke-width="1"/>'
     )
-    order = {"cone2": 0, "segment": 1, "ray": 2, "vertex": 3}
+    order = {"cone2": 0, "segment": 1, "ray": 2}
     for c in sorted(T.cells, key=lambda c: order[c.kind]):
         _draw_cell(canvas, c, far)
     cx = cy = _W / 2

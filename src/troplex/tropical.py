@@ -8,8 +8,8 @@ Three flavors:
   that the term heights v(a_u) induce: its cells are dual to the
   subdivision's edges (Maclagan-Sturmfels, Introduction to Tropical
   Geometry, Prop. 3.1.6).  Each edge's tie line is clipped by the other
-  terms' inequalities; every cell is a rational point, segment, ray, or (as
-  two rays) a line.
+  terms' inequalities; every cell is a rational segment, ray, or (as two
+  rays) a line, and in one variable a rational point.
 * trop_Z_principal(f): the integer-coefficient version {chi :
   init_chi(f) is not +-monomial}, read off the Newton polytope's normal
   fan: edge normals always contribute rays, vertex cones contribute
@@ -27,16 +27,20 @@ The whole plane is the four quadrant cones of full_plane_complex; a unit
 monomial is the empty complex in any rank.
 
 Everything is exact: bases and endpoints are Fractions and directions are
-primitive integer vectors.  The membership predicates trop_contains and
-trop_Z_contains read initial forms and share no code with the cell
-enumeration; the tests hold the cell-side membership test that checks
-the two against each other.
+primitive integer vectors.  Inside, the corner locus is integer
+arithmetic: a valuation of a nonzero scalar is an integer, so term
+heights are ints, tie-line bounds are integer pairs compared by
+cross-multiplication, and minimal terms are found over a common
+denominator; only the cells' coordinates are made Fractions.  The
+membership predicates trop_contains and trop_Z_contains read initial
+forms and share no code with the cell enumeration; the tests hold the
+cell-side membership test that checks the two against each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .laurent import (
     coefficient_primes,
@@ -141,8 +145,11 @@ def full_plane_complex(nvars=2):
 
 
 def _term_heights(f, valuation):
+    """(exponent, height) per term.  The valuation of a nonzero scalar is
+    an integer, so every height is an int."""
     return [
-        (exps, valuate(valuation, c, f.ring)) for exps, c in sorted(f.terms.items())
+        (exps, int(valuate(valuation, c, f.ring)))
+        for exps, c in sorted(f.terms.items())
     ]
 
 
@@ -172,7 +179,7 @@ def _trop_line(f, items):
     """One vertex per edge of the lower chain of the points (exponent, height)."""
     chain = _lower_chain([(u[0], h) for u, h in items])
     points = sorted(
-        (h2 - h1) / (u1 - u2) for (u1, h1), (u2, h2) in zip(chain, chain[1:])
+        Fraction(h2 - h1, u1 - u2) for (u1, h1), (u2, h2) in zip(chain, chain[1:])
     )
     cells = [Cell("vertex", (x,)) for x in points]
     for c in cells:
@@ -181,7 +188,12 @@ def _trop_line(f, items):
 
 
 def _argmin_label(items, w):
-    vals = [(h + sum(e * x for e, x in zip(u, w)), u) for u, h in items]
+    """Exponents of the terms minimal at the rational point w.  Each value
+    h + u.w is compared as h*D + u.(D*w), an integer, with D the common
+    denominator of w's coordinates."""
+    D = lcm(*(x.denominator for x in w))
+    W = [x.numerator * (D // x.denominator) for x in w]
+    vals = [(h * D + sum(e * x for e, x in zip(u, W)), u) for u, h in items]
     best = min(v for v, _ in vals)
     return tuple(sorted(u for v, u in vals if v == best))
 
@@ -244,45 +256,50 @@ def _edge_chain(items, p, q):
 
 
 def _clip_tie_line(items, i, j, a, rhs):
-    """Cells of {w : a.w = rhs, term i minimal} as vertex/segment/rays."""
+    """Cells of {w : a.w = rhs, term i minimal}: a segment, a ray, or the
+    whole line as two rays; [] when terms i and j tie at one point at most.
+
+    The line is w = base + s*d, with base = rhs*a/N, N = a.a and d the
+    primitive direction normal to a.  Scaled by N, term k bounds s by
+    c0 + c1*s <= 0 with integers c0 = N*(h1 - h3) + rhs*(du.a) and
+    c1 = N*(du.d), du = u1 - u3.  A bound -c0/c1 is kept as the pair
+    (num, den), den > 0, and bounds compare by cross-multiplication, so
+    only the ends of the returned cell are Fractions.
+    """
     u1, h1 = items[i]
-    norm = Fraction(a[0] * a[0] + a[1] * a[1])
-    base = (rhs * a[0] / norm, rhs * a[1] / norm)
+    n = a[0] * a[0] + a[1] * a[1]
     d = normalize_dir((-a[1], a[0]))
     lo, hi = None, None  # None encodes the infinite end
-    feasible = True
     for k, (u3, h3) in enumerate(items):
-        if k in (i, j):
+        if k == i or k == j:
             continue
-        # (h1 + u1.w) <= (h3 + u3.w) along w = base + s*d
-        du = (u1[0] - u3[0], u1[1] - u3[1])
-        c0 = (h1 - h3) + du[0] * base[0] + du[1] * base[1]
-        c1 = du[0] * d[0] + du[1] * d[1]
-        if c1 == 0:
-            if c0 > 0:
-                feasible = False
-                break
-            continue
-        bound = -c0 / c1
-        if c1 > 0:
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    if not feasible:
-        return []
-    if lo is not None and hi is not None and lo > hi:
-        return []
-    at = lambda s: (base[0] + s * d[0], base[1] + s * d[1])
+        du0, du1 = u1[0] - u3[0], u1[1] - u3[1]
+        c0 = n * (h1 - h3) + rhs * (du0 * a[0] + du1 * a[1])
+        c1 = n * (du0 * d[0] + du1 * d[1])
+        if c1 > 0:  # s <= -c0/c1
+            if hi is None or -c0 * hi[1] < hi[0] * c1:
+                hi = (-c0, c1)
+        elif c1 < 0:  # s >= c0/-c1
+            if lo is None or c0 * lo[1] > lo[0] * -c1:
+                lo = (c0, -c1)
+        elif c0 > 0:
+            return []
+
+    def at(s):
+        num, den = s
+        return tuple(
+            Fraction(rhs * ax * den + num * n * dx, n * den) for ax, dx in zip(a, d)
+        )
+
     if lo is not None and hi is not None:
-        if lo == hi:
-            return [Cell("vertex", at(lo))]
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
+            return []
         return [Cell("segment", at(lo), end=at(hi))]
     if lo is not None:
         return [Cell("ray", at(lo), dir=d)]
     if hi is not None:
         return [Cell("ray", at(hi), dir=antipode(d))]
+    base = at((0, 1))
     return [Cell("ray", base, dir=d), Cell("ray", base, dir=antipode(d))]
 
 
@@ -417,10 +434,6 @@ def _short_arc(da, db):
 
 def _project_cell(c):
     origin = all(x == 0 for x in c.base)
-    if c.kind == "vertex":
-        if origin:
-            return SphereArcSet.empty()
-        return SphereArcSet.point(c.base)
     if c.kind == "segment":  # its two ends differ
         if origin:
             return SphereArcSet.point(c.end)

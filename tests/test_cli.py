@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import troplex
-from troplex.cli import main
+from troplex.cli import build_parser, main
 from troplex.jobspec import bundled_path, load_job
 
 EX = str(bundled_path("one_relator.json"))
@@ -599,3 +599,23 @@ def test_small_documents_exit_0_2_or_3(capsys, tmp_path, deadline, doc, valuatio
             rc, _, err = run(capsys, *argv)
         assert rc in (0, 2, 3), (argv, rc, err)
         assert "Traceback" not in err and "internal error:" not in err, (argv, err)
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    """main reuses one parser, and a call sees none of an earlier call's
+    repeatable options: the second call takes its valuations from the
+    document, and its one representation."""
+    doc = json.loads(Path(EX).read_text())
+    doc["valuations"] = ["trivial"]
+    path = tmp_path / "trivial_default.json"
+    path.write_text(json.dumps(doc))
+
+    def settings(out):
+        head = json_head(out)
+        return [(e["descriptor"], e["mode"]) for e in head["entries"] + head["excluded"]]
+
+    rc, out, _ = run(capsys, "bns-bound", str(path), "--rep", "s3", "--valuation", "Z")
+    assert rc == 0 and settings(out) == [("s3", "Z")]
+    rc, out, _ = run(capsys, "bns-bound", str(path), "--rep", "trivial")
+    assert rc == 0 and settings(out) == [("trivial", "trivial")]
+    assert build_parser() is build_parser()

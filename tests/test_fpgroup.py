@@ -179,6 +179,16 @@ def test_verify_representation_rejects():
     assert not verify_representation(pres, shear_swap)
 
 
+def test_presentation_and_representation_refusals():
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+            Presentation(ONEREL_NAMES, [(1, letter)])
+    with pytest.raises(ValueError, match="representation matrices must share one rank"):
+        Representation(ZZ, [[[1]], [[1, 0], [0, 1]]])
+    with pytest.raises(ValueError, match="a representation needs at least one generator"):
+        Representation(ZZ, [])
+
+
 def test_representation_word_image_is_multiplicative():
     job = onerel()
     rep = job.representation("s3")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from troplex.rings import (
-    ZZ, QQ, GF, INFINITY, TRIVIAL, padic, valuate, reduce_scalar,
+    ZZ, QQ, GF, INFINITY, TRIVIAL, Ring, Valuation, padic, valuate, reduce_scalar,
     ring_from_tag, is_prime, prime_factors, padic_valuation,
 )
 
@@ -111,6 +111,15 @@ def test_reduce_scalar():
     assert reduce_scalar(Fraction(1, 2), 3, QQ) == 2
     with pytest.raises(ValueError):
         reduce_scalar(Fraction(1, 3), 3, QQ)
+    with pytest.raises(ValueError, match="4 is not a prime"):
+        reduce_scalar(7, 4)
+
+
+def test_unknown_ring_and_valuation_kinds():
+    with pytest.raises(ValueError, match="unknown ring kind 'R'"):
+        Ring("R")
+    with pytest.raises(ValueError, match="unknown valuation kind 'archimedean'"):
+        Valuation("archimedean")
 
 
 def test_prime_helpers():

@@ -3,30 +3,80 @@
 The oracle is the enumeration the walk replaced: it clips the tie line of
 every pair of terms against every term, O(n^3) exact operations, so it runs
 only here, on small polynomials.  Unlike the walk, it clips pieces of one
-cell from several pairs, so it drops every cell that lies inside another.  Both sides are compared through the TSV
-rows the CLI prints, which carry every cell's geometry and label.
+cell from several pairs, so it drops every cell that lies inside another.
+It shares no arithmetic with the walk: its heights, tie-line clipping and
+minimal-term labels are the Fraction versions below, where the walk works
+in integers.  Both sides are compared through the TSV rows the CLI prints,
+which carry every cell's geometry and label.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cell_contains
 from troplex import tropical
 from troplex.cli import _tsv_rows
 from troplex.laurent import LaurentPoly
-from troplex.rings import GF, QQ, TRIVIAL, ZZ, padic
+from troplex.rings import GF, QQ, TRIVIAL, ZZ, padic, valuate
+from troplex.sphere import antipode, normalize_dir
 from troplex.tropical import (
     Cell,
     TropicalComplex,
-    _argmin_label,
-    _clip_tie_line,
     _convex_hull,
     _dedupe_cells,
-    _term_heights,
     trop_hypersurface,
 )
+
+
+def term_heights(f, valuation):
+    return [(u, valuate(valuation, c, f.ring)) for u, c in sorted(f.terms.items())]
+
+
+def argmin_label(items, w):
+    vals = [(h + sum(e * x for e, x in zip(u, w)), u) for u, h in items]
+    best = min(v for v, _ in vals)
+    return tuple(sorted(u for v, u in vals if v == best))
+
+
+def clip_tie_line(items, i, j, a, rhs):
+    """Cells of {w : a.w = rhs, term i minimal} as vertex/segment/rays."""
+    u1, h1 = items[i]
+    norm = Fraction(a[0] * a[0] + a[1] * a[1])
+    base = (rhs * a[0] / norm, rhs * a[1] / norm)
+    d = normalize_dir((-a[1], a[0]))
+    lo, hi = None, None  # None encodes the infinite end
+    for k, (u3, h3) in enumerate(items):
+        if k in (i, j):
+            continue
+        # (h1 + u1.w) <= (h3 + u3.w) along w = base + s*d
+        du = (u1[0] - u3[0], u1[1] - u3[1])
+        c0 = (h1 - h3) + du[0] * base[0] + du[1] * base[1]
+        c1 = du[0] * d[0] + du[1] * d[1]
+        if c1 == 0:
+            if c0 > 0:
+                return []
+            continue
+        bound = -c0 / c1
+        if c1 > 0:
+            if hi is None or bound < hi:
+                hi = bound
+        elif lo is None or bound > lo:
+            lo = bound
+    at = lambda s: (base[0] + s * d[0], base[1] + s * d[1])
+    if lo is not None and hi is not None:
+        if lo > hi:
+            return []
+        if lo == hi:
+            return [Cell("vertex", at(lo))]
+        return [Cell("segment", at(lo), end=at(hi))]
+    if lo is not None:
+        return [Cell("ray", at(lo), dir=d)]
+    if hi is not None:
+        return [Cell("ray", at(hi), dir=antipode(d))]
+    return [Cell("ray", base, dir=d), Cell("ray", base, dir=antipode(d))]
 
 
 def _pair_enum_line(items):
@@ -39,13 +89,13 @@ def _pair_enum_line(items):
             du = u1[0] - u2[0]
             if du == 0:
                 continue
-            x = (h2 - h1) / du
+            x = (h2 - h1) / du  # Fraction heights: an exact rational
             value = h1 + u1[0] * x
             if all(value <= h + u[0] * x for u, h in items):
                 points.add(x)
     cells = [Cell("vertex", (x,)) for x in sorted(points)]
     for c in cells:
-        c.label = _argmin_label(items, c.base)
+        c.label = argmin_label(items, c.base)
     return TropicalComplex(1, cells)
 
 
@@ -73,16 +123,16 @@ def _pair_enum_plane(items):
             a = (u1[0] - u2[0], u1[1] - u2[1])
             if a == (0, 0):
                 continue
-            raw.extend(_clip_tie_line(items, i, j, a, Fraction(h2 - h1)))
+            raw.extend(clip_tie_line(items, i, j, a, h2 - h1))
     cells = _dedupe_cells(raw)
     cells = [c for c in cells if not any(d is not c and _cell_subsumed(c, d) for d in cells)]
     for c in cells:
-        c.label = _argmin_label(items, c.interior_point())
+        c.label = argmin_label(items, c.interior_point())
     return TropicalComplex(2, cells)
 
 
 def oracle_hypersurface(f, valuation):
-    items = _term_heights(f, valuation)
+    items = term_heights(f, valuation)
     if len(items) == 1:
         return TropicalComplex(f.nvars, [])
     if f.nvars == 1:
@@ -166,6 +216,17 @@ def test_walk_matches_on_coplanar_and_collinear_lifts():
     assert_walk_matches(line, padic(2))
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_rank_1_vertex_is_an_exact_fraction(degree):
+    """2 + t1^k under the 2-adic valuation: integer heights 1 and 0 give one
+    vertex at 1/k, a Fraction (int / int would give the float 0.333...)."""
+    f = LaurentPoly(ZZ, 1, {(0,): 2, (degree,): 1})
+    (c,) = trop_hypersurface(f, padic(2)).cells
+    assert (c.kind, c.base, c.label) == ("vertex", (Fraction(1, degree),), ((0,), (degree,)))
+    assert type(c.base[0]) is Fraction
+    assert_walk_matches(f, padic(2))
+
+
 @st.composite
 def polynomials(draw):
     setting = draw(st.integers(0, len(SETTINGS) - 1))
@@ -203,9 +264,11 @@ def test_clip_count_is_linear_in_the_cells(monkeypatch):
     f = LaurentPoly(QQ, 2, terms)
     calls = []
 
+    clip = tropical._clip_tie_line
+
     def counting(*args):
         calls.append(args[1:3])
-        return _clip_tie_line(*args)
+        return clip(*args)
 
     monkeypatch.setattr(tropical, "_clip_tie_line", counting)
     T = trop_hypersurface(f, padic(2))
