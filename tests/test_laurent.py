@@ -318,6 +318,12 @@ def test_initial_form_valued_padic():
     assert set(init.terms) == {(0, 0), (1, 0), (2, 0), (0, 2)}
     init = initial_form_valued(f, (0, 0), padic(3))
     assert set(init.terms) == {(0, 0), (1, 0), (2, 0)}
+    with pytest.raises(ValueError, match="initial form of the zero polynomial"):
+        initial_form_valued(LaurentPoly(QQ, 2, {}), (0, 0), padic(3))
+    with pytest.raises(ValueError, match="weight vector has wrong length"):
+        initial_form_valued(f, (0,), padic(3))
+    with pytest.raises(ValueError, match="valuation/ring mismatch"):
+        initial_form_valued(reduce_mod_p(QUADRIC, 2), (0, 0), padic(3))
 
 
 def test_initial_form_chi():
