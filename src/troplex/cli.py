@@ -419,7 +419,3 @@ def main(argv=None):
     except (ArithmeticError, AssertionError) as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

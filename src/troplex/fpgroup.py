@@ -428,8 +428,9 @@ def regular_representation(pres, perms, ring=ZZ):
         raise ValueError("need one permutation per generator")
     perms = [tuple(p) for p in perms]
     degree = len(perms[0])
-    if any(sorted(p) != list(range(degree)) for p in perms):
-        raise ValueError("not a permutation (0-based images expected)")
+    for p in perms:
+        if sorted(p) != list(range(degree)):
+            raise ValueError(f"{list(p)} is not a permutation of 0..{degree - 1}")
     inv = {i + 1: perms[i] for i in range(len(perms))}
     for i, p in enumerate(perms):
         inv[-(i + 1)] = _perm_inv(p)

@@ -115,15 +115,7 @@ class RepSpec:
             return rep
         blk = self.block["permutations"]
         blocks = _per_generator(blk, pres.names, owner, "permutation", "permutations")
-        perms = [tuple(b) for b in blocks]
-        deg = len(perms[0])
-        for p in perms:
-            if sorted(p) != list(range(deg)):
-                raise JobError(
-                    f"representation {self.name!r}: {list(p)} is not a "
-                    f"permutation of 0..{deg - 1}"
-                )
-        return fpgroup.regular_representation(pres, perms, ring=ring)
+        return fpgroup.regular_representation(pres, blocks, ring=ring)
 
 
 class JobSpec:
@@ -144,9 +136,6 @@ class JobSpec:
         }
         self.phi_blocks = doc.get("phis", {})
         self.valuations = doc.get("valuations", [])
-
-    def __eq__(self, other):
-        return isinstance(other, JobSpec) and self.doc == other.doc
 
     def representation(self, name):
         if name not in self.rep_specs:

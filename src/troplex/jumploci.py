@@ -371,7 +371,8 @@ def novikov_admissible(rep, valuation, check_finite_image=False):
     for mat in rep.mats + rep.invs:
         for row in mat:
             for x in row:
-                val = valuate(valuation, x, ring)
+                # a zero entry's valuation is infinite, never negative
+                val = valuate(valuation, x, ring) if x else 0
                 if val < 0:
                     return NovikovVerdict(
                         False, reason=f"entry valuation {val} < 0"

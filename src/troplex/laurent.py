@@ -166,8 +166,6 @@ class LaurentPoly:
         return tuple(max(col) for col in cols)
 
     def degree_in(self, i):
-        if self.is_zero:
-            return -1
         return max(e[i] for e in self.terms)
 
     def constant_value(self):
@@ -212,9 +210,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.constant(self.ring, self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         R = self.ring
@@ -456,8 +451,6 @@ def _pseudo_rem(A, B, x):
     """prem(A, B) in variable x with the deterministic lc(B)^(dA-dB+1) scaling."""
     lB, dB = _lc_deg(B, x)
     dA = A.degree_in(x)
-    if dB < 0:
-        raise ZeroDivisionError("pseudo-remainder by zero")
     steps = 0
     rem = A
     while not rem.is_zero and rem.degree_in(x) >= dB:

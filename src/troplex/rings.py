@@ -2,8 +2,8 @@
 
 Values are plain Python objects tagged by the Ring they live in:
 ``int`` for Z, ``fractions.Fraction`` for Q, and canonical residues in
-``[0, p)`` (as ``int``) for F_p.  No floats appear anywhere; valuations
-return exact integers/rationals plus the distinguished ``INFINITY``.
+``[0, p)`` (as ``int``) for F_p.  No floats appear anywhere; the
+valuation of a nonzero scalar is an ``int``.
 """
 
 from __future__ import annotations
@@ -13,35 +13,6 @@ import math
 from fractions import Fraction
 
 _WORD_MAX = 2**62
-
-
-class _Infinity:
-    """Valuation of zero: compares above every rational, absorbs addition."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INFINITY
-
-    def __gt__(self, other):
-        return other is not INFINITY
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "oo"
-
-
-INFINITY = _Infinity()
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -267,7 +238,7 @@ def ring_from_tag(tag):
 def padic_valuation(n, p):
     """v_p of a nonzero integer."""
     if n == 0:
-        raise ValueError("p-adic valuation of 0 is INFINITY; handled by caller")
+        raise ValueError("p-adic valuation of 0")
     v = 0
     while n % p == 0:
         n //= p
@@ -276,11 +247,8 @@ def padic_valuation(n, p):
 
 
 class Valuation:
-    """The trivial valuation, or the p-adic valuation on Z/Q.
-
-    ``valuate`` returns an exact ``Fraction`` (integer-valued for p-adic
-    on Q) or ``INFINITY`` for 0.
-    """
+    """The trivial valuation, or the p-adic valuation on Z/Q; ``valuate``
+    applies one to a nonzero scalar."""
 
     __slots__ = ("kind", "p")
 
@@ -321,25 +289,26 @@ def padic(p):
 
 
 def valuate(v, a, ring=QQ):
-    """Exact valuation of a scalar in the given ring.
+    """Valuation of a nonzero scalar in the given ring, an int.
 
-    Trivial: 0 for nonzero, INFINITY for 0.  p-adic on Z/Q: the usual
-    v_p(num) - v_p(den).  p-adic on a prime field is a mismatch error.
+    Trivial: 0.  p-adic on Z/Q: the usual v_p(num) - v_p(den).  Zero,
+    whose valuation is infinite, is refused, and so is a p-adic valuation
+    on a prime-field scalar.
     """
     a = ring.check(a)
     if not v.compatible_with(ring):
         raise ValueError("valuation/ring mismatch: p-adic valuation on a prime-field scalar")
     if a == 0:
-        return INFINITY
+        raise ValueError("the valuation of 0 is infinite")
     if v.kind == "trivial":
-        return Fraction(0)
+        return 0
     if ring.kind == "Z":
-        return Fraction(padic_valuation(a, v.p))
+        return padic_valuation(a, v.p)
     num, den = a.numerator, a.denominator
     val = padic_valuation(num, v.p) if num % v.p == 0 else 0
     if den % v.p == 0:
         val -= padic_valuation(den, v.p)
-    return Fraction(val)
+    return val
 
 
 def reduce_scalar(a, p, ring=ZZ):

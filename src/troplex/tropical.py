@@ -87,15 +87,10 @@ class Cell:
         return f"<cone2 {_fmt_pt(self.base)} dirs {self.dir}, {self.dir2}>"
 
     def interior_point(self):
-        if self.kind == "vertex":
-            return self.base
+        """A point inside a segment or a ray, the kinds the walk labels."""
         if self.kind == "segment":
             return tuple((a + b) / 2 for a, b in zip(self.base, self.end))
-        if self.kind == "ray":
-            return tuple(a + d for a, d in zip(self.base, self.dir))
-        return tuple(
-            a + d1 + d2 for a, d1, d2 in zip(self.base, self.dir, self.dir2)
-        )
+        return tuple(a + d for a, d in zip(self.base, self.dir))
 
 
 def _fmt_pt(p):
@@ -148,7 +143,7 @@ def _term_heights(f, valuation):
     """(exponent, height) per term.  The valuation of a nonzero scalar is
     an integer, so every height is an int."""
     return [
-        (exps, int(valuate(valuation, c, f.ring)))
+        (exps, valuate(valuation, c, f.ring))
         for exps, c in sorted(f.terms.items())
     ]
 
@@ -448,9 +443,9 @@ def _project_cell(c):
         return _short_arc(normalize_dir(c.base), du)
     # cone2: emitted with apex at the origin by construction
     if not origin:
-        raise ValueError("cone2 cells are expected to have their apex at 0")
+        raise ArithmeticError("internal: cone2 cells are expected to have their apex at 0")
     if same_dir(c.dir, antipode(c.dir2)):
-        raise ValueError("cone2 spanning a half plane should be split")
+        raise ArithmeticError("internal: cone2 spanning a half plane should be split")
     return SphereArcSet.arc(c.dir, c.dir2)
 
 
@@ -465,13 +460,9 @@ def sphere_projection(T):
 
 
 class ValuationEntry:
-    def __init__(self, label, combined, arcs):
+    def __init__(self, label, arcs):
         self.label = label
-        self.combined = combined  # TropicalComplex of the polynomial
         self.arcs = arcs
-
-    def __repr__(self):
-        return f"<ValuationEntry {self.label}: {self.combined!r}>"
 
 
 class ValuationUnionReport:
@@ -510,7 +501,6 @@ def union_over_valuations(gens):
     entries = []
     for label, val, red in settings:
         g = f if red is None else reduce_mod_p(f, red)
-        combined = tropicalize(g, val)
-        entries.append(ValuationEntry(label, combined, sphere_projection(combined)))
+        entries.append(ValuationEntry(label, sphere_projection(tropicalize(g, val))))
     sphere_union = union_all(e.arcs for e in entries)
     return ValuationUnionReport(primes, entries, sphere_union)

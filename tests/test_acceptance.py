@@ -29,7 +29,7 @@ from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 from troplex.sphere import SphereArcSet
 from troplex.tropical import (
     union_over_valuations, sphere_projection, trop_contains, trop_hypersurface,
-    trop_Z_contains, trop_Z_principal,
+    trop_Z_contains, trop_Z_principal, tropicalize,
 )
 
 
@@ -176,8 +176,15 @@ def test_criterion_5_five_valuation_union():
 
     w = (1, -1)
     assert trop_Z_contains(QUADRIC, w)
-    for e in rp.entries:
-        assert not complex_contains(e.combined, w), e.label
+    settings = [("trivial over Q", QUADRIC, TRIVIAL)]
+    for p in rp.primes:
+        settings += [(f"{p}-adic over Q", QUADRIC, padic(p)),
+                     (f"trivial over F_{p}", reduce_mod_p(QUADRIC, p), TRIVIAL)]
+    assert [label for label, _, _ in settings] == [e.label for e in rp.entries]
+    for (label, f, valuation), e in zip(settings, rp.entries):
+        T = tropicalize(f, valuation)
+        assert e.arcs == sphere_projection(T), label
+        assert not complex_contains(T, w), label
     report(5, "union over five valuations equals the integral sphere set; "
               "(1,-1) is integral-only before projection")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import troplex
 from troplex.cli import build_parser, main
 from troplex.jobspec import bundled_path, load_job
+from troplex.tropical import Cell, TropicalComplex
 
 EX = str(bundled_path("one_relator.json"))
 ORB = str(bundled_path("orbifold_g2.json"))
@@ -488,6 +490,48 @@ def test_internal_errors_exit_5(capsys, monkeypatch, error):
     assert rc == 5 and out == ""
     assert err == f"internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", [
+    Cell("cone2", (1, 0), dir=(1, 0), dir2=(0, 1)),  # apex off the origin
+    Cell("cone2", (0, 0), dir=(1, 0), dir2=(-1, 0)),  # a half plane, unsplit
+])
+def test_malformed_cone2_is_an_internal_error(capsys, monkeypatch, cell):
+    monkeypatch.setattr("troplex.bnsreport.tropicalize",
+                        lambda f, mode: TropicalComplex(2, [cell]))
+    rc, out, err = run(capsys, "bns-bound", EX, "--rep", "s3", "--valuation", "Z")
+    assert rc == 5 and out == ""
+    assert err.startswith("internal error: ArithmeticError: internal: cone2 ")
+
+
+def test_python_dash_m_troplex_runs_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["troplex", "alexander", EX, "--rep", "trivial"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("troplex", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "1 - t1\n"
+
+
+def test_alexander_of_a_free_group_at_phi_of_rank_0(capsys, tmp_path):
+    """F_1 at phi of rank 0 and a trivial rep: d2 is the empty matrix, whose
+    determinantal divisor is 1."""
+    path = tmp_path / "free1.json"
+    path.write_text(json.dumps({
+        "presentation": {"generators": ["x"], "relators": []},
+        "phis": {"z": {"x": []}},
+        "representations": {"t": {"ring": "Q", "trivial": True}},
+    }))
+    assert run(capsys, "alexander", str(path), "--rep", "t", "--phi", "z") == (0, "1\n", "")
+
+
+def test_a_non_permutation_is_named(capsys, tmp_path):
+    doc = json.loads(Path(EX).read_text())
+    doc["representations"] = {
+        "p": {"ring": "Z", "permutations": {"x1": [0, 2, 1], "x2": [0, 0, 1]}}}
+    path = tmp_path / "notperm.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "alexander", str(path), "--rep", "p") == (
+        2, "", "error: [0, 0, 1] is not a permutation of 0..2\n")
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -8,6 +8,11 @@ count); a def or class in a class body counts only as an attribute
 (x.name), so that a local variable of the same name does not hide it.
 The tests are no caller: a helper or an option that only a test reaches
 belongs in that test.
+
+These checks read names only, and they skip dunders.  A dunder nothing
+calls and a branch nothing reaches are the line gate's job
+(tests/linegate.py): it fails on every line of src/troplex that the
+suite does not run.
 """
 
 import ast

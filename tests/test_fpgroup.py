@@ -44,6 +44,11 @@ def test_parse_and_render_words():
         parse_word("x3", ONEREL_NAMES)
 
 
+def test_zero_power_in_a_relator_drops_the_letter():
+    assert parse_word("x^0 y x^0", ["x", "y"]) == (2,)
+    assert parse_word("x^0", ["x", "y"]) == ()
+
+
 def test_parse_word_round_trip_random():
     rng = random.Random(13)
     for _ in range(40):
@@ -561,11 +566,26 @@ def test_regular_representation_s3():
 
 def test_regular_representation_validation(monkeypatch):
     pres = onerel().presentation
-    with pytest.raises(ValueError):
-        regular_representation(pres, [[1, 0], [0, 2]])  # not a permutation
+    with pytest.raises(ValueError, match=r"\[0, 2\] is not a permutation of 0..1"):
+        regular_representation(pres, [[1, 0], [0, 2]])
+    # two transpositions that do not commute, against the relator [x, y]
+    with pytest.raises(ValueError, match="permutations do not satisfy the relators"):
+        regular_representation(Presentation(["x", "y"], [commutator(1, 2)]),
+                               [[1, 0, 2], [0, 2, 1]])
     with pytest.raises(ValueError):
         regular_representation(pres, [[1, 0]])  # one permutation per generator
     monkeypatch.setenv("TROPLEX_MAX_QUOTIENT", "5")
     with pytest.raises(ValueError):
         # closure capped below the group order
         regular_representation(pres, [[1, 2, 0], [1, 0, 2]])
+
+
+def test_generator_counts_must_agree():
+    pres = Presentation(["x", "y"], [commutator(1, 2)])
+    one = Representation.trivial(ZZ, 1)
+    with pytest.raises(ValueError, match="generator count mismatch"):
+        verify_representation(pres, one)
+    with pytest.raises(ValueError, match="generator count mismatch"):
+        alexander_matrices(pres, one)
+    with pytest.raises(ValueError, match="need one name per vertex"):
+        build_weighted_raag(2, [(1, 2, 1)], names=["a"])

@@ -126,6 +126,10 @@ def test_matrix_rep_build_and_entry_parsing():
     }
     with pytest.raises(JobError, match="bad matrix entry"):
         JobSpec(doc).representation("m")
+    # the schema admits integers and strings only; a library caller gets
+    # the same refusal for anything else
+    with pytest.raises(JobError, match="bad matrix entry 0.5"):
+        jobspec._parse_entry(QQ, 0.5)
 
     doc["representations"] = {"m": {"ring": "Z", "matrices": {"x1": [[1]]}}}
     with pytest.raises(JobError, match="no matrix for generator 'x2'"):

@@ -410,3 +410,39 @@ def test_gcd_three_variables_matches_sympy_property(deadline, ring, data):
         assert exact_div(a, g) is not None and exact_div(b, g) is not None
         assert g == sympy_gcd(sympy, a, b)
         assert laurent_gcd(a * c, b * c) == canonical_associate(g * c)
+
+
+def test_truth_and_hash_follow_the_terms():
+    t = LaurentPoly.var(ZZ, 2, 0)
+    zero = LaurentPoly.zero(ZZ, 2)
+    assert not zero and t and not (t - t)
+    assert hash(t * t) == hash(t**2) and hash(t + 1) == hash(1 + t)
+    assert len({t * t, t**2, t + 1, 1 + t}) == 2
+    assert zero.min_exponents() == zero.max_exponents() == (0, 0)
+
+
+def test_refusals():
+    t = LaurentPoly.var(ZZ, 2, 0)
+    zero = LaurentPoly.zero(ZZ, 2)
+    with pytest.raises(ValueError, match="zero polynomial has no terms"):
+        zero.lex_min_exponent()
+    with pytest.raises(ValueError, match="ring mismatch: Z vs Q"):
+        t + LaurentPoly.var(QQ, 2, 0)
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        t * LaurentPoly.var(ZZ, 1, 0)
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+        exact_div(t, zero)
+    f2 = LaurentPoly.var(GF(2), 2, 0)
+    with pytest.raises(ValueError, match="already has prime-field coefficients"):
+        reduce_mod_p(f2, 3)
+    with pytest.raises(ValueError, match="only make sense over Z or Q"):
+        coefficient_primes(f2)
+
+
+def test_gcd_with_zero():
+    t = LaurentPoly.var(ZZ, 2, 0)
+    zero = LaurentPoly.zero(ZZ, 2)
+    assert laurent_gcd(zero, zero) == zero
+    # gcd(f, 0) is f's canonical associate, and t1 is a unit
+    two = LaurentPoly.constant(ZZ, 2, 2)
+    assert laurent_gcd(zero, -2 * t) == laurent_gcd(-2 * t, zero) == two

@@ -73,6 +73,8 @@ def test_smat_basics():
     assert smat_rank(QQ, A) == 2
     assert smat_rank(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert smat_det(QQ, eye) == 1
+    with pytest.raises(ValueError, match="determinant needs a square matrix"):
+        smat_det(QQ, [[Fraction(1), Fraction(2)]])
 
 
 def test_smat_inverse_round_trip():

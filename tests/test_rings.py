@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from troplex.rings import (
-    ZZ, QQ, GF, INFINITY, TRIVIAL, Ring, Valuation, padic, valuate, reduce_scalar,
+    ZZ, QQ, GF, TRIVIAL, Ring, Valuation, padic, valuate, reduce_scalar,
     ring_from_tag, is_prime, prime_factors, padic_valuation,
 )
 
@@ -64,18 +64,12 @@ def test_field_axioms_sampled():
                 assert ring.mul(b, ring.inv(b)) == ring.one()
 
 
-def test_infinity_ordering():
-    assert INFINITY > 10 ** 12
-    assert INFINITY >= INFINITY
-    assert INFINITY == INFINITY
-    assert not INFINITY < 0
-
-
 def test_trivial_valuation():
     assert TRIVIAL.kind == "trivial"
     assert valuate(TRIVIAL, Fraction(5)) == 0
     assert valuate(TRIVIAL, -7) == 0
-    assert valuate(TRIVIAL, 0) is INFINITY
+    with pytest.raises(ValueError, match="valuation of 0 is infinite"):
+        valuate(TRIVIAL, 0)
 
 
 def test_padic_valuation_values():
@@ -84,7 +78,9 @@ def test_padic_valuation_values():
     assert valuate(v3, Fraction(18)) == 2
     assert valuate(v3, Fraction(1, 3)) == -1
     assert valuate(v3, Fraction(10)) == 0
-    assert valuate(v3, 0) is INFINITY
+    with pytest.raises(ValueError, match="valuation of 0 is infinite"):
+        valuate(v3, 0)
+    assert type(valuate(v3, Fraction(1, 3))) is int
     assert padic_valuation(54, 3) == 3
     with pytest.raises(ValueError):
         padic_valuation(0, 3)
@@ -128,6 +124,8 @@ def test_prime_helpers():
     assert prime_factors(12) == [2, 3]
     assert prime_factors(1) == []
     assert prime_factors(-18) == [2, 3]
+    with pytest.raises(ValueError, match="prime_factors of 0"):
+        prime_factors(0)
 
 
 def test_is_prime_agrees_with_sympy_below_1e5():
@@ -163,3 +161,23 @@ def test_prime_factors_agree_with_sympy_on_products_of_large_primes():
         primes.append(rng.choice(primes))  # a repeated factor
         n = math.prod(primes)
         assert prime_factors(n) == sorted(sympy.factorint(n)) == sorted(set(primes)), n
+
+
+def test_ring_and_valuation_refusals():
+    with pytest.raises(ValueError, match="p too large"):
+        Ring("FP", 2**89 - 1)  # a Mersenne prime above the word bound 2**62
+    with pytest.raises(ValueError, match="p is only meaningful for prime fields"):
+        Ring("Z", 2)
+    with pytest.raises(ValueError, match="0.5 is not an element of Q"):
+        QQ.check(0.5)
+    with pytest.raises(ZeroDivisionError, match="inverse of 0 in Q"):
+        QQ.inv(Fraction(0))
+    with pytest.raises(ZeroDivisionError, match="inverse of 0 in F_5"):
+        GF(5).inv(10)
+    with pytest.raises(ValueError, match="2 is not a unit of Z"):
+        ZZ.inv(2)
+    assert ZZ.inv(-1) == -1
+    with pytest.raises(ValueError, match="trivial valuation takes no prime"):
+        Valuation("trivial", 3)
+    with pytest.raises(ValueError, match="valuation/ring mismatch"):
+        valuate(padic(2), 1, GF(2))

@@ -158,3 +158,5 @@ def test_subset_and_equality():
         assert A == A.canonical()
         assert A.complement().complement() == A
         assert (A.is_subset(B) and B.is_subset(A)) == (A == B)
+    assert SphereArcSet.empty() != "empty"
+    assert SphereArcSet.empty().__eq__("empty") is NotImplemented

@@ -5,10 +5,11 @@ from math import gcd
 import pytest
 
 from oracles import cell_contains, complex_contains, vertices
+from troplex import tropical
 from troplex.laurent import LaurentPoly, reduce_mod_p
 from troplex.rings import ZZ, QQ, TRIVIAL, padic
 from troplex.tropical import (
-    cell_weight, full_plane_complex,
+    Cell, cell_weight, full_plane_complex,
     trop_contains, trop_hypersurface, trop_Z_contains, trop_Z_principal,
     sphere_projection, tropicalize, union_over_valuations,
 )
@@ -102,6 +103,16 @@ def test_hypersurface_input_validation():
     assert not complex_contains(T, (F(0), F(0)))
 
 
+def test_tie_line_clipped_away_by_other_terms():
+    """Terms 0 and 1 tie on the line w1 = 0.  A term lower on all of it, or
+    two terms that each win one side of it, leave no cell."""
+    tie = [((0, 0), 0), ((1, 0), 0)]
+    assert len(tropical._clip_tie_line(tie, 0, 1, (-1, 0), 0)) == 2  # the whole line
+    assert tropical._clip_tie_line(tie + [((2, 0), -5)], 0, 1, (-1, 0), 0) == []
+    sides = [((0, 1), -1), ((0, -1), -1)]
+    assert tropical._clip_tie_line(tie + sides, 0, 1, (-1, 0), 0) == []
+
+
 def test_univariate_newton_polygon():
     # (t - 1)(t - 3): 3-adic roots have valuations 0 and 1
     f = LaurentPoly(QQ, 1, {(0,): 3, (1,): -4, (2,): 1})
@@ -116,6 +127,10 @@ def test_univariate_newton_polygon():
     T = trop_hypersurface(g, padic(3))
     assert cell_data(T) == [("vertex", (F(1),), None, None, ((0,), (2,)))]
     assert cell_weight(T.cells[0]) == 2
+    with pytest.raises(ValueError, match="cell label has no extent"):
+        cell_weight(Cell("vertex", (0,), label=[(1,)]))
+    with pytest.raises(ValueError, match="degenerate label"):
+        cell_weight(Cell("vertex", (0,), label=[(1,), (1,)]))
 
 
 def test_oracle_agreement_100_points_per_figure():
@@ -387,22 +402,31 @@ def test_union_over_valuations_principal():
 
 
 def test_valuation_union_witness_point():
-    """(1,-1) sits in the integral fan but in no single-valuation picture."""
+    """(1,-1) sits in the integral fan but in no single-valuation picture;
+    each entry's arcs are the projection of its setting's tropical set."""
     rp = union_over_valuations([QUADRIC])
     w = (1, -1)
     assert trop_Z_contains(QUADRIC, w)
     assert complex_contains(trop_Z_principal(QUADRIC), w)
-    for e in rp.entries:
-        assert not complex_contains(e.combined, w), e.label
+    settings = [("trivial over Q", QUADRIC, TRIVIAL)]
+    for p in rp.primes:
+        settings += [(f"{p}-adic over Q", QUADRIC, padic(p)),
+                     (f"trivial over F_{p}", reduce_mod_p(QUADRIC, p), TRIVIAL)]
+    assert [label for label, _, _ in settings] == [e.label for e in rp.entries]
+    for (label, f, valuation), e in zip(settings, rp.entries):
+        T = tropicalize(f, valuation)
+        assert e.arcs == sphere_projection(T), label
+        assert not complex_contains(T, w), label
 
 
 def test_valuation_union_zero_reduction_note():
     t1 = LaurentPoly.var(ZZ, 2, 0)
     t2 = LaurentPoly.var(ZZ, 2, 1)
     # 2 t1 + 2 t2 reduces to 0 mod 2, whose tropical set is the whole plane
-    rp = union_over_valuations([t1 * 2 + t2 * 2])
+    f = t1 * 2 + t2 * 2
+    rp = union_over_valuations([f])
     f2 = next(e for e in rp.entries if e.label == "trivial over F_2")
-    assert sphere_projection(f2.combined).full
+    assert sphere_projection(tropicalize(reduce_mod_p(f, 2), TRIVIAL)).full
     assert f2.arcs == SphereArcSet.full_circle()
 
 
@@ -415,4 +439,6 @@ def test_valuation_union_non_principal_prevariety():
         union_over_valuations([t1 - 1, t2 - 1])
     with pytest.raises(ValueError, match="got 0"):
         union_over_valuations([])
+    with pytest.raises(ValueError, match="needs Z coefficients"):
+        union_over_valuations([LaurentPoly.var(QQ, 2, 0) - 1])
     assert union_over_valuations([t1 - 1]).primes == []

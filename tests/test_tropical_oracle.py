@@ -32,7 +32,7 @@ from troplex.tropical import (
 
 
 def term_heights(f, valuation):
-    return [(u, valuate(valuation, c, f.ring)) for u, c in sorted(f.terms.items())]
+    return [(u, Fraction(valuate(valuation, c, f.ring))) for u, c in sorted(f.terms.items())]
 
 
 def argmin_label(items, w):
