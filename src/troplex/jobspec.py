@@ -108,14 +108,14 @@ class RepSpec:
             mats = [[[_parse_entry(ring, x) for x in row] for row in raw] for raw in raws]
             rep = fpgroup.Representation(ring, mats)
             if not fpgroup.verify_representation(pres, rep):
-                raise JobError(
-                    f"representation {self.name!r}: the matrices do not "
-                    "satisfy the relators"
-                )
+                raise JobError(f"{owner}: the matrices do not satisfy the relators")
             return rep
         blk = self.block["permutations"]
         blocks = _per_generator(blk, pres.names, owner, "permutation", "permutations")
-        return fpgroup.regular_representation(pres, blocks, ring=ring)
+        try:
+            return fpgroup.regular_representation(pres, blocks, ring=ring)
+        except ValueError as e:
+            raise JobError(f"{owner}: {e}") from None
 
 
 class JobSpec:

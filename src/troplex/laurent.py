@@ -24,7 +24,8 @@ products, sums, negation, shifts and exact quotients.  Products
 accumulate in raw coefficient arithmetic (``_add_products``), and
 ``_from_raw`` reduces mod p and drops zeros once per term, so a Bareiss
 update a*d - b*c is one pass.  Exact division works in place on the
-dividend's exponents against the quotient's forced minimum exponents.
+dividend's exponents, takes leading terms from a heap after the first,
+and stops at the quotient's forced minimum exponents.
 
 GCDs are computed by content/primitive-part recursion (Gauss's lemma)
 with a subresultant pseudo-remainder sequence in the chosen main
@@ -35,14 +36,15 @@ the canonical (monic at the least term) associate.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, lt, sub
+from heapq import heapify, heappop, heappush
+from operator import add, lt, neg, sub
 
 from .rings import GF, reduce_scalar, valuate
 
 
 def _lex_key(exps):
     # last variable most significant; fixes the printed term order
-    return tuple(reversed(exps))
+    return exps[::-1]
 
 
 def _trusted(ring, nvars, terms):
@@ -338,9 +340,12 @@ def exact_div(f, g):
     """f / g in the Laurent ring, or None when g does not divide f.
 
     Long division by g's lex-leading term, in place on f's exponents.
-    Minimum exponents are additive over products, so a quotient term
-    below min_exponents(f) - min_exponents(g) in some variable proves
-    the division inexact.
+    The first leading term of the remainder is found by one scan; once a
+    second is needed, the remainder goes into a heap keyed on negated
+    reversed exponents, and a term cancelled after it was pushed is
+    skipped.  Minimum exponents are additive over products, so a quotient
+    term below min_exponents(f) - min_exponents(g) in some variable
+    proves the division inexact.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -355,9 +360,10 @@ def exact_div(f, g):
     inv = None if R.kind == "Z" else R.inv(glc)
     tail = [(e, c) for e, c in g.terms.items() if e != gl]
     rem = dict(f.terms)
+    rl = max(rem, key=_lex_key)
+    heap = None  # a one-term quotient builds none
     q = {}
-    while rem:
-        rl = max(rem, key=_lex_key)
+    while True:
         e = tuple(map(sub, rl, gl))
         if any(map(lt, e, low)):
             return None
@@ -372,14 +378,26 @@ def exact_div(f, g):
         q[e] = qc
         for ge, gc in tail:
             ke = tuple(map(add, e, ge))
-            s = rem.get(ke, 0) - qc * gc
+            s = rem.get(ke)
+            if s is None:
+                if heap is not None:
+                    heappush(heap, (tuple(map(neg, ke[::-1])), ke))
+                s = 0
+            s -= qc * gc
             if p:
                 s %= p
             if s:
                 rem[ke] = s
             else:
-                rem.pop(ke, None)
-    return _trusted(R, f.nvars, q)
+                del rem[ke]
+        if not rem:
+            return _trusted(R, f.nvars, q)
+        if heap is None:
+            heap = [(tuple(map(neg, e[::-1])), e) for e in rem]
+            heapify(heap)
+        rl = heappop(heap)[1]
+        while rl not in rem:  # cancelled since it was pushed
+            rl = heappop(heap)[1]
 
 
 def _exact_div_strict(f, g):
@@ -427,18 +445,20 @@ def _scalar_gcd(ring, a, b):
     return ring.one()
 
 
+def _content(f, x, acc):
+    """gcd of acc and f's coefficients in x; one once that is a unit."""
+    for poly in _coeffs_in(f, x).values():
+        acc = _poly_gcd(acc, poly)
+        if is_unit(acc):
+            return LaurentPoly.one(f.ring, f.nvars)
+    return acc
+
+
 def _content_pp(f, x):
-    coeffs = _coeffs_in(f, x)
-    content = LaurentPoly.zero(f.ring, f.nvars)
-    for poly in coeffs.values():
-        content = _poly_gcd(content, poly)
-        if is_unit(content):
-            break
+    content = _content(f, x, LaurentPoly.zero(f.ring, f.nvars))
     if is_unit(content):
-        content = LaurentPoly.one(f.ring, f.nvars)
         return content, f
-    pp = _exact_div_strict(f, content)
-    return content, pp
+    return content, _exact_div_strict(f, content)
 
 
 def _lc_deg(f, x):
@@ -494,7 +514,7 @@ def _poly_gcd(f, g):
     in the subresultant PRS works in the Laurent ring and can hand back a
     negative exponent (t1^-1 would pass for a constant).  Monomials are
     units, so each input is first shifted to minimum exponent 0.  g is
-    nonzero; f is zero only as the seed of `_content_pp`'s fold.
+    nonzero; f is zero only as the seed of `_content`'s fold.
     """
     if f.is_zero:
         return g
@@ -505,6 +525,11 @@ def _poly_gcd(f, g):
             f.ring, f.nvars, _scalar_gcd(f.ring, f.constant_value(), g.constant_value())
         )
     x = active[-1]
+    if all(e[x] == 0 for e in f.terms):
+        f, g = g, f
+    if all(e[x] == 0 for e in g.terms):
+        # a divisor of the x-free g is x-free: it divides f's x-content
+        return _content(f, x, g)
     cf, pf = _content_pp(f, x)
     cg, pg = _content_pp(g, x)
     c = _poly_gcd(cf, cg)

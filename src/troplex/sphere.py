@@ -16,19 +16,20 @@ neighbours) and maximal runs are reassembled into components.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
 
 def normalize_dir(v):
-    """Primitive integer direction of a nonzero rational vector."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x == 0 and y == 0:
+    """Primitive integer direction of a nonzero rational vector (ints or
+    Fractions): the two ratios cross-multiplied over a common denominator,
+    then divided by the gcd."""
+    xn, xd = v[0].as_integer_ratio()
+    yn, yd = v[1].as_integer_ratio()
+    if not (xn or yn):
         raise ValueError("the zero vector has no direction")
-    scale = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    ix, iy = int(x * scale), int(y * scale)
-    g = gcd(abs(ix), abs(iy))
+    ix, iy = xn * yd, yn * xd
+    g = gcd(ix, iy)
     return (ix // g, iy // g)
 
 

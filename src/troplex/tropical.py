@@ -383,7 +383,9 @@ def trop_Z_principal(f):
         u, v = hull[idx], hull[(idx + 1) % k]
         d = (v[0] - u[0], v[1] - u[1])
         n_in = normalize_dir((-d[1], d[0]))
-        edge_support = tuple(p for p in support if _on_edge(u, v, p))
+        # the edge is the face of the hull where n_in is least
+        level = n_in[0] * u[0] + n_in[1] * u[1]
+        edge_support = tuple(p for p in support if n_in[0] * p[0] + n_in[1] * p[1] == level)
         cells.append(Cell("ray", (0, 0), dir=n_in, label=edge_support))
         inward.append(n_in)
     for idx in range(k):

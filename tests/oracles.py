@@ -9,8 +9,10 @@ Nothing in src/troplex calls them.
 import math
 from fractions import Fraction
 
-from troplex import linalg
-from troplex.laurent import LaurentPoly
+from operator import add, lt, sub
+
+from troplex import linalg, tropical
+from troplex.laurent import LaurentPoly, _lex_key
 from troplex.rings import QQ
 from troplex.sphere import antipode, normalize_dir
 
@@ -204,6 +206,79 @@ def lmat_mul(A, B):
                 acc = term if acc is None else acc + term
             row.append(acc)
         out.append(row)
+    return out
+
+
+def exact_div_by_scan(f, g):
+    """f / g in the Laurent ring, or None when g does not divide f: long
+    division that scans the whole remainder for its lex-leading term at
+    every step.  The oracle for laurent.exact_div, which keeps a heap.
+    A quotient term below min_exponents(f) - min_exponents(g) in some
+    variable proves the division inexact, as there.
+    """
+    if f.is_zero:
+        return f
+    R = f.ring
+    p = R.p
+    low = tuple(map(sub, f.min_exponents(), g.min_exponents()))
+    gl = max(g.terms, key=_lex_key)
+    glc = g.terms[gl]
+    inv = None if R.kind == "Z" else R.inv(glc)
+    tail = [(e, c) for e, c in g.terms.items() if e != gl]
+    rem = dict(f.terms)
+    q = {}
+    while rem:
+        rl = max(rem, key=_lex_key)
+        e = tuple(map(sub, rl, gl))
+        if any(map(lt, e, low)):
+            return None
+        c = rem.pop(rl)
+        if inv is None:
+            qc, r = divmod(c, glc)
+            if r:
+                return None
+        else:
+            qc = c * inv % p if p else c * inv
+        q[e] = qc
+        for ge, gc in tail:
+            ke = tuple(map(add, e, ge))
+            s = rem.get(ke, 0) - qc * gc
+            if p:
+                s %= p
+            if s:
+                rem[ke] = s
+            else:
+                rem.pop(ke, None)
+    return LaurentPoly(R, f.nvars, q)
+
+
+# -- directions and Newton polygons ----------------------------------------------
+
+
+def normalize_dir_by_fractions(v):
+    """Primitive integer direction of a nonzero rational vector, through
+    Fractions scaled by the lcm of the denominators.  The oracle for
+    sphere.normalize_dir, which cross-multiplies integer ratios."""
+    x, y = Fraction(v[0]), Fraction(v[1])
+    if x == 0 and y == 0:
+        raise ValueError("the zero vector has no direction")
+    scale = math.lcm(x.denominator, y.denominator)
+    ix, iy = int(x * scale), int(y * scale)
+    g = math.gcd(ix, iy)
+    return (ix // g, iy // g)
+
+
+def edge_supports_by_scan(f):
+    """{primitive inward normal: support points on that edge} over the
+    edges of f's Newton polygon, testing every point for lying on the
+    edge's segment.  The oracle for the ray labels of trop_Z_principal,
+    which compares each point's level under the normal instead."""
+    support = sorted(f.terms)
+    hull = tropical._convex_hull(support)
+    out = {}
+    for u, v in zip(hull, hull[1:] + hull[:1]):
+        n_in = normalize_dir((u[1] - v[1], v[0] - u[0]))
+        out[n_in] = tuple(p for p in support if tropical._on_edge(u, v, p))
     return out
 
 

@@ -531,7 +531,7 @@ def test_a_non_permutation_is_named(capsys, tmp_path):
     path = tmp_path / "notperm.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, "alexander", str(path), "--rep", "p") == (
-        2, "", "error: [0, 0, 1] is not a permutation of 0..2\n")
+        2, "", "error: representation 'p': [0, 0, 1] is not a permutation of 0..2\n")
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import exact_div_by_scan
 from troplex.laurent import (
     LaurentPoly, render, is_unit, canonical_associate, exact_div,
     laurent_gcd, gcd_list, squarefree_part, partial_derivative,
@@ -182,6 +183,43 @@ def test_exact_div(deadline):
         assert exact_div(t1 * t1 + 1, t1 + 1) is None
         with pytest.raises(ArithmeticError, match="division expected to be exact"):
             _exact_div_strict(one, t1 + 1)
+
+
+def laurent_terms(ring, nvars, max_size=4):
+    """Term dicts over ring in nvars variables, negative exponents included."""
+    coeffs = (Fraction(1), Fraction(-1, 2), Fraction(3, 2)) if ring.kind == "Q" else small_coeffs(ring)
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    return st.dictionaries(exps, st.sampled_from(coeffs), max_size=max_size).map(
+        lambda terms: LaurentPoly(ring, nvars, terms))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((ZZ, QQ, GF(2), GF(3))), st.integers(1, 3), st.data())
+def test_exact_div_matches_the_scanning_oracle(deadline, ring, nvars, data):
+    """The heap-ordered division agrees with the one that rescans the
+    remainder, on exact products g*q and on g*q + r, None included."""
+    g = data.draw(laurent_terms(ring, nvars).filter(bool), label="g")
+    q = data.draw(laurent_terms(ring, nvars), label="q")
+    r = data.draw(laurent_terms(ring, nvars, max_size=2), label="r")
+    with deadline(30):
+        assert exact_div(g * q, g) == q == exact_div_by_scan(g * q, g)
+        f = g * q + r
+        assert exact_div(f, g) == exact_div_by_scan(f, g)
+
+
+def test_exact_div_skips_cancelled_heap_entries():
+    # dividing by g = 1 + t1 - t1^3 - t1^4: the second quotient step cancels
+    # t1^4 and t1^6 after the remainder went into the heap; t1^6 is skipped
+    # when it is popped, and t1^4 comes back in the third step and is pushed
+    # again
+    t = LaurentPoly.var(ZZ, 1, 0)
+    g = 1 + t - t**3 - t**4
+    q = -t + 1 + t**3 - t**4
+    f = g * q
+    assert render(f) == "1 - t1^2 - t1^6 + t1^8"
+    assert exact_div(f, g) == q == exact_div_by_scan(f, g)
+    assert exact_div(f + t**3, g) is None is exact_div_by_scan(f + t**3, g)
 
 
 def sympy_divides(sympy, f, g):
@@ -392,10 +430,13 @@ def sympy_gcd(sympy, f, g):
         P({e: f.ring.from_int(int(c)) for e, c in terms.items()}, f.ring, f.nvars))
 
 
+def small_coeffs(ring):
+    return (1,) if ring.kind == "FP" and ring.p == 2 else (1, 2) if ring.kind == "FP" else (1, -1, 2, -3)
+
+
 def laurent3(ring):
-    coeffs = (1,) if ring.kind == "FP" and ring.p == 2 else (1, 2) if ring.kind == "FP" else (1, -1, 2, -3)
     exps = st.tuples(*[st.integers(-1, 2)] * 3)
-    return st.dictionaries(exps, st.sampled_from(coeffs), min_size=1, max_size=3).map(
+    return st.dictionaries(exps, st.sampled_from(small_coeffs(ring)), min_size=1, max_size=3).map(
         lambda terms: P(terms, ring, 3))
 
 
@@ -410,6 +451,43 @@ def test_gcd_three_variables_matches_sympy_property(deadline, ring, data):
         assert exact_div(a, g) is not None and exact_div(b, g) is not None
         assert g == sympy_gcd(sympy, a, b)
         assert laurent_gcd(a * c, b * c) == canonical_associate(g * c)
+
+
+def test_gcd_split_exit_keeps_content_over_z():
+    """t2 occurs in one operand only: the gcd is the other operand's gcd
+    with that operand's t2-content, integer content included."""
+    sympy = pytest.importorskip("sympy")
+    t1, t2 = LaurentPoly.var(ZZ, 2, 0), LaurentPoly.var(ZZ, 2, 1)
+    a, b = 2 * (t1 - 1), 4 * (t1 - 1) * (t2 + 3)
+    expected = canonical_associate(2 * (t1 - 1))
+    assert render(expected) == "2 - 2*t1"
+    assert laurent_gcd(a, b) == laurent_gcd(b, a) == expected == sympy_gcd(sympy, a, b)
+    assert render(laurent_gcd(t1 - 1, t2 - 1)) == "1"
+
+
+def split_pair(ring):
+    """(a, b, c): a in t1..t3, b and c in t1, t2 only."""
+    exps3 = st.tuples(*[st.integers(-1, 2)] * 3)
+    exps2 = st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.just(0))
+
+    def poly(exps):
+        return st.dictionaries(exps, st.sampled_from(small_coeffs(ring)), min_size=1,
+                               max_size=3).map(lambda terms: P(terms, ring, 3))
+
+    return st.tuples(poly(exps3).filter(lambda f: f.max_exponents()[2] > f.min_exponents()[2]),
+                     poly(exps2), poly(exps2))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((ZZ, GF(2), GF(3))), st.data())
+def test_gcd_with_a_variable_in_one_operand_matches_sympy(deadline, ring, data):
+    sympy = pytest.importorskip("sympy")
+    a, b, c = data.draw(split_pair(ring))
+    with deadline(30):
+        g = laurent_gcd(a * c, b * c)
+        assert g == laurent_gcd(b * c, a * c) == sympy_gcd(sympy, a * c, b * c)
+        assert exact_div(g, canonical_associate(c)) is not None
 
 
 def test_truth_and_hash_follow_the_terms():

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import normalize_dir_by_fractions
 from troplex.sphere import (
     normalize_dir, same_dir, antipode, compare_dirs, ccw_strictly_between,
     degrees, SphereArcSet, union_all,
@@ -12,8 +15,35 @@ def test_normalize_dir():
     assert normalize_dir((2, 4)) == (1, 2)
     assert normalize_dir((-6, -9)) == (-2, -3)
     assert normalize_dir((0, 5)) == (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the zero vector has no direction"):
         normalize_dir((0, 0))
+    with pytest.raises(ValueError, match="the zero vector has no direction"):
+        normalize_dir((Fraction(0), 0))
+    assert normalize_dir((Fraction(-1, 2), Fraction(3, 4))) == (-2, 3)
+    assert normalize_dir((Fraction(2, 3), 0)) == (1, 0)
+    assert normalize_dir((-(2**70), 3 * 2**69)) == (-2, 3)
+
+
+_BIG = 2**70
+_RATIONALS = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_normalize_dir_matches_the_fraction_oracle(x, y):
+    """int, Fraction and mixed pairs, of either sign, small or past 2^64."""
+    if x == 0 and y == 0:
+        with pytest.raises(ValueError, match="the zero vector has no direction"):
+            normalize_dir((x, y))
+        return
+    d = normalize_dir((x, y))
+    assert d == normalize_dir_by_fractions((x, y))
+    assert all(type(c) is int for c in d)
 
 
 def test_dir_predicates():

@@ -3,8 +3,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import cell_contains, complex_contains, vertices
+from oracles import cell_contains, complex_contains, edge_supports_by_scan, vertices
 from troplex import tropical
 from troplex.laurent import LaurentPoly, reduce_mod_p
 from troplex.rings import ZZ, QQ, TRIVIAL, padic
@@ -290,6 +291,30 @@ def test_integral_fan_of_segments_matches_the_oracle():
         for _ in range(10):
             chi = (rng.randint(-5, 5), rng.randint(-5, 5))
             assert complex_contains(T, chi) == trop_Z_contains(f, chi), (terms, chi)
+
+
+@st.composite
+def _supports_with_collinear_points(draw):
+    """Integer polynomials in two variables whose support holds a run of
+    points on one line, plus a few more points on a small grid."""
+    base = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    step = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    ks = draw(st.sets(st.integers(-2, 3), min_size=2, max_size=5))
+    points = {(base[0] + k * step[0], base[1] + k * step[1]) for k in ks}
+    points |= draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5))
+    coeffs = st.sampled_from([1, -1, 2, -3])
+    return LaurentPoly(ZZ, 2, {u: draw(coeffs) for u in points})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_supports_with_collinear_points())
+def test_integral_fan_edge_labels_match_the_segment_scan(f):
+    """Each ray's label, the support on its hull edge, found by level
+    under the inward normal, is the support that lies on the edge's
+    segment."""
+    T = trop_Z_principal(f)
+    labels = {c.dir: c.label for c in T.cells if c.kind == "ray"}
+    assert labels == edge_supports_by_scan(f)
 
 
 def test_tropicalize_dispatch():
