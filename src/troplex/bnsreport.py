@@ -30,7 +30,7 @@ at all gives the vacuous bound: empty sphere set, full-circle complement.
 
 from __future__ import annotations
 
-from .fpgroup import AbelianEpi
+from .fpgroup import AbelianEpi, Presentation, parse_word
 from .jumploci import NovikovVerdict, jump_ideal, novikov_admissible
 from .rings import Valuation
 from .sphere import SphereArcSet, union_all
@@ -38,26 +38,42 @@ from .tropical import sphere_projection, tropicalize
 
 
 class SigmaFixture:
-    """Known ground truth for -Sigma^1 of a named group, used only for
+    """Known ground truth for -Sigma^1 of the group of one presentation,
+    in the coordinates of its free abelianization; used only for
     comparison, never in the computation."""
 
-    def __init__(self, name, arcs):
+    def __init__(self, name, presentation, arcs):
         self.name = name
+        self.presentation = presentation
         self.arcs = arcs
 
     def __repr__(self):
         return f"<SigmaFixture {self.name}>"
 
+    def check(self, pres, phi):
+        """Refuse a presentation other than the fixture's own (compared as
+        Tietze words, so generator names do not matter), and a phi other
+        than its free abelianization: the arcs say nothing about them."""
+        own = self.presentation
+        if (pres.ngens, pres.relators) != (own.ngens, own.relators):
+            raise ValueError(f"fixture {self.name!r} is -Sigma^1 of another presentation")
+        if phi.vectors != AbelianEpi.from_abelianization(pres).vectors:
+            raise ValueError(
+                f"fixture {self.name!r} holds at phi = ab only (the free abelianization)"
+            )
+
 
 def brown_one_relator():
-    """-Sigma^1 of the one-relator group with relator
-    x1^-1 x2^-1 x1 x2^2 x1^-1 x2^-1 x1^2 x2^-1 x1^-1 x2 x1^-1 x2 x1 x2^-1:
-    two open arcs, from (1,0) to (0,1) and from (0,1) to (-1,-1), by
-    Brown's one-relator algorithm."""
+    """-Sigma^1 of the one-relator group below: two open arcs, from (1,0)
+    to (0,1) and from (0,1) to (-1,-1), by Brown's one-relator algorithm."""
+    names = ["x1", "x2"]
+    relator = "x1^-1 x2^-1 x1 x2^2 x1^-1 x2^-1 x1^2 x2^-1 x1^-1 x2 x1^-1 x2 x1 x2^-1"
     arcs = SphereArcSet.arc((1, 0), (0, 1), closed_start=False, closed_end=False).union(
         SphereArcSet.arc((0, 1), (-1, -1), closed_start=False, closed_end=False)
     )
-    return SigmaFixture("brown_one_relator", arcs)
+    return SigmaFixture(
+        "brown_one_relator", Presentation(names, [parse_word(relator, names)]), arcs
+    )
 
 
 FIXTURES = {"brown_one_relator": brown_one_relator}

@@ -152,6 +152,10 @@ def cmd_trop(args):
 def cmd_bns_bound(args):
     job = load_job(args.input)
     phi = job.phi(args.phi)
+    fixture = None
+    if args.fixture:  # refused before any entry is computed
+        fixture = get_fixture(args.fixture)
+        fixture.check(job.presentation, phi)
     settings = args.valuation or job.valuations or ["Z"]
     entries = []
     for rname in args.rep:
@@ -193,8 +197,7 @@ def cmd_bns_bound(args):
         "notes": report.notes,
     }
     comparison = None
-    if args.fixture:
-        fixture = get_fixture(args.fixture)
+    if fixture is not None:
         comparison = compare_fixture(report, fixture)
         doc["comparison"] = {
             "fixture": args.fixture,
@@ -222,7 +225,7 @@ def cmd_bns_bound(args):
 def cmd_kaehler_test(args):
     job = load_job(args.input)
     rep = job.representation(args.rep)
-    phi = job.phi(args.phi)
+    phi = job.phi("ab")  # the obstruction is about Delta at the free abelianization
     fields = [parse_field(tag.strip()) for tag in args.fields.split(",")]
     verdicts = []
     for ring in fields:
@@ -231,11 +234,7 @@ def cmd_kaehler_test(args):
         verdicts.append(v)
     outcome = kahler_obstruction(verdicts)
     if outcome.consistent:
-        descs = []
-        for v in verdicts:
-            d = v.describe()
-            if d not in descs:
-                descs.append(d)
+        descs = dict.fromkeys(v.describe() for v in verdicts)  # in first-seen order
         print(f"consistent (Delta = {'; '.join(descs)})")
     else:
         tag = outcome.witnesses[0]
@@ -278,7 +277,7 @@ def cmd_wraag(args):
         raise JobError(f"cannot read {args.graph}: {e}") from None
     except json.JSONDecodeError as e:
         raise JobError(f"{args.graph} is not valid JSON: {e}") from None
-    if not isinstance(graph, dict) or "edges" not in graph:
+    if not isinstance(graph, dict) or not isinstance(graph.get("edges"), list):
         raise JobError("graph document needs an 'edges' list")
     verts = graph.get("vertices")
     names = None
@@ -368,7 +367,6 @@ def build_parser():
     p = sub.add_parser("kaehler-test", help="Alexander-polynomial Kaehler obstruction")
     p.add_argument("input")
     p.add_argument("--rep", default="trivial")
-    p.add_argument("--phi", default="ab")
     p.add_argument(
         "--fields",
         default="q",

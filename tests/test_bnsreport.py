@@ -25,6 +25,8 @@ def test_fixture_shape():
     assert not fx.arcs.contains((0, 1))
     assert fx.arcs.contains((1, 1))
     assert get_fixture("brown_one_relator").arcs == fx.arcs
+    # its group is the bundled one_relator document's, word for word
+    assert fx.presentation.relators == onerel().presentation.relators
     with pytest.raises(ValueError):
         get_fixture("nope")
 
@@ -135,7 +137,7 @@ def test_zero_ideal_forces_full_circle_and_violation():
 def test_compare_is_reflexive():
     job = onerel()
     rp = assemble_bound(job.presentation, [("s3", job.representation("s3"), "Z")])
-    self_fx = SigmaFixture("self", rp.complement)
+    self_fx = SigmaFixture("self", job.presentation, rp.complement)
     c = compare_fixture(rp, self_fx)
     assert c.kind == "Equal" and c.difference == SphereArcSet.empty()
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import troplex
+from troplex import bnsreport
 from troplex.cli import build_parser, main
 from troplex.jobspec import bundled_path, load_job
+from troplex.sphere import SphereArcSet
 from troplex.tropical import Cell, TropicalComplex
 
 EX = str(bundled_path("one_relator.json"))
@@ -249,16 +251,49 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path):
     assert not (tmp_path / "missing_dir").exists()
 
 
-def test_bns_bound_violation(capsys, tmp_path):
-    path = tmp_path / "orb12.json"
-    rc, out, err = run(capsys, "orbifold", "--g", "1", "--mu", "2", "-o", str(path))
-    assert rc == 0
-    rc, out, err = run(capsys, "bns-bound", str(path), "--rep", "trivial",
-                       "--valuation", "fp:2", "--fixture", "brown_one_relator")
+def test_bns_bound_violation(capsys, monkeypatch):
+    # a fixture of the bundled group whose arcs are the whole circle: they
+    # escape every complement of a nonempty bound set, so the comparison is
+    # a genuine Violation, and its difference is the bound set itself
+    own = bnsreport.brown_one_relator()
+    monkeypatch.setitem(bnsreport.FIXTURES, "brown_one_relator", lambda: bnsreport.SigmaFixture(
+        own.name, own.presentation, SphereArcSet.full_circle()))
+    rc, out, err = run(capsys, "bns-bound", EX, "--rep", "s3", "--rep", "trivial",
+                       "--fixture", "brown_one_relator")
     assert rc == 4
     assert err == ("violation: fixture arcs escape the computed complement; "
                    "this contradicts the bound and is a bug\n")
-    assert json_head(out)["comparison"]["result"] == "Violation"
+    doc = json_head(out)
+    assert doc["comparison"]["result"] == "Violation"
+    assert doc["comparison"]["difference"] == doc["bound"]
+    assert out.strip().splitlines()[-1] == "comparison: Violation"
+
+
+def test_a_fixture_is_compared_on_its_own_group_at_phi_ab_only(capsys, tmp_path):
+    free2 = tmp_path / "free2.json"
+    free2.write_text(json.dumps({
+        "name": "free2", "presentation": {"generators": ["x1", "x2"], "relators": []},
+        "representations": {"trivial": {"ring": "Z", "trivial": True}}}))
+    assert run(capsys, "bns-bound", str(free2), "--rep", "trivial",
+               "--fixture", "brown_one_relator") == (
+        2, "", "error: fixture 'brown_one_relator' is -Sigma^1 of another presentation\n")
+    doc = json.loads(Path(EX).read_text())
+    doc["phis"] = {"swap": {"x1": [0, 1], "x2": [1, 0]}, "same": {"x1": [1, 0], "x2": [0, 1]}}
+    path = tmp_path / "phis.json"
+    path.write_text(json.dumps(doc))
+    argv = ["bns-bound", str(path), "--rep", "s3", "--rep", "trivial",
+            "--fixture", "brown_one_relator"]
+    assert run(capsys, *argv, "--phi", "swap") == (
+        2, "", "error: fixture 'brown_one_relator' holds at phi = ab only "
+        "(the free abelianization)\n")
+    # a named phi with the free abelianization's vectors is phi = ab, and
+    # generator names do not matter: the relators are compared as Tietze words
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(Path(EX).read_text().replace("x1", "a").replace("x2", "b"))
+    for args in ([*argv, "--phi", "same"], [*argv[:1], str(renamed), *argv[2:]]):
+        rc, out, err = run(capsys, *args)
+        assert (rc, err) == (0, ""), args
+        assert out.strip().splitlines()[-1] == "comparison: Equal", args
 
 
 def test_kaehler_goldens(capsys, tmp_path):
@@ -292,6 +327,32 @@ def test_kaehler_goldens(capsys, tmp_path):
                    "consistent (Delta = 1; 0)\n")
 
 
+def test_kaehler_test_reads_delta_at_the_free_abelianization(capsys, tmp_path):
+    """Z^2 (an elliptic curve's group) and <x, y, z | [x, y]z, z^2> (a
+    cocompact Fuchsian group) are Kaehler.  At phi: x -> 1 and the other
+    generators -> 0 their Delta over Q is 1 - t1, which says nothing about
+    Kaehler: kaehler-test takes no phi."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": 2, "edges": [[1, 2, 1]]}))
+    z2, orb = tmp_path / "z2.json", tmp_path / "orb.json"
+    assert run(capsys, "wraag", "--graph", str(graph), "-o", str(z2)) == (0, "", "")
+    assert run(capsys, "orbifold", "--g", "1", "--mu", "2", "-o", str(orb)) == (0, "", "")
+    for path, phi, verdict in (
+        (z2, {"a1": [1], "a2": [0]}, "consistent (Delta = 1)\n"),
+        (orb, {"x1": [1], "y1": [0], "z1": [0]}, "consistent (Delta = 1; 0)\n"),
+    ):
+        doc = json.loads(path.read_text())
+        doc["phis"] = {"x": phi}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["kaehler-test", str(path), "--phi", "x"])
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and "unrecognized arguments: --phi x" in cap.err
+        rc, out, err = run(capsys, "kaehler-test", str(path), "--fields", "q,fp:2,fp:3")
+        assert (rc, err) == (0, "") and out.endswith(verdict), path
+
+
 def test_orbifold_document(capsys, tmp_path):
     rc, out, err = run(capsys, "orbifold", "--g", "1", "--mu", "2")
     assert rc == 0
@@ -319,9 +380,10 @@ def test_wraag_document(capsys, tmp_path):
         "generators": ["u", "v"],
         "relators": ["u v u^-1 v^-1 u v u^-1 v^-1"],
     }
-    graph.write_text(json.dumps({"vertices": 2}))
-    rc, out, err = run(capsys, "wraag", "--graph", str(graph))
-    assert rc == 2 and err == "error: graph document needs an 'edges' list\n"
+    for bad in ({"vertices": 2}, {"vertices": 2, "edges": 5}, {"vertices": 2, "edges": None}):
+        graph.write_text(json.dumps(bad))
+        assert run(capsys, "wraag", "--graph", str(graph)) == (
+            2, "", "error: graph document needs an 'edges' list\n"), bad
 
 
 @pytest.mark.parametrize("graph, message", [
@@ -337,6 +399,29 @@ def test_wraag_takes_integers_only(capsys, tmp_path, graph, message):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph))
     assert run(capsys, "wraag", "--graph", str(path)) == (2, "", f"error: {message}\n")
+
+
+def json_values():
+    """One JSON value of each type: int, float, bool, null, string, object
+    and list; small, so that a vertex count builds a small group."""
+    ints = st.integers(-1, 3)
+    names = st.sampled_from(("", "u", "v", "a b"))
+    return st.one_of(ints, st.floats(-1, 3), st.booleans(), st.none(), names,
+                     st.dictionaries(names, ints), st.lists(st.one_of(ints, names), max_size=3))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_values(), st.one_of(json_values(), st.lists(
+    st.one_of(json_values(), st.lists(json_values(), min_size=3, max_size=3)), max_size=3)))
+def test_wraag_answers_every_graph_document(capsys, tmp_path, vertices, edges):
+    # each JSON type at vertices, at edges and inside an edge: a document
+    # or a one-line error, never a traceback
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    rc, out, err = run(capsys, "wraag", "--graph", str(path))
+    assert rc in (0, 2), (vertices, edges, rc, err)
+    assert "Traceback" not in err, (vertices, edges, err)
 
 
 def test_product_document(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Every function and class in src/troplex has a caller in the program,
-every parameter with a default has a caller that sets it, every field
-that a method sets is read, and every imported name is loaded.
+every parameter with a default has a caller that sets it, every option
+of a CLI subcommand is read by its handler, every field that a method
+sets is read, and every imported name is loaded.
 
 A name counts as used when it appears as a name or an attribute anywhere
 in src/troplex or perfbench/ (a definition or an import alone does not
@@ -15,8 +16,11 @@ calls and a branch nothing reaches are the line gate's job
 suite does not run.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from troplex.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "troplex"
@@ -165,6 +169,46 @@ def test_every_option_is_set_by_a_caller():
                     changed = True
                     break
     assert not unset, "no call in src/troplex or perfbench/ sets:\n" + "\n".join(sorted(unset))
+
+
+def _args_reads(functions, name, param, seen):
+    """Attributes read as <param>.<attr> in the function name, and in the
+    functions of the same module that it passes <param> to."""
+    read = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+            callee = functions[node.func.id]
+            names = [a.arg for a in callee.args.posonlyargs + callee.args.args]
+            passed = [(names[k], v) for k, v in enumerate(node.args) if k < len(names)]
+            passed += [(k.arg, k.value) for k in node.keywords]
+            for target, value in passed:
+                if getattr(value, "id", None) == param and (callee.name, target) not in seen:
+                    seen.add((callee.name, target))
+                    read |= _args_reads(functions, callee.name, target, seen)
+    return read
+
+
+def test_every_cli_option_is_read():
+    """Every option that a subparser of cli.build_parser defines is read as
+    args.<dest> by the handler that its set_defaults(fn=...) names, or by a
+    function of cli.py that gets args from it (such as _job_rep_phi); an
+    option that nothing reads is accepted and then ignored."""
+    tree = _parse(SOURCE / "cli.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, sub in commands.choices.items():
+        handler = sub.get_default("fn").__name__
+        param = functions[handler].args.args[0].arg
+        read = _args_reads(functions, handler, param, set())
+        unread += [f"{command} {a.option_strings or [a.dest]} -> {handler}"
+                   for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    assert not unread, "options no handler reads:\n" + "\n".join(unread)
 
 
 def _fields(tree):

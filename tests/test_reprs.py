@@ -20,7 +20,7 @@ EMPTY = SphereArcSet.empty()
 
 @pytest.mark.parametrize("obj, text", [
     (get_fixture("brown_one_relator"), "<SigmaFixture brown_one_relator>"),
-    (SigmaFixture("g", EMPTY), "<SigmaFixture g>"),
+    (SigmaFixture("g", Presentation(["x"], []), EMPTY), "<SigmaFixture g>"),
     (BoundEntry("s3", "Z", YES, arcs=EMPTY), "<BoundEntry s3 [Z] included>"),
     (BoundEntry("s3", padic(2), NO), "<BoundEntry s3 [2-adic] excluded>"),
     (BoundReport([], [BoundEntry("s3", padic(2), NO)], EMPTY,
