@@ -24,6 +24,8 @@ from .laurent import LaurentPoly
 from .rings import ZZ
 
 DEFAULT_MAX_QUOTIENT = 5040
+# generators plus relator letters of a presentation that a builder emits
+MAX_BUILT_SIZE = 100_000
 
 
 # -- words ----------------------------------------------------------------
@@ -307,11 +309,13 @@ def build_orbifold(genus, weights):
     weights = list(weights)
     if any(mu < 1 for mu in weights):
         raise ValueError("cone orders must be >= 1")
+    s = len(weights)
+    # 2g + s generators, 4g + s letters in the surface relator, mu_j in each cone's
+    _refuse_large(2 * genus + s + 4 * genus + s + sum(weights))
     names = []
     for i in range(1, genus + 1):
         names.append(f"x{i}")
         names.append(f"y{i}")
-    s = len(weights)
     for j in range(1, s + 1):
         names.append(f"z{j}")
     surface = ()
@@ -332,18 +336,28 @@ def build_weighted_raag(nverts, edges, names=None):
     edges lists (i, j, weight) with 1-based vertex indices and weight >= 1;
     weight 1 is a plain commuting relation.
     """
-    if names is None:
-        names = [f"a{i}" for i in range(1, nverts + 1)]
-    if len(names) != nverts:
+    if names is not None and len(names) != nverts:
         raise ValueError("need one name per vertex")
-    relators = []
     for i, j, weight in edges:
         if not (1 <= i <= nverts and 1 <= j <= nverts) or i == j:
             raise ValueError(f"bad edge ({i}, {j})")
         if weight < 1:
             raise ValueError("edge weights must be >= 1")
-        relators.append(commutator(i, j) * weight)
+    _refuse_large(nverts + sum(4 * weight for _, _, weight in edges))
+    if names is None:
+        names = [f"a{i}" for i in range(1, nverts + 1)]
+    relators = [commutator(i, j) * weight for i, j, weight in edges]
     return Presentation(names, relators)
+
+
+def _refuse_large(size):
+    """Refuse, before building anything, a presentation of more than
+    MAX_BUILT_SIZE generators and relator letters."""
+    if size > MAX_BUILT_SIZE:
+        raise ValueError(
+            f"the presentation would have {size} generators and relator letters "
+            f"(at most {MAX_BUILT_SIZE})"
+        )
 
 
 def build_product(pres_a, pres_b):

@@ -1,17 +1,17 @@
 """Job documents: a single JSON file describing a presentation plus
 optional representations, characters, and coefficient settings.
 
-Validated against the bundled schema before any computation; unknown
-fields are rejected so typos fail loudly instead of being ignored.
+Checked before any computation by a walk of the bundled schema
+(data/schema.json); unknown fields are rejected so typos fail loudly
+instead of being ignored.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
-
-import jsonschema
 
 from . import fpgroup
 from .rings import GF, QQ, TRIVIAL, padic, ring_from_tag
@@ -21,30 +21,89 @@ class JobError(ValueError):
     """Bad input document (schema violation or inconsistent contents)."""
 
 
-def _load_schema():
-    with resources.files("troplex.data").joinpath("schema.json").open("rb") as fh:
-        return json.load(fh)
+# -- the schema, transcribed ------------------------------------------------
+# Each check takes (value, path) and raises JobError with jsonschema's
+# message for the first violation it meets.  A pattern matches the whole
+# string, since draft 2020-12's "$" does not match before a final newline.
 
 
-_VALIDATOR = None
+def _refuse(path, message):
+    where = "/".join(str(p) for p in path) or "(root)"
+    raise JobError(f"invalid job document at {where}: {message}")
 
 
-def _validator():
-    """The bundled schema's validator, built and its schema checked once."""
-    global _VALIDATOR
-    if _VALIDATOR is None:
-        schema = _load_schema()
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        _VALIDATOR = cls(schema)
-    return _VALIDATOR
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _is(x, name):
+    if name == "integer":  # no fractional part, so 2.0 too, but not a bool
+        return isinstance(x, float) and x.is_integer() or (
+            isinstance(x, int) and not isinstance(x, bool))
+    return isinstance(x, _TYPES[name])
+
+
+def _value(*names, pattern=None, minimum=None):
+    match = pattern and re.compile(pattern).fullmatch
+    def check(x, path):
+        if not any(_is(x, name) for name in names):
+            _refuse(path, f"{x!r} is not of type {', '.join(map(repr, names))}")
+        if match and not match(x):
+            _refuse(path, f"{x!r} does not match {pattern!r}")
+        if minimum is not None and x < minimum:
+            _refuse(path, f"{x!r} is less than the minimum of {minimum!r}")
+    return check
+
+
+def _array(items, non_empty=False):
+    def check(x, path):
+        _ARRAY(x, path)
+        if non_empty and not x:
+            _refuse(path, "[] should be non-empty")
+        for i, item in enumerate(x):
+            items(item, path + (i,))
+    return check
+
+
+def _object(properties, additional=None, required=()):
+    """An object; properties check their keys' values, additional every
+    other key's, and with additional None there is no other key."""
+    def check(x, path):
+        _OBJECT(x, path)
+        extra = sorted((k for k in x if k not in properties), key=str)
+        if extra and additional is None:
+            _refuse(path, "Additional properties are not allowed (%s %s unexpected)" % (
+                ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"))
+        for key in required:
+            if key not in x:
+                _refuse(path, f"{key!r} is a required property")
+        for key, value in x.items():
+            properties.get(key, additional)(value, path + (key,))
+    return check
+
+
+_ARRAY, _OBJECT = _value("array"), _value("object")
+_DOCUMENT = _object({
+    "name": _value("string"),
+    "presentation": _object({
+        "generators": _array(_value("string", pattern="^[A-Za-z_][A-Za-z0-9_']*$"),
+                             non_empty=True),
+        "relators": _array(_value("string")),
+    }, required=("generators", "relators")),
+    "representations": _object({}, additional=_object({  # $defs/representation
+        "ring": _value("string", pattern="^(Z|Q|fp:[0-9]+)$"),
+        "trivial": _value("boolean"),
+        "rank": _value("integer", minimum=1),
+        "matrices": _object({}, additional=_array(_array(_value("integer", "string")))),
+        "permutations": _object({}, additional=_array(_value("integer", minimum=0))),
+    })),
+    "phis": _object({}, additional=_object({}, additional=_array(_value("integer")))),
+    "valuations": _array(_value("string", pattern="^(trivial|Z|p-adic:[0-9]+|fp:[0-9]+)$")),
+}, required=("presentation",))
 
 
 def validate_document(doc):
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if e is not None:
-        path = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise JobError(f"invalid job document at {path}: {e.message}")
+    """Raise JobError naming where and how doc breaks the bundled schema."""
+    _DOCUMENT(doc, ())
 
 
 def _parse_entry(ring, x):

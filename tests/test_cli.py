@@ -353,6 +353,59 @@ def test_kaehler_test_reads_delta_at_the_free_abelianization(capsys, tmp_path):
         assert (rc, err) == (0, "") and out.endswith(verdict), path
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("alexander", {"presentation": {"generators": ["x1\n"], "relators": []}},
+     "presentation/generators/0: 'x1\\n' does not match \"^[A-Za-z_][A-Za-z0-9_']*$\""),
+    ("bns-bound", {"presentation": {"generators": ["x1"], "relators": []},
+                   "valuations": ["fp:3\n"]},
+     "valuations/0: 'fp:3\\n' does not match '^(trivial|Z|p-adic:[0-9]+|fp:[0-9]+)$'"),
+], ids=["generator", "valuation"])
+def test_a_final_newline_breaks_a_pattern(capsys, tmp_path, command, doc, message):
+    # jsonschema matches with re.search, whose "$" also matches before a
+    # final newline, and accepted both; draft 2020-12's "$" does not
+    doc["representations"] = {"t": {"trivial": True}}
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command, str(path), "--rep", "t") == (
+        2, "", f"error: invalid job document at {message}\n")
+
+
+def test_the_runtime_needs_only_the_standard_library():
+    # jsonschema is a test dependency: blocked, the CLI still answers, and
+    # importing troplex.cli loads only the standard library and troplex
+    script = """
+import sys
+sys.modules["jsonschema"] = None
+before = set(sys.modules)
+import troplex.cli
+roots = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(roots - set(sys.stdlib_module_names) - {"troplex"}))
+troplex.cli.main(["alexander", sys.argv[1], "--rep", "trivial"])
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(troplex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, EX], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n1 - t1\n", "")
+
+
+@pytest.mark.parametrize("argv, graph, size", [
+    (["orbifold", "--g", "1000000000000"], None, 6 * 10**12),
+    (["orbifold", "--g", "1", "--mu", "2,1000000000000"], None, 10**12 + 12),
+    (["wraag"], {"vertices": 10**12, "edges": []}, 10**12),
+    (["wraag"], {"vertices": 3, "edges": [[1, 2, 10**12]]}, 4 * 10**12 + 3),
+], ids=["genus", "cone-order", "vertices", "weight"])
+def test_generator_commands_refuse_a_huge_presentation_at_once(
+        capsys, tmp_path, deadline, argv, graph, size):
+    if graph is not None:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        argv = argv + ["--graph", str(path)]
+    with deadline(2):
+        assert run(capsys, *argv) == (2, "", (
+            f"error: the presentation would have {size} generators and relator "
+            "letters (at most 100000)\n"))
+
+
 def test_orbifold_document(capsys, tmp_path):
     rc, out, err = run(capsys, "orbifold", "--g", "1", "--mu", "2")
     assert rc == 0

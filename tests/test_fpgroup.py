@@ -12,7 +12,7 @@ from troplex.fpgroup import (
     invert_word, parse_word, word_to_str, commutator,
     Presentation, Representation, AbelianEpi, verify_representation,
     alexander_matrices, build_orbifold, build_weighted_raag,
-    build_product, regular_representation, _closure, _perm_mul,
+    build_product, regular_representation, _closure, _perm_mul, MAX_BUILT_SIZE,
 )
 from troplex.jobspec import load_job, bundled_path
 from troplex.laurent import LaurentPoly, render, canonical_associate
@@ -507,6 +507,21 @@ def test_build_weighted_raag():
         build_weighted_raag(3, [(1, 1, 1)])  # no loops
     with pytest.raises(ValueError):
         build_weighted_raag(3, [(1, 2, 0)])  # weights are positive
+
+
+def size(pres):
+    return pres.ngens + sum(len(rel) for rel in pres.relators)
+
+
+def test_builders_count_their_size_before_building():
+    # the arithmetic size is the built one, and one more is refused
+    cap = MAX_BUILT_SIZE
+    assert size(build_orbifold(1, [2, cap - 12])) == cap
+    assert size(build_weighted_raag(cap - 8, [(1, 2, 2)])) == cap
+    with pytest.raises(ValueError, match=f"{cap + 1} generators and relator letters"):
+        build_orbifold(1, [2, cap - 11])
+    with pytest.raises(ValueError, match=f"{cap + 1} generators and relator letters"):
+        build_weighted_raag(cap - 7, [(1, 2, 2)])
 
 
 def test_build_product():

@@ -1,8 +1,9 @@
 import io
+import json
 from fractions import Fraction
 
-import jsonschema
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from troplex import jobspec
 from troplex.fpgroup import (
@@ -57,24 +58,179 @@ def test_schema_rejects_unknown_and_malformed_fields():
         validate_document({**doc54(), "representations": {
             "r": {"ring": "Q", "matrices": {"x1": [[1.5]], "x2": [[1]]}}}})
     validate_document(doc54())  # and the happy path stays quiet
+    # 2.0 is an integer in JSON Schema
+    validate_document({**doc54(), "phis": {"p": {"x1": [2.0], "x2": [1]}}})
 
 
-def test_schema_is_checked_once(monkeypatch):
-    schema = jobspec._load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    checked = []
-    check = cls.check_schema
+def published_schema():
+    return json.loads(bundled_path("schema.json").read_text())
 
-    def counting(s, *args, **kwargs):
-        checked.append(s)
-        return check(s, *args, **kwargs)
 
-    monkeypatch.setattr(jobspec, "_VALIDATOR", None)
-    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
-    validate_document(doc54())
-    with pytest.raises(JobError, match="extra"):
-        validate_document({**doc54(), "extra": 1})
-    assert checked == [schema]
+def oracle():
+    """jsonschema's validator for the published schema, which the walk in
+    jobspec transcribes; a test dependency only, so its tests skip
+    without it."""
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft202012Validator(published_schema())
+
+
+def test_published_schema_is_valid():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft202012Validator.check_schema(published_schema())
+
+
+def bundled_documents():
+    return [json.loads(bundled_path(name).read_text())
+            for name in ("one_relator.json", "orbifold_g2.json", "wraag_k4.json")]
+
+
+def nodes(value, path=()):
+    """(path, value) for value, at (), and for every value inside it."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from nodes(inner, path + (key,))
+
+
+def replaced(value, path, new):
+    """A copy of value with new at path."""
+    if not path:
+        return new
+    head, *rest = path
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[head] = replaced(value[head], rest, new)
+    return out
+
+
+# one value of each JSON type, with a bool, an integral and a fractional float
+OTHER_TYPES = [None, True, False, 0, -1, 2.0, 1.5, "", "x1", [], [1], {}, {"x1": 1}]
+
+
+def mutations(value):
+    """Replacements for value: each JSON type, and edits that may cross a
+    pattern, a minimum or minItems, or drop or add a key."""
+    out = list(OTHER_TYPES)
+    if isinstance(value, bool):
+        out += [not value, int(value)]
+    elif isinstance(value, int):
+        out += [value - 1, -value, float(value), value + 0.5]
+    elif isinstance(value, str):
+        out += [value[:-1], value[1:], value + "1", "1" + value, value + " ",
+                value + ":", "fp:" + value, "p-adic:" + value]
+    elif isinstance(value, list):
+        out += [value[:-1], value + value[:1]]
+    elif isinstance(value, dict):
+        out += [{k: v for k, v in value.items() if k != key} for key in value]
+        out += [{**value, "extra": 1}, {**value, "extra": 1, "more": []}]
+    return out
+
+
+def assert_agrees(validator, doc):
+    """The walk refuses doc exactly when jsonschema does, and names a sole
+    error as jsonschema does."""
+    errors = list(validator.iter_errors(doc))
+    try:
+        validate_document(doc)
+    except JobError as e:
+        assert errors, (doc, e)
+        if len(errors) == 1:
+            where = "/".join(str(p) for p in errors[0].absolute_path) or "(root)"
+            assert str(e) == f"invalid job document at {where}: {errors[0].message}"
+    else:
+        assert not errors, (doc, errors)
+
+
+def assert_every_mutation_agrees(validator, doc, extra=lambda: []):
+    """assert_agrees on doc and on each of its mutations at each place;
+    extra() gives more replacements for each place."""
+    assert_agrees(validator, doc)
+    for path, value in nodes(doc):
+        for new in mutations(value) + extra():
+            assert_agrees(validator, replaced(doc, path, new))
+
+
+def test_the_walk_agrees_with_jsonschema_on_the_bundled_documents():
+    validator = oracle()
+    for doc in bundled_documents():
+        assert_every_mutation_agrees(validator, doc)
+
+
+# a final newline is the one place where the walk and jsonschema differ
+# (test_a_final_newline_breaks_a_pattern in test_cli), so no string has one
+TEXT = st.text(st.sampled_from("xyzZQ019_':-p adic fp"), max_size=8)
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}", fullmatch=True)
+INTEGERS = st.one_of(st.integers(-3, 3), st.sampled_from([10**20, -(10**20)]))
+JSON = st.recursive(
+    st.one_of(INTEGERS, st.booleans(), st.none(), TEXT, st.floats(allow_nan=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(TEXT, inner, max_size=2)),
+    max_leaves=4)
+
+
+def documents():
+    """Job documents that satisfy the schema (not always JobSpec)."""
+    representation = st.fixed_dictionaries({}, optional={
+        "ring": st.sampled_from(["Z", "Q", "fp:2", "fp:13"]),
+        "trivial": st.booleans(),
+        "rank": st.integers(1, 3),
+        "matrices": st.dictionaries(NAMES, st.lists(
+            st.lists(st.one_of(INTEGERS, TEXT), max_size=2), max_size=2), max_size=2),
+        "permutations": st.dictionaries(
+            NAMES, st.lists(st.integers(0, 3), max_size=3), max_size=2),
+    })
+    presentation = st.fixed_dictionaries({
+        "generators": st.lists(NAMES, min_size=1, max_size=3),
+        "relators": st.lists(TEXT, max_size=2),
+    })
+    return st.fixed_dictionaries({"presentation": presentation}, optional={
+        "name": TEXT,
+        "representations": st.dictionaries(TEXT, representation, max_size=2),
+        "phis": st.dictionaries(TEXT, st.dictionaries(
+            NAMES, st.lists(INTEGERS, max_size=2), max_size=2), max_size=2),
+        "valuations": st.lists(
+            st.sampled_from(["Z", "trivial", "p-adic:3", "fp:7"]), max_size=3),
+    })
+
+
+# an example checks hundreds of mutated documents, so shrinking a failure
+# would take minutes; the failing assertion shows the document instead
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(documents(), st.data())
+def test_the_walk_agrees_with_jsonschema(doc, data):
+    # the mutations of the bundled documents, and one arbitrary JSON value,
+    # at each place of a generated document
+    assert_every_mutation_agrees(oracle(), doc, lambda: [data.draw(JSON)])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.pop("presentation"), "(root): 'presentation' is a required property"),
+    (lambda d: d["presentation"].pop("relators"),
+     "presentation: 'relators' is a required property"),
+    (lambda d: d.update(extra=1),
+     "(root): Additional properties are not allowed ('extra' was unexpected)"),
+    (lambda d: d["representations"]["s3"].update(rank=0),
+     "representations/s3/rank: 0 is less than the minimum of 1"),
+    (lambda d: d["representations"]["s3"].update(rank=True),
+     "representations/s3/rank: True is not of type 'integer'"),
+    (lambda d: d["representations"]["reg_s3"]["permutations"]["x1"].__setitem__(0, -1),
+     "representations/reg_s3/permutations/x1/0: -1 is less than the minimum of 0"),
+    (lambda d: d["representations"]["s3"]["matrices"]["x1"][0].__setitem__(0, 0.5),
+     "representations/s3/matrices/x1/0/0: 0.5 is not of type 'integer', 'string'"),
+    (lambda d: d["presentation"].update(generators=[]),
+     "presentation/generators: [] should be non-empty"),
+    (lambda d: d["representations"]["s3"].update(ring="fp:"),
+     "representations/s3/ring: 'fp:' does not match '^(Z|Q|fp:[0-9]+)$'"),
+], ids=["required", "required-inner", "unknown-key", "rank-0", "bool-rank",
+        "negative-permutation", "float-entry", "no-generators", "ring-pattern"])
+def test_one_error_is_named_as_jsonschema_names_it(mutate, message):
+    # the mutations that the property draws at random, each pinned once
+    doc = bundled_documents()[0]
+    mutate(doc)
+    with pytest.raises(JobError) as exc:
+        validate_document(doc)
+    assert str(exc.value) == f"invalid job document at {message}"
 
 
 def test_bad_relator_word():
