@@ -40,10 +40,6 @@ EXIT_INTERNAL = 5
 EXIT_PIPE = 141
 
 
-def _fmt(x):
-    return str(Fraction(x))
-
-
 def _tsv_rows(T):
     """One row per cell: kind base_x base_y dir1_x dir1_y dir2_x dir2_y label.
 
@@ -52,14 +48,14 @@ def _tsv_rows(T):
     """
     rows = []
     for c in T.cells:
-        base = [_fmt(x) for x in c.base]
+        base = [str(x) for x in c.base]
         while len(base) < 2:
             base.append(".")
         if c.kind == "vertex":
             d1 = [".", "."]
             d2 = [".", "."]
         elif c.kind == "segment":
-            d1 = [_fmt(x) for x in c.end]
+            d1 = [str(x) for x in c.end]
             d2 = [".", "."]
         elif c.kind == "ray":
             d1 = [str(x) for x in c.dir]
@@ -239,7 +235,7 @@ def cmd_kaehler_test(args):
     else:
         tag = outcome.witnesses[0]
         wit = next(v for v in verdicts if v.ring.tag() == tag)
-        print(f"NOT KAHLER (witness: {ring_from_tag(tag)!r}, Delta = {wit.describe()})")
+        print(f"NOT KAHLER (witness: {wit.ring!r}, Delta = {wit.describe()})")
     return EXIT_OK
 
 

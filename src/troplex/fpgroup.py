@@ -318,13 +318,9 @@ def build_orbifold(genus, weights):
         names.append(f"y{i}")
     for j in range(1, s + 1):
         names.append(f"z{j}")
-    surface = ()
-    for i in range(genus):
-        x, y = 2 * i + 1, 2 * i + 2
-        surface += commutator(x, y)
-    for j in range(s):
-        surface += (2 * genus + j + 1,)
-    relators = [surface]
+    surface = [a for x in range(1, 2 * genus, 2) for a in commutator(x, x + 1)]
+    surface += range(2 * genus + 1, 2 * genus + s + 1)
+    relators = [tuple(surface)]
     for j, mu in enumerate(weights):
         relators.append(tuple([2 * genus + j + 1] * mu))
     return Presentation(names, relators)
@@ -363,6 +359,10 @@ def _refuse_large(size):
 def build_product(pres_a, pres_b):
     """Presentation of the direct product: both sets of relators plus
     commutators between the two generator families."""
+    na, nb = pres_a.ngens, pres_b.ngens
+    letters = sum(map(len, pres_a.relators)) + sum(map(len, pres_b.relators))
+    # both generator families, both relator sets, a 4-letter commutator per pair
+    _refuse_large(na + nb + letters + 4 * na * nb)
     used = set(pres_a.names)
     names = list(pres_a.names)
     for name in pres_b.names:
@@ -371,15 +371,12 @@ def build_product(pres_a, pres_b):
             new = new + "'"
         used.add(new)
         names.append(new)
-    shift = pres_a.ngens
     relators = [tuple(rel) for rel in pres_a.relators]
     for rel in pres_b.relators:
-        relators.append(
-            tuple(letter + shift if letter > 0 else letter - shift for letter in rel)
-        )
-    for i in range(1, pres_a.ngens + 1):
-        for j in range(1, pres_b.ngens + 1):
-            relators.append(commutator(i, j + shift))
+        relators.append(tuple(letter + na if letter > 0 else letter - na for letter in rel))
+    for i in range(1, na + 1):
+        for j in range(1, nb + 1):
+            relators.append(commutator(i, j + na))
     return Presentation(names, relators)
 
 

@@ -283,11 +283,11 @@ def render(f):
         negative = (f.ring.kind != "FP") and c < 0
         mag = -c if negative else c
         if not vars_part:
-            body = f.ring.coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = vars_part
         else:
-            body = f"{f.ring.coeff_str(mag)}*{vars_part}"
+            body = f"{mag}*{vars_part}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -410,20 +410,6 @@ def _exact_div_strict(f, g):
 # -- GCD -----------------------------------------------------------------
 
 
-def _active_vars(f, g):
-    out = []
-    span = [False] * f.nvars
-    for poly in (f, g):
-        lo, hi = poly.min_exponents(), poly.max_exponents()
-        for i in range(f.nvars):
-            if hi[i] > lo[i] or hi[i] > 0:
-                span[i] = True
-    for i, s in enumerate(span):
-        if s:
-            out.append(i)
-    return out
-
-
 def _coeffs_in(f, x):
     """Coefficients of powers of variable x, as polynomials with x-exponent 0."""
     out = {}
@@ -513,13 +499,15 @@ def _poly_gcd(f, g):
     The recursion reads exponents as polynomial degrees, but exact division
     in the subresultant PRS works in the Laurent ring and can hand back a
     negative exponent (t1^-1 would pass for a constant).  Monomials are
-    units, so each input is first shifted to minimum exponent 0.  g is
+    units, so each input is first shifted to minimum exponent 0, and a
+    variable occurs where f or g has a positive maximum exponent.  g is
     nonzero; f is zero only as the seed of `_content`'s fold.
     """
     if f.is_zero:
         return g
     f, g = (_shift_to_zero(h) for h in (f, g))
-    active = _active_vars(f, g)
+    active = [i for i, pair in enumerate(zip(f.max_exponents(), g.max_exponents()))
+              if max(pair) > 0]
     if not active:
         return LaurentPoly.constant(
             f.ring, f.nvars, _scalar_gcd(f.ring, f.constant_value(), g.constant_value())
@@ -646,17 +634,10 @@ def initial_form_valued(f, w, v):
     if not v.compatible_with(f.ring):
         raise ValueError("valuation/ring mismatch")
     w = tuple(Fraction(x) for x in w)
-    best = None
-    for exps, c in f.terms.items():
-        weight = valuate(v, c, f.ring) + sum(e * x for e, x in zip(exps, w))
-        if best is None or weight < best:
-            best = weight
-    keep = {}
-    for exps, c in f.terms.items():
-        weight = valuate(v, c, f.ring) + sum(e * x for e, x in zip(exps, w))
-        if weight == best:
-            keep[exps] = c
-    return LaurentPoly(f.ring, f.nvars, keep)
+    weights = {exps: valuate(v, c, f.ring) + sum(e * x for e, x in zip(exps, w))
+               for exps, c in f.terms.items()}
+    best = min(weights.values())
+    return LaurentPoly(f.ring, f.nvars, {u: f.terms[u] for u, wt in weights.items() if wt == best})
 
 
 def reduce_mod_p(f, p):

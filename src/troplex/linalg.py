@@ -2,8 +2,10 @@
 
 Two entry types are supported, with one elimination loop each.  Ring
 scalars (int / Fraction / residue, with an explicit Ring) go through
-Gauss-Jordan over a field, with Z embedded in Q.  LaurentPoly entries go
-through fraction-free Bareiss, whose divisions are exact by Sylvester's
+Gauss-Jordan over a field, with Z embedded in Q, for rank and inverse; it
+computes no determinant, since Novikov condition (c) reads only the entries
+of sigma(x)^{+-1}, and integral entries force v(det) = 0.  LaurentPoly
+entries go through fraction-free Bareiss, whose divisions are exact by Sylvester's
 identity; each update forms its two products in one raw pass over the
 term dicts, and the first pivot step, whose divisor is 1, divides not at
 all.  Lifting scalars to constant LaurentPolys to share one loop
@@ -41,31 +43,24 @@ def smat_mul(ring, A, B):
 
 
 def _gauss_jordan(ring, M, width=None):
-    """Reduced row echelon form over a field: (rank, det, rows).
+    """Reduced row echelon form over a field: (rank, rows).
 
     Pivots are sought in the first `width` columns (all of them by
     default); row operations act on whole rows, so any further columns
-    ride along.  det is the determinant of the leading square block of
-    those columns, 0 as soon as one of them has no pivot.  Z is embedded
-    in Q here: a Z matrix gets an integer det and rational rows.
+    ride along.  Z is embedded in Q here: a Z matrix gets rational rows.
     """
-    lift = ring.kind == "Z"
-    if lift:
+    if ring.kind == "Z":
         ring = QQ
     A = [[ring.check(x) for x in row] for row in M]
     rows = len(A)
     if width is None:
         width = len(A[0]) if A else 0
-    r, det = 0, ring.one()
+    r = 0
     for c in range(width):
         piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
         if piv is None:
-            det = ring.zero()
             continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            det = ring.neg(det)
-        det = ring.mul(det, A[r][c])
+        A[r], A[piv] = A[piv], A[r]
         inv = ring.inv(A[r][c])
         A[r] = [ring.mul(inv, x) for x in A[r]]
         for i in range(rows):
@@ -75,26 +70,19 @@ def _gauss_jordan(ring, M, width=None):
         r += 1
         if r == rows:
             break
-    return r, int(det) if lift else det, A
-
-
-def smat_det(ring, M):
-    """Exact determinant of a square scalar matrix."""
-    if any(len(row) != len(M) for row in M):
-        raise ValueError("determinant needs a square matrix")
-    return _gauss_jordan(ring, M)[1]
+    return r, A
 
 
 def smat_inverse(ring, M):
-    """Inverse within the ring, or None; over Z it needs det = +-1."""
+    """Inverse within the ring, or None; over Z the rational inverse must
+    be integral, which for an integer matrix means det = +-1."""
     n = len(M)
     eye = smat_identity(ring, n)
-    rank, det, A = _gauss_jordan(ring, [list(row) + e for row, e in zip(M, eye)], n)
-    if rank < n or ring.kind == "Z" and det not in (1, -1):
+    rank, A = _gauss_jordan(ring, [list(row) + e for row, e in zip(M, eye)], n)
+    inv = [row[n:] for row in A]
+    if rank < n or ring.kind == "Z" and any(x.denominator != 1 for row in inv for x in row):
         return None
-    if ring.kind == "Z":
-        return [[int(x) for x in row[n:]] for row in A]
-    return [row[n:] for row in A]
+    return [[int(x) for x in row] for row in inv] if ring.kind == "Z" else inv
 
 
 # -- Laurent matrices -----------------------------------------------------

@@ -206,10 +206,6 @@ class Ring:
             return a
         raise ValueError(f"{a} is not a unit of Z")
 
-    def coeff_str(self, a):
-        """Render a coefficient; rationals as p/q, residues as plain ints."""
-        return str(a)
-
 
 ZZ = Ring("Z")
 QQ = Ring("Q")

@@ -17,7 +17,9 @@ neighbours) and maximal runs are reassembled into components.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 
 def normalize_dir(v):
@@ -188,22 +190,13 @@ class SphereArcSet:
             return SphereArcSet.full_circle()
         if not any(member):
             return SphereArcSet.empty()
-        n = len(atoms)
-        start = next(i for i in range(n) if not member[i])
+        # from an atom outside the set no run of members wraps around
+        start = member.index(False)
+        rotated = zip(atoms[start:] + atoms[:start], member[start:] + member[:start])
         comps = []
-        i = (start + 1) % n
-        steps = 0
-        while steps < n:
-            if not member[i]:
-                i = (i + 1) % n
-                steps += 1
-                continue
-            run = []
-            while member[i]:
-                run.append(atoms[i])
-                i = (i + 1) % n
-                steps += 1
-            comps.extend(SphereArcSet._run_to_components(run))
+        for inside, run in groupby(rotated, key=itemgetter(1)):
+            if inside:
+                comps.extend(SphereArcSet._run_to_components([atom for atom, _ in run]))
         comps.sort(key=lambda c: (DIR_KEY(c[1]), c[0]))
         return SphereArcSet(comps)
 

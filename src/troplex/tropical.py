@@ -240,12 +240,14 @@ def _trop_plane(f, items):
 
 def _edge_chain(items, p, q):
     """Terms on the segment [p, q] of the support, lifted to
-    (position along the segment, height, exponent): their lower chain."""
+    (position along the segment, height, exponent): their lower chain.
+    [p, q] is a hull edge or spans a collinear support, so the points on
+    its line are the points on the segment."""
     e = (q[0] - p[0], q[1] - p[1])
     lifted = sorted(
         ((u[0] - p[0]) * e[0] + (u[1] - p[1]) * e[1], h, u)
         for u, h in items
-        if _on_edge(p, q, u)
+        if cross(e, (u[0] - p[0], u[1] - p[1])) == 0
     )
     return _lower_chain(lifted)
 
@@ -348,15 +350,6 @@ def _convex_hull(points):
     lower = _lower_chain(pts)
     upper = _lower_chain(list(reversed(pts)))
     return lower[:-1] + upper[:-1]
-
-
-def _on_edge(p, q, u):
-    """Does the integer point u lie on the segment [p, q] (p != q)?"""
-    e = (q[0] - p[0], q[1] - p[1])
-    r = (u[0] - p[0], u[1] - p[1])
-    if cross(e, r) != 0:
-        return False
-    return 0 <= r[0] * e[0] + r[1] * e[1] <= e[0] * e[0] + e[1] * e[1]
 
 
 def trop_Z_principal(f):

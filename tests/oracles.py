@@ -6,6 +6,7 @@ at a character), so that the tests can check one against the other.
 Nothing in src/troplex calls them.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,6 +53,27 @@ def fox_derivative(word, i):
             key = tuple(prefix)
             out[key] = out.get(key, 0) - 1
     return {w: c for w, c in out.items() if c != 0}
+
+
+# -- determinants -------------------------------------------------------------
+
+
+def leibniz_det(M):
+    """Determinant of a square matrix of ints or Fractions, expanded over
+    permutations, independent of the library routines."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = 1
+        for i in range(n):
+            prod *= M[i][perm[i]]
+        total += sign * prod
+    return total
 
 
 # -- homology at a character: the oracle for the jump loci ---------------------
@@ -268,6 +290,17 @@ def normalize_dir_by_fractions(v):
     return (ix // g, iy // g)
 
 
+def on_edge(p, q, u):
+    """Does the integer point u lie on the segment [p, q] (p != q)?  The
+    segment test for Newton polygon edges: collinear with [p, q], and
+    between its ends."""
+    e = (q[0] - p[0], q[1] - p[1])
+    r = (u[0] - p[0], u[1] - p[1])
+    if e[0] * r[1] - e[1] * r[0] != 0:
+        return False
+    return 0 <= r[0] * e[0] + r[1] * e[1] <= e[0] * e[0] + e[1] * e[1]
+
+
 def edge_supports_by_scan(f):
     """{primitive inward normal: support points on that edge} over the
     edges of f's Newton polygon, testing every point for lying on the
@@ -278,7 +311,7 @@ def edge_supports_by_scan(f):
     out = {}
     for u, v in zip(hull, hull[1:] + hull[:1]):
         n_in = normalize_dir((u[1] - v[1], v[0] - u[0]))
-        out[n_in] = tuple(p for p in support if tropical._on_edge(u, v, p))
+        out[n_in] = tuple(p for p in support if on_edge(u, v, p))
     return out
 
 

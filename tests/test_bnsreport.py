@@ -94,7 +94,7 @@ def test_vacuous_when_nothing_admissible():
     rp = assemble_bound(job.presentation, [("q3", q3, padic(3))])
     assert rp.vacuous
     assert rp.entries == [] and len(rp.excluded) == 1
-    assert rp.excluded[0].admissibility.reason == "det valuation 1 != 0"
+    assert rp.excluded[0].admissibility.reason == "entry valuation -1 < 0"
     assert rp.combined == SphereArcSet.empty()
     assert rp.complement == SphereArcSet.full_circle()
     assert "no admissible entries: vacuous bound" in rp.notes

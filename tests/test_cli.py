@@ -167,7 +167,7 @@ def test_bns_bound_vacuous(capsys, tmp_path):
     head = json_head(out)
     assert head["vacuous"] is True
     assert head["excluded"] == [{"admissible": False, "descriptor": "q3",
-                                 "mode": "3-adic", "reason": "det valuation 1 != 0"}]
+                                 "mode": "3-adic", "reason": "entry valuation -1 < 0"}]
     assert "bound: vacuous (no admissible entries)" in out
 
 
@@ -403,6 +403,19 @@ def test_generator_commands_refuse_a_huge_presentation_at_once(
     with deadline(2):
         assert run(capsys, *argv) == (2, "", (
             f"error: the presentation would have {size} generators and relator "
+            "letters (at most 100000)\n"))
+
+
+def test_product_refuses_a_huge_presentation_at_once(capsys, tmp_path, deadline):
+    # two free groups of rank 400: 800 generators and 160,000 commutators
+    free = {"name": "free", "presentation": {
+        "generators": [f"x{i}" for i in range(1, 401)], "relators": []},
+        "representations": {"trivial": {"ring": "Z", "trivial": True}}}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(free))
+    with deadline(2):
+        assert run(capsys, "product", str(path), str(path)) == (2, "", (
+            "error: the presentation would have 640800 generators and relator "
             "letters (at most 100000)\n"))
 
 

@@ -522,6 +522,18 @@ def test_builders_count_their_size_before_building():
         build_orbifold(1, [2, cap - 11])
     with pytest.raises(ValueError, match=f"{cap + 1} generators and relator letters"):
         build_weighted_raag(cap - 7, [(1, 2, 2)])
+    # 2 + 3 generators, 4 * 2 * 3 commutator letters, and the two relator sets
+    a = Presentation(["x", "y"], [(1, 2), (1,) * (cap - 34)])
+    b = Presentation(["u", "v", "w"], [(1, -2, 3)])
+    assert size(build_product(a, b)) == cap
+    with pytest.raises(ValueError, match=f"{cap + 1} generators and relator letters"):
+        build_product(a, Presentation(["u", "v", "w"], [(1, -2, 3, 3)]))
+
+
+def test_build_orbifold_is_linear_in_the_genus(deadline):
+    # 6g = 99,996 generators and letters, just under the bound
+    with deadline(1):
+        assert size(build_orbifold(16666, [])) == 99_996
 
 
 def test_build_product():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import free_reduce, homology_dims_at_character
+from oracles import free_reduce, homology_dims_at_character, leibniz_det
 from troplex import jumploci, linalg
 from troplex.bnsreport import assemble_bound
 from troplex.fpgroup import (
@@ -833,6 +833,56 @@ def test_novikov_rejects_padic_on_prime_field():
 
 
 def test_novikov_det_valuation():
+    # sigma(x) = [[3]] is integral, but its determinant is not a 3-adic
+    # unit: the refusal names the entry 1/3 of sigma(x)^-1
     rep = Representation(QQ, [[[Fraction(3)]]])
     v = novikov_admissible(rep, padic(3))
-    assert not v.ok and v.reason == "det valuation 1 != 0"
+    assert not v.ok and v.reason == "entry valuation -1 < 0"
+
+
+@st.composite
+def _generators_invertible_over_q(draw):
+    """(ring, one or two 1x1 to 3x3 matrices invertible over the ring),
+    each a unitriangular times a triangular matrix: over Z with diagonal
+    +-1, over Q with small fractions and a nonzero diagonal."""
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    n = draw(st.integers(1, 3))
+    if ring is ZZ:
+        entry, diagonal = st.integers(-2, 2), st.sampled_from((1, -1))
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 5)))
+        diagonal = st.builds(Fraction, st.sampled_from((1, -1, 2, 3, 5)),
+                             st.sampled_from((1, 2, 3, 5)))
+    mats = []
+    for _ in range(draw(st.integers(1, 2))):
+        lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+                 for i in range(n)]
+        upper = [[draw(diagonal) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+                 for i in range(n)]
+        mats.append(smat_mul(ring, lower, upper))
+    return ring, mats
+
+
+def inverse_by_cofactors(M):
+    det = Fraction(leibniz_det(M))
+    n = len(M)
+    minor = lambda i, j: [[M[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+    return [[(-1) ** (i + j) * leibniz_det(minor(j, i)) / det for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators_invertible_over_q(), st.sampled_from((2, 3, 5)))
+def test_novikov_entries_only_rule_is_the_old_rule(gens, p):
+    """Condition (c) reads entry valuations only; the rule it replaced also
+    asked for determinant valuation 0, which integral entries of M and
+    M^-1 already force."""
+    ring, mats = gens
+    integral = lambda x: Fraction(x).denominator % p != 0
+    unit = lambda x: integral(x) and Fraction(x).numerator % p != 0
+    old = all(
+        all(integral(x) for row in M + inverse_by_cofactors(M) for x in row)
+        and unit(leibniz_det(M))
+        for M in mats
+    )
+    assert novikov_admissible(Representation(ring, mats), padic(p)).ok == old

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cell_contains, complex_contains, edge_supports_by_scan, vertices
+from oracles import cell_contains, complex_contains, edge_supports_by_scan, on_edge, vertices
 from troplex import tropical
 from troplex.laurent import LaurentPoly, reduce_mod_p
 from troplex.rings import ZZ, QQ, TRIVIAL, padic
@@ -315,6 +315,28 @@ def test_integral_fan_edge_labels_match_the_segment_scan(f):
     T = trop_Z_principal(f)
     labels = {c.dir: c.label for c in T.cells if c.kind == "ray"}
     assert labels == edge_supports_by_scan(f)
+
+
+_random_supports = st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=2, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_supports_with_collinear_points().map(lambda f: set(f.terms)),
+                 _random_supports))
+def test_edge_chain_keeps_the_support_on_the_segment(points):
+    """_edge_chain keeps the points collinear with [p, q]; on a hull edge,
+    or across a collinear support, they are the points on the segment."""
+    support = sorted(points)
+    hull = tropical._convex_hull(support)
+    edges = [hull] if len(hull) == 2 else zip(hull, hull[1:] + hull[:1])
+    for p, q in edges:
+        e = (q[0] - p[0], q[1] - p[1])
+        pos = lambda u: (u[0] - p[0]) * e[0] + (u[1] - p[1]) * e[1]
+        # heights on a parabola along the edge put every point on its lower chain
+        chain = tropical._edge_chain([(u, pos(u) ** 2) for u in support], p, q)
+        assert [u for _, _, u in chain] == sorted(
+            (u for u in support if on_edge(p, q, u)), key=pos)
 
 
 def test_tropicalize_dispatch():
