@@ -233,8 +233,7 @@ def cmd_kaehler_test(args):
         descs = dict.fromkeys(v.describe() for v in verdicts)  # in first-seen order
         print(f"consistent (Delta = {'; '.join(descs)})")
     else:
-        tag = outcome.witnesses[0]
-        wit = next(v for v in verdicts if v.ring.tag() == tag)
+        wit = outcome.witnesses[0]
         print(f"NOT KAHLER (witness: {wit.ring!r}, Delta = {wit.describe()})")
     return EXIT_OK
 

@@ -17,7 +17,6 @@ so the Fox fundamental identity makes the product ``d2 * d1`` vanish.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from . import linalg
 from .laurent import LaurentPoly
@@ -173,12 +172,12 @@ def _scalar_converter(src, dst):
     if dst.kind == "FP":
         return lambda x: reduce_scalar(x, dst.p, src)
     if src.kind == "Z" and dst.kind == "Q":
-        return lambda x: Fraction(x)
+        return lambda x: x  # an integer is its own normal form in Q
     if src.kind == "Q" and dst.kind == "Z":
         def to_int(x):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
-            return int(x)
+            return x
 
         return to_int
     raise ValueError(f"cannot convert scalars from {src!r} to {dst!r}")

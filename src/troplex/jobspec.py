@@ -109,14 +109,14 @@ def validate_document(doc):
 def _parse_entry(ring, x):
     """Matrix entries are JSON integers or strings like "3" or "-1/3"."""
     if isinstance(x, int):
-        return ring.check(Fraction(x) if ring.kind == "Q" else x)
+        return ring.check(x)
     if isinstance(x, str):
         try:
             val = Fraction(x.strip())
         except (ValueError, ZeroDivisionError):
             raise JobError(f"bad matrix entry {x!r}") from None
         if ring.kind == "Q":
-            return val
+            return ring.check(val)
         if val.denominator != 1:
             raise JobError(f"entry {x!r} is not an element of {ring!r}")
         return ring.check(int(val))

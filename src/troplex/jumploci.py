@@ -304,7 +304,7 @@ class KahlerVerdict:
     def __repr__(self):
         if self.consistent:
             return "<KahlerVerdict Consistent>"
-        return f"<KahlerVerdict NotKahler {self.witnesses}>"
+        return f"<KahlerVerdict NotKahler {[w.ring.tag() for w in self.witnesses]}>"
 
 
 def kahler_obstruction(verdicts):
@@ -312,18 +312,15 @@ def kahler_obstruction(verdicts):
     (over some coefficient field) cannot be a Kahler group.
 
     One-sided: Consistent never certifies the group as Kahler.  The
-    witnesses list the offending coefficient rings, sorted by tag.
+    witnesses are the offending verdicts, sorted by their ring's tag.
     """
     verdicts = list(verdicts)
     if not verdicts:
         raise ValueError("need at least one verdict")
-    witnesses = []
-    for v in verdicts:
-        # 0 has no term, and any single term c*t^e is a unit once
-        # coefficients live in a field
-        if len(v.delta.terms) > 1:
-            witnesses.append(v.ring.tag())
-    witnesses.sort()
+    # 0 has no term, and any single term c*t^e is a unit once
+    # coefficients live in a field
+    witnesses = sorted((v for v in verdicts if len(v.delta.terms) > 1),
+                       key=lambda v: v.ring.tag())
     return KahlerVerdict(not witnesses, witnesses)
 
 

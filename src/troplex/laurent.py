@@ -16,16 +16,18 @@ golden-file contract for every consumer of ``str(f)``.
 Normal form
 -----------
 Every polynomial holds distinct exponent tuples of length nvars and
-nonzero coefficients in the form ``ring.check`` returns (``Fraction``
-over Q, a residue in ``[0, p)`` over F_p).  The public constructor
-enforces this on any input.  Results built here from terms already in
-normal form go through ``_trusted``, which skips those checks:
-products, sums, negation, shifts and exact quotients.  Products
-accumulate in raw coefficient arithmetic (``_add_products``), and
-``_from_raw`` reduces mod p and drops zeros once per term, so a Bareiss
-update a*d - b*c is one pass.  Exact division works in place on the
-dividend's exponents, takes leading terms from a heap after the first,
-and stops at the quotient's forced minimum exponents.
+nonzero coefficients in the form ``ring.check`` returns (over Q an
+``int`` when integral and a ``Fraction`` otherwise, over F_p a residue
+in ``[0, p)``).  The public constructor enforces this on any input.
+Results built here from terms already in normal form go through
+``_trusted``, which skips those checks: products, sums, negation, shifts
+and exact quotients.  Products accumulate in raw coefficient arithmetic
+(``_add_products``), and ``_from_raw`` reduces mod p, lowers an integral
+rational to ``int`` and drops zeros once per term, so a Bareiss update
+a*d - b*c is one pass, in integers whenever its entries are integral.
+Exact division works in place on the dividend's exponents, takes leading
+terms from a heap after the first, and stops at the quotient's forced
+minimum exponents.
 
 GCDs are computed by content/primitive-part recursion (Gauss's lemma)
 with a subresultant pseudo-remainder sequence in the chosen main
@@ -39,7 +41,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, lt, neg, sub
 
-from .rings import GF, reduce_scalar, valuate
+from .rings import GF, rational, reduce_scalar, valuate
 
 
 def _lex_key(exps):
@@ -72,10 +74,13 @@ def _add_products(acc, f, g, negate=False):
 
 def _from_raw(ring, nvars, acc):
     """The polynomial of an _add_products sum: each coefficient reduced
-    mod p once, zeros dropped once."""
+    mod p (or lowered to int when integral over Q) once, zeros dropped
+    once."""
     p = ring.p
     if p:
         return _trusted(ring, nvars, {e: r for e, c in acc.items() if (r := c % p)})
+    if ring.kind == "Q":
+        return _trusted(ring, nvars, {e: rational(c) for e, c in acc.items() if c})
     return _trusted(ring, nvars, {e: c for e, c in acc.items() if c})
 
 
@@ -374,7 +379,7 @@ def exact_div(f, g):
             if r:
                 return None
         else:
-            qc = c * inv % p if p else c * inv
+            qc = c * inv % p if p else rational(c * inv)
         q[e] = qc
         for ge, gc in tail:
             ke = tuple(map(add, e, ge))

@@ -2,9 +2,10 @@
 
 Two entry types are supported, with one elimination loop each.  Ring
 scalars (int / Fraction / residue, with an explicit Ring) go through
-Gauss-Jordan over a field, with Z embedded in Q, for rank and inverse; it
-computes no determinant, since Novikov condition (c) reads only the entries
-of sigma(x)^{+-1}, and integral entries force v(det) = 0.  LaurentPoly
+Gauss-Jordan over a field, with Z embedded in Q (whose integral values
+are the same ints), for rank and inverse; it computes no determinant,
+since Novikov condition (c) reads only the entries of sigma(x)^{+-1}, and
+integral entries force v(det) = 0.  LaurentPoly
 entries go through fraction-free Bareiss, whose divisions are exact by Sylvester's
 identity; each update forms its two products in one raw pass over the
 term dicts, and the first pivot step, whose divisor is 1, divides not at
@@ -47,7 +48,8 @@ def _gauss_jordan(ring, M, width=None):
 
     Pivots are sought in the first `width` columns (all of them by
     default); row operations act on whole rows, so any further columns
-    ride along.  Z is embedded in Q here: a Z matrix gets rational rows.
+    ride along.  Z is embedded in Q here: a Z matrix gets rows in Q's
+    normal form, ints wherever the entry is integral.
     """
     if ring.kind == "Z":
         ring = QQ
@@ -82,7 +84,7 @@ def smat_inverse(ring, M):
     inv = [row[n:] for row in A]
     if rank < n or ring.kind == "Z" and any(x.denominator != 1 for row in inv for x in row):
         return None
-    return [[int(x) for x in row] for row in inv] if ring.kind == "Z" else inv
+    return inv
 
 
 # -- Laurent matrices -----------------------------------------------------

@@ -1,9 +1,12 @@
 """Exact coefficient rings (Z, Q, F_p) and valuations on them.
 
 Values are plain Python objects tagged by the Ring they live in:
-``int`` for Z, ``fractions.Fraction`` for Q, and canonical residues in
-``[0, p)`` (as ``int``) for F_p.  No floats appear anywhere; the
-valuation of a nonzero scalar is an ``int``.
+``int`` for Z, canonical residues in ``[0, p)`` (as ``int``) for F_p,
+and for Q the reduced rational: an ``int`` when the value is integral,
+otherwise a ``fractions.Fraction`` with denominator > 1.  So integral
+data over Q runs in integer arithmetic, as it does over Z.  A ``bool``
+is an element of no ring.  No floats appear anywhere; the valuation of
+a nonzero scalar is an ``int``.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ def _rho_factor(n):
             return g
 
 
+def rational(x):
+    """An int or Fraction in Q's normal form: an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Ring:
     """One of Z, Q, F_p.  Carries element-level operations.
 
@@ -146,42 +154,46 @@ class Ring:
     # -- element ops -------------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return 1
 
     def from_int(self, k):
-        if self.kind == "Z":
-            return k
-        if self.kind == "Q":
-            return Fraction(k)
-        return k % self.p
+        return k % self.p if self.kind == "FP" else k
 
     def check(self, a):
         """Validate that a is a legal element; return it normalized."""
+        if isinstance(a, bool):
+            raise ValueError(f"{a!r} is not an element of {self!r}")
         if self.kind == "Z":
             if not isinstance(a, int):
                 raise ValueError(f"{a!r} is not an element of Z")
             return a
         if self.kind == "Q":
             if isinstance(a, int):
-                return Fraction(a)
-            if isinstance(a, Fraction):
                 return a
+            if isinstance(a, Fraction):
+                return rational(a)
             raise ValueError(f"{a!r} is not an element of Q")
         if not isinstance(a, int):
             raise ValueError(f"{a!r} is not an element of {self!r}")
         return a % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "FP" else a + b
+        if self.kind == "FP":
+            return (a + b) % self.p
+        return rational(a + b) if self.kind == "Q" else a + b
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "FP" else a - b
+        if self.kind == "FP":
+            return (a - b) % self.p
+        return rational(a - b) if self.kind == "Q" else a - b
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "FP" else a * b
+        if self.kind == "FP":
+            return (a * b) % self.p
+        return rational(a * b) if self.kind == "Q" else a * b
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "FP" else -a
@@ -197,7 +209,7 @@ class Ring:
         if self.kind == "Q":
             if a == 0:
                 raise ZeroDivisionError("inverse of 0 in Q")
-            return 1 / Fraction(a)
+            return rational(1 / Fraction(a))
         if self.kind == "FP":
             if a % self.p == 0:
                 raise ZeroDivisionError(f"inverse of 0 in {self!r}")

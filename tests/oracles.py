@@ -18,6 +18,16 @@ from troplex.rings import QQ
 from troplex.sphere import antipode, normalize_dir
 
 
+# -- the normal form of a scalar ----------------------------------------------
+
+
+def normal_type(ring, c):
+    """The one type that the value c has in ring's normal form: Fraction
+    for a non-integral rational, int for everything else (Z, F_p and an
+    integral rational).  A float has no denominator and fails here."""
+    return Fraction if ring.kind == "Q" and c.denominator != 1 else int
+
+
 # -- words and the free Fox derivative ----------------------------------------
 
 

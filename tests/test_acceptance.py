@@ -212,7 +212,8 @@ def test_criterion_7_obstruction_examples():
                             squarefree=True)
     assert render(vf2.delta_poly()) == "1 + t1"  # the associate of t1 - 1 over F_2
     out = kahler_obstruction([vq, vf2])
-    assert not out.consistent and out.witnesses == ["fp:2"]
+    assert not out.consistent and out.witnesses == [vf2]
+    assert out.witnesses[0].ring.tag() == "fp:2"
 
     g3 = build_weighted_raag(3, [(1, 2, 13), (1, 3, 13), (2, 3, 13)])
     vq = twisted_alexander(g3, Representation.trivial(QQ, 3), squarefree=True)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -746,7 +747,8 @@ def test_kahler_obstruction_verdicts():
     v2 = twisted_alexander(pres, Representation.trivial(GF(2), 4), squarefree=True)
     verdict = kahler_obstruction([vq, v2])
     assert not verdict.consistent
-    assert verdict.witnesses == ["fp:2"]
+    assert verdict.witnesses == [v2]
+    assert [w.ring.tag() for w in verdict.witnesses] == ["fp:2"]
     # zero and unit polynomials are both compatible with the obstruction
     g3 = build_weighted_raag(3, [(1, 2, 13), (1, 3, 13), (2, 3, 13)])
     vq = twisted_alexander(g3, Representation.trivial(QQ, 3), squarefree=True)
@@ -886,3 +888,45 @@ def test_novikov_entries_only_rule_is_the_old_rule(gens, p):
         for M in mats
     )
     assert novikov_admissible(Representation(ring, mats), padic(p)).ok == old
+
+
+def primitive_q_associate(delta_z):
+    """Gauss's lemma: the gcd over Q[t^+-1] is the gcd over Z[t^+-1] with
+    its integer content divided out, up to a unit of Q."""
+    if delta_z.is_zero:
+        return LaurentPoly.zero(QQ, delta_z.nvars)
+    content = math.gcd(*delta_z.terms.values())
+    return canonical_associate(LaurentPoly(
+        QQ, delta_z.nvars, {e: c // content for e, c in delta_z.terms.items()}))
+
+
+def test_delta_over_q_is_the_primitive_part_over_z_seeded():
+    """Delta over Q, a gcd of the minors in Q[t^+-1], against Delta over Z
+    by Gauss's lemma, on groups whose relators lie in the S3 kernel and on
+    weighted RAAGs."""
+    rng = random.Random(30)
+    contents, nonconstant = set(), 0
+
+    def check(pres, rep, phi=None):
+        nonlocal nonconstant
+        delta_z = twisted_alexander(pres, rep, phi).delta
+        delta_q = twisted_alexander(pres, rep.over(QQ), phi).delta
+        assert delta_q == primitive_q_associate(delta_z)
+        if not delta_z.is_zero:
+            contents.add(math.gcd(*delta_z.terms.values()))
+            nonconstant += len(delta_z.terms) > 1
+
+    for k in range(30):
+        pres = kernel_presentation(random_pairs(rng, rng.randint(1, 2)))
+        check(pres, S3_REPS[("trivial", "s3", "perm3")[k % 3]],
+              PHIS[("full", "rank1")[k // 3 % 2]](pres))
+    for k in range(12):
+        n = rng.randint(3, 5)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = [(i, j, rng.randint(1, 3))
+                 for i, j in rng.sample(pairs, rng.randint(1, min(len(pairs), 6)))]
+        pres = build_weighted_raag(n, edges)
+        check(pres, Representation.trivial(ZZ, n))
+        check(pres, commuting_rep(rng, n, rng.randint(1, 2)))
+    # the cases divide out a content above 1 and compare real polynomials
+    assert max(contents) > 1 and nonconstant > 10

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import exact_div_by_scan
+from oracles import exact_div_by_scan, normal_type
 from troplex.laurent import (
     LaurentPoly, render, is_unit, canonical_associate, exact_div,
     laurent_gcd, gcd_list, squarefree_part, partial_derivative,
     initial_form_valued, reduce_mod_p, coefficient_primes, _exact_div_strict,
 )
+from troplex.linalg import det_laurent, smat_inverse
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 
 
@@ -36,10 +37,10 @@ def random_poly(rng, ring=ZZ, nvars=2, max_terms=4, span=3):
 
 def assert_normal(f):
     """f is what the public constructor builds from its own terms: no zero
-    coefficient, a residue in [0, p) over F_p, and a Fraction over Q."""
+    coefficient, a residue in [0, p) over F_p, and over Q an int when the
+    value is integral and a Fraction otherwise: one type per value."""
     assert f == LaurentPoly(f.ring, f.nvars, f.terms)
-    kind = Fraction if f.ring.kind == "Q" else int
-    assert all(type(c) is kind for c in f.terms.values())
+    assert all(type(c) is normal_type(f.ring, c) for c in f.terms.values())
 
 
 class Pairs(list):
@@ -206,6 +207,39 @@ def test_exact_div_matches_the_scanning_oracle(deadline, ring, nvars, data):
         assert exact_div(g * q, g) == q == exact_div_by_scan(g * q, g)
         f = g * q + r
         assert exact_div(f, g) == exact_div_by_scan(f, g)
+
+
+# integral and non-integral rationals, Fraction(6, 3) among them
+Q_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(6, 3))
+
+
+def q_polys(nvars, max_size=3):
+    exps = st.tuples(*[st.integers(-1, 2)] * nvars)
+    return st.dictionaries(exps, st.sampled_from(Q_COEFFS), max_size=max_size).map(
+        lambda terms: LaurentPoly(QQ, nvars, terms))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2), st.data())
+def test_q_results_are_reduced_rationals(deadline, nvars, data):
+    """Every result over Q holds an int where the value is integral and a
+    Fraction elsewhere, and never a float (assert_normal fails on one)."""
+    f = data.draw(q_polys(nvars), label="f")
+    g = data.draw(q_polys(nvars).filter(bool), label="g")
+    c = data.draw(st.sampled_from(Q_COEFFS + (0,)), label="c")
+    M = [data.draw(st.lists(q_polys(nvars, 2), min_size=3, max_size=3)) for _ in range(3)]
+    S = [data.draw(st.lists(st.sampled_from(Q_COEFFS + (0,)), min_size=2, max_size=2))
+         for _ in range(2)]
+    with deadline(30):
+        q = exact_div(f, g)
+        results = [f + g, f - g, f * g, f * c, c * f, f + c, f - c, -f,
+                   exact_div(f * g, g), laurent_gcd(f, g), canonical_associate(f),
+                   squarefree_part(f * g), det_laurent(M)] + ([q] if q is not None else [])
+        for h in results:
+            assert_normal(h)
+        inv = smat_inverse(QQ, S)
+        assert inv is None or all(type(x) is normal_type(QQ, x) for row in inv for x in row)
 
 
 def test_exact_div_skips_cancelled_heap_entries():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import leibniz_det, lmat_identity, lmat_mul, smat_rank
+from oracles import leibniz_det, lmat_identity, lmat_mul, normal_type, smat_rank
 from troplex.laurent import LaurentPoly, render
 from troplex.linalg import (
     smat_identity, smat_mul, smat_inverse, det_laurent, rank_laurent,
@@ -223,10 +223,9 @@ def check_laurent_elimination(M):
     square = [row[:n] for row in M[:n]]
     det = det_laurent(square)
     assert det == leibniz(square)
-    # in the public constructor's normal form, a Fraction over Q included
+    # in the public constructor's normal form: over Q an int when integral
     assert det == LaurentPoly(det.ring, det.nvars, det.terms)
-    assert all(type(c) is (Fraction if det.ring.kind == "Q" else int)
-               for c in det.terms.values())
+    assert all(type(c) is normal_type(det.ring, c) for c in det.terms.values())
 
 
 def test_laurent_elimination_matches_leibniz_seeded():

@@ -8,7 +8,7 @@ from troplex.bnsreport import (
 from troplex.fpgroup import Presentation
 from troplex.jumploci import AlexVerdict, IdealGens, KahlerVerdict, NovikovVerdict
 from troplex.laurent import LaurentPoly
-from troplex.rings import QQ, ZZ, padic
+from troplex.rings import GF, QQ, ZZ, padic
 from troplex.sphere import SphereArcSet
 from troplex.tropical import Cell, TropicalComplex
 
@@ -34,7 +34,9 @@ EMPTY = SphereArcSet.empty()
     (IdealGens(QQ, 2, [POLY, POLY * 2]), "<IdealGens 1 gens>"),
     (AlexVerdict(POLY), "<AlexVerdict 1 - 2*t1 + 3*t2^2>"),
     (KahlerVerdict(True, []), "<KahlerVerdict Consistent>"),
-    (KahlerVerdict(False, ["Z", "fp:3"]), "<KahlerVerdict NotKahler ['Z', 'fp:3']>"),
+    (KahlerVerdict(False, [AlexVerdict(LaurentPoly(ZZ, 1, {(0,): 1, (1,): 2})),
+                           AlexVerdict(LaurentPoly(GF(3), 1, {(0,): 1, (1,): 2}))]),
+     "<KahlerVerdict NotKahler ['Z', 'fp:3']>"),
     (YES, "<NovikovVerdict Yes(a)>"),
     (NO, "<NovikovVerdict No(entry valuation -1 < 0)>"),
     (POLY, "<LaurentPoly 1 - 2*t1 + 3*t2^2 over Q>"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from troplex.laurent import LaurentPoly
 from troplex.rings import (
     ZZ, QQ, GF, TRIVIAL, Ring, Valuation, padic, valuate, reduce_scalar,
     ring_from_tag, is_prime, prime_factors, padic_valuation,
@@ -49,6 +50,30 @@ def test_zz_rejects_fractions():
         ZZ.check(Fraction(1, 2))
     with pytest.raises(ValueError):
         ZZ.check(Fraction(4, 2))
+
+
+def test_a_bool_is_no_ring_element():
+    # bool is an int subclass: unchecked, True would render as "True"
+    for ring in (ZZ, QQ, GF(5)):
+        for b in (True, False):
+            with pytest.raises(ValueError, match=f"^{b} is not an element of {ring!r}$"):
+                ring.check(b)
+        with pytest.raises(ValueError, match="True is not an element"):
+            LaurentPoly(ring, 0, {(): True})
+
+
+def test_qq_elements_are_reduced_rationals():
+    """Over Q an integral value is an int, any other a Fraction."""
+    half = Fraction(1, 2)
+    cases = [
+        (QQ.zero(), 0), (QQ.one(), 1), (QQ.from_int(-4), -4),
+        (QQ.check(Fraction(6, 3)), 2), (QQ.check(7), 7), (QQ.check(half), half),
+        (QQ.add(half, half), 1), (QQ.sub(Fraction(5, 2), half), 2),
+        (QQ.mul(Fraction(2, 3), Fraction(3, 2)), 1), (QQ.mul(3, half), Fraction(3, 2)),
+        (QQ.inv(Fraction(-1, 3)), -3), (QQ.inv(1), 1), (QQ.inv(2), half),
+    ]
+    for got, want in cases:
+        assert got == want and type(got) is type(want)
 
 
 def test_field_axioms_sampled():
