@@ -37,6 +37,12 @@ the complement of a generator block sigma(x_i) t^phi(x_i) - I of d1.
 Some phi(x_i) != 0, and then that block's determinant has leading
 coefficient det sigma(x_i) != 0, so S0 always exists.
 
+Only gcd J0 enters delta, and every generator block's determinant is
+itself an r-minor of d1.  So when the gcd of the blocks is a unit, it is
+gcd J0, and no other minor of d1 is taken; otherwise gcd J0 is folded
+over all C(nr, r) r-minors.  J0's generators are enumerated only for
+jump_ideal(i=0) and when a caller reads J1's generators.
+
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: a minor of a block-diagonal matrix is zero unless
 it takes as many rows as columns from each block, and then it is the
@@ -58,6 +64,7 @@ from .laurent import (
     _exact_div_strict,
     canonical_associate,
     gcd_list,
+    is_unit,
     render,
     squarefree_part,
 )
@@ -154,24 +161,19 @@ def _divisor(divisors, k):
     return divisors[k] if k < len(divisors) else 0
 
 
-def _j0(d1, r):
-    """J0 = I_r(d1) from every r-minor of d1 (phi of rank >= 1)."""
-    probe = d1[0][0]
-    return IdealGens(probe.ring, probe.nvars, minors(d1, r))
-
-
 def _by_duality(d2, d1, r):
-    """Delta and the (n-1)r-minors of d2 from J0 by kernel duality.
+    """Delta and gcd J0 by kernel duality (phi of rank >= 1).
 
-    phi has rank >= 1.  S0 is the complement of the first generator
-    block of d1 with a nonzero determinant det(sigma(x_i) t^phi(x_i) - I),
-    whose leading coefficient is det sigma(x_i), so the block of any x_i
-    with phi(x_i) != 0 serves; that block also proves rank d1 = r.
-    Returns (J0's generators, gcd J0, delta, the k-minors of d2 up to
-    units as a lazy iterator of rows, one per row slice R, the c_R*q in
-    the order of J0's generators q).  When every row slice has rank below
-    k, delta and J1 are zero and J0 is not needed: the tuple is
-    ([], 0, 0, no rows).
+    S0 is the complement of the first generator block of d1 with a
+    nonzero determinant den = det(sigma(x_i) t^phi(x_i) - I), whose
+    leading coefficient is det sigma(x_i), so the block of any x_i with
+    phi(x_i) != 0 serves; that block also proves rank d1 = r.  gcd J0 is
+    the gcd of the blocks when that is a unit, and of every r-minor of d1
+    otherwise.  Returns (gcd J0, delta, nums, den), where nums holds
+    det d2[R, S0] for each row slice R of rank k, so that the k-minors of
+    d2 are the nums[R] * q / den over the r-minors q of d1.  When every
+    row slice has rank below k, delta and J1 are zero and J0 is not
+    needed: the tuple is (0, 0, [], den).
     """
     size = len(d1)
     for top in range(0, size, r):
@@ -188,12 +190,14 @@ def _by_duality(d2, d1, r):
             nums.append(num)
     if not nums:
         zero = LaurentPoly.zero(den.ring, den.nvars)
-        return [], zero, zero, iter(())
-    j0 = _j0(d1, r)
-    gens0, g0 = j0.generators, j0.gcd()
+        return zero, zero, nums, den
+    # every block is an r-minor of d1 (those above den's are 0), so a
+    # unit gcd of the blocks is gcd J0, which gcd_list returns as 1
+    g0 = gcd_list([den] + [linalg.det_laurent(d1[i:i + r]) for i in range(top + r, size, r)])
+    if not is_unit(g0):
+        g0 = gcd_list(minors(d1, r))
     delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
-    rows = ((_exact_div_strict(num * q, den) for q in gens0) for num in nums)
-    return gens0, g0, delta, rows
+    return g0, delta, nums, den
 
 
 def jump_ideal(pres, rep, phi=None, i=1):
@@ -206,13 +210,13 @@ def jump_ideal(pres, rep, phi=None, i=1):
 
     J1 never builds diag(d2, d1); see the module docstring for both
     routes.  At phi of rank 0 each ideal comes back on its one generator,
-    a determinantal divisor.  Otherwise J0 is every r-minor of d1, and
-    J1 is generated by the c_R*q_a*q_b with q_a, q_b in J0, so gcd J1 =
+    a determinantal divisor.  Otherwise J0 is generated by the r-minors
+    of d1, and J1 by the c_R*q_a*q_b with q_a, q_b in J0, so gcd J1 =
     delta * gcd J0.  As c_R*q_a*q_b = c_R*q_b*q_a, only b >= a is formed:
     the pairs b < a are the duplicates that IdealGens would drop, so the
     generators and their order are those of the full product.  J1 gets
-    that gcd up front, so its products are formed only if a caller reads
-    its generators.
+    that gcd up front, so J0's generators and the products are formed
+    only if a caller reads J1's generators.
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
@@ -230,10 +234,17 @@ def jump_ideal(pres, rep, phi=None, i=1):
                              for a, p in enumerate(_divisors(d2, rep.ring))))
         return IdealGens(rep.ring, 0, [LaurentPoly.constant(rep.ring, 0, gen)])
     if i == 0:
-        return _j0(d1, r)
-    gens0, g0, delta, rows = _by_duality(d2, d1, r)
-    gens = (p * q for row in rows for a, p in enumerate(row) for q in gens0[a:])
-    return IdealGens(rep.ring, phi.m, gens, gcd=canonical_associate(delta * g0))
+        return IdealGens(rep.ring, phi.m, minors(d1, r))
+    g0, delta, nums, den = _by_duality(d2, d1, r)
+
+    def gens():
+        gens0 = minors(d1, r) if nums else []
+        for num in nums:
+            for a, q in enumerate(gens0):
+                p = _exact_div_strict(num * q, den)
+                yield from (p * q_b for q_b in gens0[a:])
+
+    return IdealGens(rep.ring, phi.m, gens(), gcd=canonical_associate(delta * g0))
 
 
 # -- twisted Alexander polynomial -------------------------------------------
@@ -287,7 +298,7 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
         k = (pres.ngens - 1) * rep.rank
         delta = LaurentPoly.constant(rep.ring, 0, _divisor(_divisors(d2, rep.ring), k))
     else:
-        delta = _by_duality(d2, d1, rep.rank)[2]
+        delta = _by_duality(d2, d1, rep.rank)[1]
     if squarefree:
         delta = squarefree_part(delta)
     return AlexVerdict(canonical_associate(delta))

@@ -187,9 +187,10 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
 
 
 def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
-    # reg_s3 on the bundled relator: d1 is 12 x 6, so J1 takes its
-    # C(12, 6) = 924 6-minors once, one block of d1 for S0 and the single
-    # 6-row slice of d2
+    # reg_s3 on the bundled relator: d1 is 12 x 6, and its two generator
+    # blocks, 6-minors of d1 with gcd 1, are taken once for both settings
+    # with the single 6-row slice of d2; none of J0's C(12, 6) = 924
+    # other 6-minors is taken
     import troplex.bnsreport as bnsreport
     from troplex import jumploci, linalg
 
@@ -218,6 +219,6 @@ def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
         rp = assemble_bound(job.presentation,
                             [("reg_s3", rep, "Z"), ("reg_s3", rep, padic(3))])
     assert len(rp.entries) == 2
-    assert minor_shapes == [(12, 6, 6)]
-    assert len(dets) <= 924 + 2
+    assert minor_shapes == []
+    assert dets == [6, 6, 6]
     assert degrees == [1]

@@ -20,7 +20,8 @@ from troplex.jumploci import (
     novikov_admissible,
 )
 from troplex.laurent import (
-    LaurentPoly, render, canonical_associate, gcd_list, is_unit, squarefree_part,
+    LaurentPoly, _exact_div_strict, render, canonical_associate, gcd_list, is_unit,
+    squarefree_part,
 )
 from troplex.linalg import det_laurent, smat_mul
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
@@ -236,8 +237,10 @@ def j1_by_all_ordered_pairs(pres, rep, phi):
     if phi.m == 0:
         return None
     d2, d1 = alexander_matrices(pres, rep, phi)
-    gens0, _, _, rows = jumploci._by_duality(d2, d1, rep.rank)
-    return IdealGens(rep.ring, phi.m, (p * q for row in rows for p in row for q in gens0))
+    _, _, nums, den = jumploci._by_duality(d2, d1, rep.rank)
+    gens0 = minors(d1, rep.rank)
+    return IdealGens(rep.ring, phi.m, (_exact_div_strict(num * q_a, den) * q_b
+                                       for num in nums for q_a in gens0 for q_b in gens0))
 
 
 def assert_same_ideal(fast, slow, phi):
@@ -526,6 +529,85 @@ def test_singular_generator_blocks_fall_back_to_enumeration(monkeypatch):
     assert assert_duality_matches_enumeration(pres, rep, phi)
 
 
+# -- gcd J0 from the generator blocks against every r-minor of d1 --------------
+
+
+def gcd_j0_route(pres, rep, phi):
+    """_by_duality's gcd J0 and Delta against gcd_list(minors(d1, r)) and
+    enumeration.  Returns None when Delta = 0 (no row slice of rank k,
+    and no minor taken), else whether gcd J0 needed every r-minor of d1
+    because the generator blocks' gcd is not a unit."""
+    d2, d1 = alexander_matrices(pres, rep, phi)
+    real_minors = jumploci.minors
+    taken = []
+    jumploci.minors = lambda M, k: taken.append(k) or real_minors(M, k)
+    try:
+        g0, delta, nums, _ = jumploci._by_duality(d2, d1, rep.rank)
+    finally:
+        jumploci.minors = real_minors
+    assert delta == delta_by_enumeration(pres, rep, phi)
+    if not nums:
+        assert delta.is_zero and taken == []
+        return None
+    assert g0 == gcd_list(minors(d1, rep.rank))
+    r = rep.rank
+    blocks = gcd_list([det_laurent(d1[top:top + r]) for top in range(0, len(d1), r)])
+    assert taken == ([] if is_unit(blocks) else [r])
+    return bool(taken)
+
+
+# x1 -> 1, x2 -> 0: sigma(x2) - I is singular, so the blocks' gcd is x1's
+# block 1 + t1 + t1^2, while the 2-minors of d1 have gcd 1
+FALLBACK_RELATOR = (-1, 2, 1, 1, -2, -1, -2, -1, -2, -2, 1, 1, 2, -1, 2, 2)
+
+
+def test_gcd_j0_falls_back_to_every_minor_when_the_blocks_gcd_is_not_a_unit():
+    pres = Presentation(["x1", "x2"], [FALLBACK_RELATOR])
+    phi = AbelianEpi(pres, [(1,), (0,)])
+    # over F_2 no row slice has rank k, so Delta = 0 needs no gcd J0
+    for ring, delta in ((ZZ, "2 - 2*t1"), (QQ, "1 - t1"), (GF(2), "0"),
+                        (GF(3), "1 + 2*t1")):
+        rep = S3_REPS["s3"].over(ring)
+        assert verify_representation(pres, rep)
+        _, d1 = alexander_matrices(pres, rep, phi)
+        blocks = [det_laurent(d1[top:top + 2]) for top in (0, 2)]
+        assert [render(b) for b in blocks] == ["1 + t1 + t1^2", "0"]
+        assert jump_ideal(pres, rep, phi, i=0).gcd() == LaurentPoly.one(ring, 1)
+        assert gcd_j0_route(pres, rep, phi) is (None if delta == "0" else True)
+        assert twisted_alexander(pres, rep, phi).describe() == delta
+
+
+GCD_J0_RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+def test_gcd_j0_matches_every_minor_seeded():
+    rng = random.Random(151)
+    routes = set()
+    for k in range(32):
+        pres = kernel_presentation(random_pairs(rng, rng.randint(1, 2)))
+        name = ("trivial", "s3", "perm3")[k % 3]
+        ring = GCD_J0_RINGS[k // 2 % 4]
+        phi = PHIS[("full", "rank1")[k % 2]](pres)
+        routes.add(gcd_j0_route(pres, S3_REPS[name].over(ring), phi))
+    for k in range(16):
+        n, rank = ((3, 1), (4, 1), (5, 1), (3, 2))[k % 4]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = [(i, j, rng.randint(1, 2))
+                 for i, j in rng.sample(pairs, rng.randint(1, len(pairs)))]
+        pres = build_weighted_raag(n, edges)
+        rep = commuting_rep(rng, n, rank).over(GCD_J0_RINGS[k // 4])
+        routes.add(gcd_j0_route(pres, rep, PHIS[("full", "rank1")[k // 2 % 2]](pres)))
+    assert routes == {None, True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pairs, st.sampled_from(sorted(S3_REPS)), st.sampled_from(GCD_J0_RINGS),
+       st.sampled_from(("full", "rank1")))
+def test_gcd_j0_matches_every_minor_property(pairs, name, ring, phi):
+    pres = kernel_presentation(pairs)
+    gcd_j0_route(pres, S3_REPS[name].over(ring), PHIS[phi](pres))
+
+
 # -- phi of rank 0 by determinantal divisors against enumeration ---------------
 
 
@@ -661,9 +743,10 @@ def test_zero_delta_takes_no_minors(monkeypatch):
 
 
 def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
-    # d1 is 12 x 6 and d2 is 6 x 12: J0's C(12, 6) = 924 minors, one block
-    # of d1 for S0 and the single 6-row slice of d2, never minors(d2, .)
-    # or the rank of d2
+    # d1 is 12 x 6 and d2 is 6 x 12: the two generator blocks of d1 (one
+    # of them S0's) have gcd 1, so gcd J0 = 1 without J0's C(12, 6) = 924
+    # minors, and the single 6-row slice of d2 is the one other
+    # determinant; never minors(d2, .) or the rank of d2
     job = onerel()
     pres, rep = job.presentation, job.representation("reg_s3")
     phi = AbelianEpi.from_abelianization(pres)
@@ -687,15 +770,15 @@ def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
     monkeypatch.setattr(linalg, "rank_laurent", no_rank)
     monkeypatch.setattr(jumploci, "minors", minors_recording)
     twisted_alexander(pres, rep, phi)
-    assert len(calls) <= 924 + 2 and calls.count(False) <= 1
-    assert minor_shapes == [(12, 6, 6)]
+    assert sorted(calls) == [False, True, True] and minor_shapes == []
     calls.clear()
-    minor_shapes.clear()
     J1 = jump_ideal(pres, rep, phi, i=1)
-    assert len(calls) <= 924 + 2 and calls.count(False) <= 1
-    assert minor_shapes == [(12, 6, 6)]
-    # enumeration finds the same 143 distinct generators
+    assert sorted(calls) == [False, True, True] and minor_shapes == []
+    # reading J1's generators takes J0's 924 minors once, and finds the
+    # same 143 distinct generators as enumeration
     assert len(J1.generators) == 143
+    assert minor_shapes == [(12, 6, 6)]
+    assert len(calls) == 3 + 924
 
 
 # -- orbifold and graph-group tables -------------------------------------------
