@@ -350,7 +350,9 @@ def exact_div(f, g):
     reversed exponents, and a term cancelled after it was pushed is
     skipped.  Minimum exponents are additive over products, so a quotient
     term below min_exponents(f) - min_exponents(g) in some variable
-    proves the division inexact.
+    proves the division inexact.  Over Z and Q a quotient coefficient is
+    an integral divmod by lc(g); over Q a Fraction is formed only when
+    that leaves a remainder.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -374,12 +376,14 @@ def exact_div(f, g):
             return None
         # the leading term cancels exactly
         c = rem.pop(rl)
-        if inv is None:
+        if p:
+            qc = c * inv % p
+        else:
             qc, r = divmod(c, glc)
             if r:
-                return None
-        else:
-            qc = c * inv % p if p else rational(c * inv)
+                if inv is None:  # over Z
+                    return None
+                qc = c * inv  # not integral, so already Q's normal form
         q[e] = qc
         for ge, gc in tail:
             ke = tuple(map(add, e, ge))

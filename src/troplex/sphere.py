@@ -2,16 +2,23 @@
 
 A SphereArcSet is a finite union of arcs and isolated points whose
 endpoints are rational directions, stored as primitive integer vectors.
-No angles are ever computed: circular order and membership use integer
-cross/dot products only, so set algebra (union, intersection, complement,
-equality) is exact.
+No angles are ever computed: circular order uses integer cross products
+only, so set algebra (union, intersection, complement, equality) is exact.
 
-Internally every operation refines the operands over a common boundary
-set: the two operands' endpoint directions plus the four axis directions
-(inserted so consecutive boundary directions span less than a half turn,
-which makes the sum of two consecutive directions an interior sample).
-Membership is decided per atom (boundary point or open arc between
-neighbours) and maximal runs are reassembled into components.
+Every operation refines its operands over one common boundary: their
+endpoint directions plus the four axes, sorted ccw and numbered, which
+cuts the circle into atoms (boundary point 2i, open arc 2i + 1 after it).
+A primitive direction is its own key, so each operand marks its atoms by
+boundary index, with no membership test: a point its atom, an arc the
+atoms strictly between its ends and each closed end, the full circle
+all.  The predicate then decides each atom from its operands' marks, and
+maximal runs of member atoms are reassembled into components.
+
+Every set is stored in one canonical form: its maximal components sorted
+ccw by start, and the circle minus a point p split into two arcs at the
+first axis ccw after p.  Constructors and operations build that form
+directly, so equality compares components, and union_all unions any
+number of sets in one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import groupby
 from math import gcd
-from operator import itemgetter
 
 
 def normalize_dir(v):
@@ -74,21 +80,6 @@ DIR_KEY = cmp_to_key(compare_dirs)
 _AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def ccw_strictly_between(a, d, b):
-    """Is d strictly inside the open ccw arc from a to b (a, b distinct)?"""
-    if same_dir(d, a) or same_dir(d, b):
-        return False
-    cab = cross(a, b)
-    cad = cross(a, d)
-    cdb = cross(d, b)
-    if cab > 0:
-        return cad > 0 and cdb > 0
-    if cab < 0:
-        return cad > 0 or cdb > 0
-    # antipodal endpoints: the arc is the open half circle ccw of a
-    return cad > 0
-
-
 def degrees(d):
     """Approximate angle for human-readable output only."""
     import math
@@ -127,94 +118,64 @@ class SphereArcSet:
 
     @classmethod
     def points(cls, dirs):
-        return cls([("point", normalize_dir(d)) for d in dirs])
-
-    # -- membership ---------------------------------------------------------
-
-    def contains(self, d):
-        d = normalize_dir(d)
-        if self.full:
-            return True
-        for comp in self.components:
-            if comp[0] == "point":
-                if same_dir(d, comp[1]):
-                    return True
-            else:
-                _, a, b, ca, cb = comp
-                if same_dir(d, a):
-                    if ca:
-                        return True
-                elif same_dir(d, b):
-                    if cb:
-                        return True
-                elif ccw_strictly_between(a, d, b):
-                    return True
-        return False
+        return cls([("point", d) for d in sorted(set(map(normalize_dir, dirs)), key=DIR_KEY)])
 
     # -- refinement machinery ------------------------------------------------
 
-    def _boundary_dirs(self):
-        out = []
-        for comp in self.components:
-            if comp[0] == "point":
-                out.append(comp[1])
-            else:
-                out.append(comp[1])
-                out.append(comp[2])
-        return out
-
     @staticmethod
     def _combine(sets, predicate):
-        dirs = list(_AXES)
+        uniq = sorted(set(_AXES).union(*(c[1:3] for s in sets for c in s.components)),
+                      key=DIR_KEY)
+        index = {d: i for i, d in enumerate(uniq)}
+        n = 2 * len(uniq)
+        # atom 2i is the point uniq[i], atom 2i + 1 the open arc after it
+        flags = []
         for s in sets:
-            dirs.extend(s._boundary_dirs())
-        uniq = []
-        for d in sorted(dirs, key=DIR_KEY):
-            if not uniq or compare_dirs(uniq[-1], d) != 0:
-                uniq.append(d)
-        k = len(uniq)
-        # atoms alternate: point uniq[i], open arc (uniq[i], uniq[i+1])
-        atoms = []
-        for i in range(k):
-            atoms.append(("point", uniq[i]))
-            atoms.append(("gap", uniq[i], uniq[(i + 1) % k]))
-        member = []
-        for atom in atoms:
-            if atom[0] == "point":
-                rep = atom[1]
-            else:
-                a, b = atom[1], atom[2]
-                rep = (a[0] + b[0], a[1] + b[1])
-            member.append(predicate(tuple(s.contains(rep) for s in sets)))
+            flag = [s.full] * n
+            for comp in s.components:
+                i = 2 * index[comp[1]]
+                if comp[0] == "point":
+                    flag[i] = True
+                    continue
+                _, _, b, ca, cb = comp
+                j = 2 * index[b]
+                if i < j:
+                    flag[i + 1:j] = [True] * (j - i - 1)
+                else:
+                    flag[i + 1:] = [True] * (n - i - 1)
+                    flag[:j] = [True] * j
+                flag[i] = flag[i] or ca
+                flag[j] = flag[j] or cb
+            flags.append(flag)
+        member = [predicate(m) for m in zip(*flags)]
         if all(member):
             return SphereArcSet.full_circle()
         if not any(member):
             return SphereArcSet.empty()
         # from an atom outside the set no run of members wraps around
         start = member.index(False)
-        rotated = zip(atoms[start:] + atoms[:start], member[start:] + member[:start])
         comps = []
-        for inside, run in groupby(rotated, key=itemgetter(1)):
+        for inside, run in groupby(member[start:] + member[:start]):
+            end = start + sum(1 for _ in run)
             if inside:
-                comps.extend(SphereArcSet._run_to_components([atom for atom, _ in run]))
-        comps.sort(key=lambda c: (DIR_KEY(c[1]), c[0]))
+                comps.extend(SphereArcSet._run_to_components(uniq, start % n, (end - 1) % n))
+            start = end
+        comps.sort(key=lambda c: index[c[1]])
         return SphereArcSet(comps)
 
     @staticmethod
-    def _run_to_components(run):
-        if len(run) == 1 and run[0][0] == "point":
-            return [("point", run[0][1])]
-        first, last = run[0], run[-1]
-        start = first[1]
-        start_closed = first[0] == "point"
-        end = last[1] if last[0] == "point" else last[2]
-        end_closed = last[0] == "point"
-        if not same_dir(start, end):
-            return [("arc", start, end, start_closed, end_closed)]
+    def _run_to_components(uniq, first, last):
+        """The components of the run of member atoms first..last (ccw)."""
+        start = uniq[first // 2]
+        end = uniq[(last + 1) // 2 % len(uniq)]
+        if first == last and first % 2 == 0:
+            return [("point", start)]
+        if start != end:
+            return [("arc", start, end, first % 2 == 0, last % 2 == 0)]
         # a run stops before an atom outside the set, so it closes up only
-        # as the circle minus the point start; split it at the next boundary
-        # point, which differs from start since the four axes are boundaries
-        mid = run[1][1]
+        # as the circle minus the point start; split it at the next axis
+        # direction ccw of start, which does not depend on the other atoms
+        mid = next((x for x in _AXES if compare_dirs(start, x) < 0), _AXES[0])
         return [("arc", start, mid, False, True), ("arc", mid, end, False, False)]
 
     # -- set algebra ----------------------------------------------------------
@@ -231,9 +192,6 @@ class SphereArcSet:
     def complement(self):
         return SphereArcSet._combine([self], lambda m: not m[0])
 
-    def canonical(self):
-        return SphereArcSet._combine([self], lambda m: m[0])
-
     @property
     def is_empty(self):
         # a component is a point or an arc between distinct directions
@@ -245,9 +203,8 @@ class SphereArcSet:
     def __eq__(self, other):
         if not isinstance(other, SphereArcSet):
             return NotImplemented
-        return SphereArcSet._combine(
-            [self, other], lambda m: m[0] != m[1]
-        ).is_empty
+        # every set is stored in its one canonical form
+        return (self.full, self.components) == (other.full, other.components)
 
     def __repr__(self):
         if self.full:
@@ -262,7 +219,7 @@ class SphereArcSet:
         if not self.components:
             return "empty"
         bits = []
-        for comp in self.canonical().components:
+        for comp in self.components:
             if comp[0] == "point":
                 bits.append(f"point {comp[1]} ({degrees(comp[1]):.1f} deg)")
             else:
@@ -276,7 +233,5 @@ class SphereArcSet:
 
 
 def union_all(sets):
-    out = SphereArcSet.empty()
-    for s in sets:
-        out = out.union(s)
-    return out
+    sets = list(sets)
+    return SphereArcSet._combine(sets, any) if sets else SphereArcSet.empty()

@@ -15,7 +15,7 @@ from operator import add, lt, sub
 from troplex import linalg, tropical
 from troplex.laurent import LaurentPoly, _lex_key
 from troplex.rings import QQ
-from troplex.sphere import antipode, normalize_dir
+from troplex.sphere import antipode, cross, normalize_dir, same_dir
 
 
 # -- the normal form of a scalar ----------------------------------------------
@@ -298,6 +298,45 @@ def normalize_dir_by_fractions(v):
     ix, iy = int(x * scale), int(y * scale)
     g = math.gcd(ix, iy)
     return (ix // g, iy // g)
+
+
+def ccw_strictly_between(a, d, b):
+    """Is d strictly inside the open ccw arc from a to b (a, b distinct)?"""
+    if same_dir(d, a) or same_dir(d, b):
+        return False
+    cab = cross(a, b)
+    cad = cross(a, d)
+    cdb = cross(d, b)
+    if cab > 0:
+        return cad > 0 and cdb > 0
+    if cab < 0:
+        return cad > 0 or cdb > 0
+    # antipodal endpoints: the arc is the open half circle ccw of a
+    return cad > 0
+
+
+def contains(s, d):
+    """Is the direction d (any nonzero rational vector) in the SphereArcSet
+    s?  Scans every component with cross products.  The oracle for the
+    set algebra, which marks atoms by boundary index and tests no point."""
+    d = normalize_dir(d)
+    if s.full:
+        return True
+    for comp in s.components:
+        if comp[0] == "point":
+            if same_dir(d, comp[1]):
+                return True
+        else:
+            _, a, b, ca, cb = comp
+            if same_dir(d, a):
+                if ca:
+                    return True
+            elif same_dir(d, b):
+                if cb:
+                    return True
+            elif ccw_strictly_between(a, d, b):
+                return True
+    return False
 
 
 def on_edge(p, q, u):

@@ -50,10 +50,13 @@ def _definitions(tree, owner="", member=False):
 
 
 def _references(tree, names, attributes):
+    """Names and attribute names loaded in tree.  An attribute of the name
+    args is an argparse option read, not a caller: args.contains does not
+    call a method named contains."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) != "args":
             attributes.add(node.attr)
 
 

@@ -231,11 +231,17 @@ def test_q_results_are_reduced_rationals(deadline, nvars, data):
     M = [data.draw(st.lists(q_polys(nvars, 2), min_size=3, max_size=3)) for _ in range(3)]
     S = [data.draw(st.lists(st.sampled_from(Q_COEFFS + (0,)), min_size=2, max_size=2))
          for _ in range(2)]
+    # a divisor whose leading term, past every exponent of q_polys, is not ±1
+    lead = data.draw(st.sampled_from((2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))))
+    g2 = g + LaurentPoly(QQ, nvars, {(3,) * nvars: lead})
     with deadline(30):
         q = exact_div(f, g)
+        assert exact_div(f * g2, g2) == f
+        q2 = exact_div(f, g2)
         results = [f + g, f - g, f * g, f * c, c * f, f + c, f - c, -f,
-                   exact_div(f * g, g), laurent_gcd(f, g), canonical_associate(f),
-                   squarefree_part(f * g), det_laurent(M)] + ([q] if q is not None else [])
+                   exact_div(f * g, g), exact_div(f * g2, g2), laurent_gcd(f, g),
+                   canonical_associate(f), squarefree_part(f * g), det_laurent(M)]
+        results += [x for x in (q, q2) if x is not None]
         for h in results:
             assert_normal(h)
         inv = smat_inverse(QQ, S)

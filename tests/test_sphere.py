@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import normalize_dir_by_fractions
+from oracles import ccw_strictly_between, contains, normalize_dir_by_fractions
 from troplex.sphere import (
-    normalize_dir, same_dir, antipode, compare_dirs, ccw_strictly_between,
-    degrees, SphereArcSet, union_all,
+    DIR_KEY, normalize_dir, same_dir, antipode, compare_dirs, degrees, SphereArcSet, union_all,
 )
 
 
@@ -62,20 +61,20 @@ def test_dir_predicates():
 
 def test_point_and_arc_membership():
     p = SphereArcSet.point((0, 2))
-    assert p.contains((0, 1)) and p.contains((0, 7))
-    assert not p.contains((0, -1))
+    assert contains(p, (0, 1)) and contains(p, (0, 7))
+    assert not contains(p, (0, -1))
     a = SphereArcSet.arc((1, 0), (0, 1))
-    assert a.contains((1, 1))
-    assert a.contains((1, 0)) and a.contains((0, 1))  # closed by default
-    assert not a.contains((-1, 1))
+    assert contains(a, (1, 1))
+    assert contains(a, (1, 0)) and contains(a, (0, 1))  # closed by default
+    assert not contains(a, (-1, 1))
     half_open = SphereArcSet.arc((1, 0), (0, 1), closed_start=False)
-    assert not half_open.contains((1, 0)) and half_open.contains((0, 1))
+    assert not contains(half_open, (1, 0)) and contains(half_open, (0, 1))
     with pytest.raises(ValueError):
         SphereArcSet.arc((1, 0), (2, 0))
 
 
 def test_full_and_empty():
-    assert SphereArcSet.full_circle().contains((5, -7))
+    assert contains(SphereArcSet.full_circle(), (5, -7))
     assert SphereArcSet.empty().is_empty
     assert not SphereArcSet.full_circle().is_empty
     assert SphereArcSet.empty().complement() == SphereArcSet.full_circle()
@@ -85,24 +84,45 @@ def test_full_and_empty():
 def test_complement_of_point_wraps():
     p = SphereArcSet.point((1, 0))
     c = p.complement()
-    assert not c.contains((1, 0))
+    assert not contains(c, (1, 0))
     for d in [(0, 1), (-1, 0), (0, -1), (1, 1), (1, -1)]:
-        assert c.contains(d)
+        assert contains(c, d)
     assert c.union(p) == SphereArcSet.full_circle()
     assert c.complement() == p
 
 
-@pytest.mark.parametrize("d", [(1, 1), (1, 0)])
-def test_circle_minus_a_point_splits_at_the_next_boundary(d):
+@pytest.mark.parametrize("d, axis", [((1, 1), (0, 1)), ((1, 0), (0, 1)),
+                                      ((-3, 1), (-1, 0)), ((1, -1), (1, 0))])
+def test_circle_minus_a_point_splits_at_the_next_axis(d, axis):
     # the run of every atom but the point d wraps around the circle; it
-    # is stored as two arcs meeting at the next boundary direction ccw
-    # of d, which is (0, 1) for both: the axes are always boundaries
+    # is stored as two arcs meeting at the first axis direction ccw of d
     c = SphereArcSet.point(d).complement()
-    assert c.components == [
-        ("arc", d, (0, 1), False, True),
-        ("arc", (0, 1), d, False, False),
-    ]
+    assert c.components == sorted([
+        ("arc", d, axis, False, True),
+        ("arc", axis, d, False, False),
+    ], key=lambda comp: DIR_KEY(comp[1]))
     assert not c.is_empty
+
+
+def test_circle_minus_a_point_does_not_depend_on_the_operands():
+    # the boundary (1, 1) lies between (1, 0) and the axis (0, 1), yet the
+    # split stays at the axis: one set, one form
+    u = SphereArcSet.arc((1, 0), (1, 1), closed_start=False).union(
+        SphereArcSet.arc((1, 1), (1, 0), closed_end=False))
+    assert u.components == [
+        ("arc", (1, 0), (0, 1), False, True),
+        ("arc", (0, 1), (1, 0), False, False),
+    ]
+    assert u.components == SphereArcSet.point((1, 0)).complement().components
+    assert u == SphereArcSet.point((1, 0)).complement()
+
+
+def test_points_are_sorted_ccw_without_duplicates():
+    s = SphereArcSet.points([(0, -2), (1, 1), (0, -1), (-1, 0), (3, 3), (2, 0)])
+    assert s.components == [("point", (1, 0)), ("point", (1, 1)),
+                            ("point", (-1, 0)), ("point", (0, -1))]
+    assert s == union_all(SphereArcSet.point(d) for d in [(0, -1), (-1, 0), (1, 1), (1, 0)])
+    assert SphereArcSet.points([]).is_empty
 
 
 def test_union_and_intersection_fixed():
@@ -120,9 +140,9 @@ def test_adjacent_open_arcs_fuse_without_the_joint():
     left = SphereArcSet.arc((1, 0), (0, 1), closed_start=False, closed_end=False)
     right = SphereArcSet.arc((0, 1), (-1, -1), closed_start=False, closed_end=False)
     u = left.union(right)
-    assert not u.contains((1, 0)) and not u.contains((-1, -1))
-    assert not u.contains((0, 1))  # the shared endpoint stays out
-    assert u.contains((1, 1)) and u.contains((-1, 1))
+    assert not contains(u, (1, 0)) and not contains(u, (-1, -1))
+    assert not contains(u, (0, 1))  # the shared endpoint stays out
+    assert contains(u, (1, 1)) and contains(u, (-1, 1))
     joined = u.union(SphereArcSet.point((0, 1)))
     assert joined == SphereArcSet.arc((1, 0), (-1, -1),
                                       closed_start=False, closed_end=False)
@@ -133,8 +153,8 @@ def test_union_all():
               SphereArcSet.arc((-1, 0), (0, -1))]
     u = union_all(pieces)
     for d in [(1, 0), (0, 1), (-1, 0), (-1, -1), (0, -1)]:
-        assert u.contains(d)
-    assert not u.contains((1, 1))
+        assert contains(u, d)
+    assert not contains(u, (1, 1))
     assert union_all([]).is_empty
 
 
@@ -171,10 +191,11 @@ def test_set_algebra_matches_membership():
                 if comp[0] == "arc":
                     probes.append(comp[2])
         for d in probes:
-            assert A.union(B).contains(d) == (A.contains(d) or B.contains(d))
-            assert A.intersection(B).contains(d) == (A.contains(d) and B.contains(d))
-            assert A.difference(B).contains(d) == (A.contains(d) and not B.contains(d))
-            assert A.complement().contains(d) == (not A.contains(d))
+            a, b = contains(A, d), contains(B, d)
+            assert contains(A.union(B), d) == (a or b)
+            assert contains(A.intersection(B), d) == (a and b)
+            assert contains(A.difference(B), d) == (a and not b)
+            assert contains(A.complement(), d) == (not a)
 
 
 def test_subset_and_equality():
@@ -185,8 +206,66 @@ def test_subset_and_equality():
         u = A.union(B)
         assert A.is_subset(u) and B.is_subset(u)
         assert A.intersection(B).is_subset(A)
-        assert A == A.canonical()
+        assert A == A.union(A) == A.intersection(A)
         assert A.complement().complement() == A
         assert (A.is_subset(B) and B.is_subset(A)) == (A == B)
     assert SphereArcSet.empty() != "empty"
     assert SphereArcSet.empty().__eq__("empty") is NotImplemented
+
+
+_DIRS = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def _leaves(draw, closed=False):
+    kind = draw(st.sampled_from(["empty", "full", "point", "arc", "arc"]))
+    if kind == "empty":
+        return SphereArcSet.empty()
+    if kind == "full":
+        return SphereArcSet.full_circle()
+    a = draw(_DIRS)
+    b = draw(_DIRS)
+    if kind == "point" or same_dir(a, b):
+        return SphereArcSet.point(a)
+    if closed:
+        return SphereArcSet.arc(a, b)
+    return SphereArcSet.arc(a, b, closed_start=draw(st.booleans()),
+                            closed_end=draw(st.booleans()))
+
+
+def _sets():
+    # a union of up to three leaves, open ends and all
+    return st.lists(_leaves(), min_size=1, max_size=3).map(union_all)
+
+
+def _probes(*sets):
+    """Every boundary direction of the sets, the axes, and the midpoint of
+    each gap between consecutive ones (the axes keep gaps below a half turn)."""
+    dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    for s in sets:
+        for comp in s.components:
+            dirs.update(comp[1:3])
+    ring = sorted(dirs, key=DIR_KEY)
+    gaps = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(ring, ring[1:] + ring[:1])]
+    return ring + gaps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sets(), _sets(), st.lists(_leaves(closed=True), max_size=5))
+def test_set_algebra_matches_the_scan_oracle(A, B, closed):
+    results = [A.union(B), A.intersection(B), A.difference(B), A.complement()]
+    for d in _probes(A, B, *results):
+        a, b = contains(A, d), contains(B, d)
+        assert [contains(r, d) for r in results] == [a or b, a and b, a and not b, not a]
+    # each result is already in its canonical form
+    for r in results:
+        again = SphereArcSet._combine([r], lambda m: m[0])
+        assert (again.full, again.components) == (r.full, r.components)
+    # equality is an empty symmetric difference
+    assert (A == B) == (A.difference(B).is_empty and B.difference(A).is_empty)
+    # a union of closed sets in one pass equals the pairwise fold
+    fold = SphereArcSet.empty()
+    for s in closed:
+        fold = fold.union(s)
+    once = union_all(closed)
+    assert (once.full, once.components) == (fold.full, fold.components)

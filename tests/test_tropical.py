@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cell_contains, complex_contains, edge_supports_by_scan, on_edge, vertices
+from oracles import (
+    cell_contains, complex_contains, contains, edge_supports_by_scan, on_edge, vertices,
+)
 from troplex import tropical
 from troplex.laurent import LaurentPoly, reduce_mod_p
 from troplex.rings import ZZ, QQ, TRIVIAL, padic
@@ -423,7 +425,7 @@ def test_sphere_projection_of_segments_matches_the_oracle(terms, segments, arcs)
                 continue
             reached = any(complex_contains(T, (s * x, s * y)) for s in scales)
             limit = (x, y) in rays
-            assert S.contains((x, y)) == (reached or limit), (x, y)
+            assert contains(S, (x, y)) == (reached or limit), (x, y)
 
 
 def test_sphere_projection_planar_only():
