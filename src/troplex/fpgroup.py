@@ -310,7 +310,7 @@ def build_orbifold(genus, weights):
         raise ValueError("cone orders must be >= 1")
     s = len(weights)
     # 2g + s generators, 4g + s letters in the surface relator, mu_j in each cone's
-    _refuse_large(2 * genus + s + 4 * genus + s + sum(weights))
+    refuse_large(2 * genus + s + 4 * genus + s + sum(weights))
     names = []
     for i in range(1, genus + 1):
         names.append(f"x{i}")
@@ -338,14 +338,14 @@ def build_weighted_raag(nverts, edges, names=None):
             raise ValueError(f"bad edge ({i}, {j})")
         if weight < 1:
             raise ValueError("edge weights must be >= 1")
-    _refuse_large(nverts + sum(4 * weight for _, _, weight in edges))
+    refuse_large(nverts + sum(4 * weight for _, _, weight in edges))
     if names is None:
         names = [f"a{i}" for i in range(1, nverts + 1)]
     relators = [commutator(i, j) * weight for i, j, weight in edges]
     return Presentation(names, relators)
 
 
-def _refuse_large(size):
+def refuse_large(size):
     """Refuse, before building anything, a presentation of more than
     MAX_BUILT_SIZE generators and relator letters."""
     if size > MAX_BUILT_SIZE:
@@ -361,7 +361,7 @@ def build_product(pres_a, pres_b):
     na, nb = pres_a.ngens, pres_b.ngens
     letters = sum(map(len, pres_a.relators)) + sum(map(len, pres_b.relators))
     # both generator families, both relator sets, a 4-letter commutator per pair
-    _refuse_large(na + nb + letters + 4 * na * nb)
+    refuse_large(na + nb + letters + 4 * na * nb)
     used = set(pres_a.names)
     names = list(pres_a.names)
     for name in pres_b.names:

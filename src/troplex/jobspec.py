@@ -2,8 +2,12 @@
 optional representations, characters, and coefficient settings.
 
 Checked before any computation by a walk of the bundled schema
-(data/schema.json); unknown fields are rejected so typos fail loudly
-instead of being ignored.
+(data/schema.json), read once at import; unknown fields are rejected so
+typos fail loudly instead of being ignored.  The walk hands back the
+document in one normal form: an integral float where the schema asks for
+an integer ("rank": 2.0) becomes that int, so 2.0 means 2 everywhere.
+A presentation of more than fpgroup.MAX_BUILT_SIZE generators and relator
+letters (x^k counting |k|) is refused before its relators are expanded.
 """
 
 from __future__ import annotations
@@ -21,18 +25,19 @@ class JobError(ValueError):
     """Bad input document (schema violation or inconsistent contents)."""
 
 
-# -- the schema, transcribed ------------------------------------------------
-# Each check takes (value, path) and raises JobError with jsonschema's
-# message for the first violation it meets.  A pattern matches the whole
-# string, since draft 2020-12's "$" does not match before a final newline.
+# -- the schema walk --------------------------------------------------------
+# The keywords that data/schema.json uses, each checked as draft 2020-12
+# checks it, with jsonschema's message for the first violation met.  A
+# pattern matches the whole string, since draft 2020-12's "$" does not
+# match before a final newline.
+
+_SCHEMA = json.loads(resources.files("troplex.data").joinpath("schema.json").read_text())
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
 def _refuse(path, message):
     where = "/".join(str(p) for p in path) or "(root)"
     raise JobError(f"invalid job document at {where}: {message}")
-
-
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
 def _is(x, name):
@@ -42,85 +47,74 @@ def _is(x, name):
     return isinstance(x, _TYPES[name])
 
 
-def _value(*names, pattern=None, minimum=None):
-    match = pattern and re.compile(pattern).fullmatch
-    def check(x, path):
-        if not any(_is(x, name) for name in names):
-            _refuse(path, f"{x!r} is not of type {', '.join(map(repr, names))}")
-        if match and not match(x):
-            _refuse(path, f"{x!r} does not match {pattern!r}")
-        if minimum is not None and x < minimum:
-            _refuse(path, f"{x!r} is less than the minimum of {minimum!r}")
-    return check
-
-
-def _array(items, non_empty=False):
-    def check(x, path):
-        _ARRAY(x, path)
-        if non_empty and not x:
-            _refuse(path, "[] should be non-empty")
-        for i, item in enumerate(x):
-            items(item, path + (i,))
-    return check
-
-
-def _object(properties, additional=None, required=()):
-    """An object; properties check their keys' values, additional every
-    other key's, and with additional None there is no other key."""
-    def check(x, path):
-        _OBJECT(x, path)
+def _walk(schema, x, path):
+    """x in normal form, once it satisfies schema."""
+    if "$ref" in schema:  # "#/$defs/<name>"
+        schema = _SCHEMA["$defs"][schema["$ref"].rpartition("/")[2]]
+    names = schema.get("type", [])
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_is(x, name) for name in names):
+        _refuse(path, f"{x!r} is not of type {', '.join(map(repr, names))}")
+    if isinstance(x, str):
+        if "pattern" in schema and not re.fullmatch(schema["pattern"], x):
+            _refuse(path, f"{x!r} does not match {schema['pattern']!r}")
+    elif isinstance(x, list):
+        if len(x) < schema.get("minItems", 0):
+            _refuse(path, f"{x!r} " + (
+                "should be non-empty" if schema["minItems"] == 1 else "is too short"))
+        if "items" in schema:
+            x = [_walk(schema["items"], item, path + (i,)) for i, item in enumerate(x)]
+    elif isinstance(x, dict):
+        properties = schema.get("properties", {})
+        additional = schema.get("additionalProperties", {})
         extra = sorted((k for k in x if k not in properties), key=str)
-        if extra and additional is None:
+        if extra and additional is False:
             _refuse(path, "Additional properties are not allowed (%s %s unexpected)" % (
                 ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"))
-        for key in required:
+        for key in schema.get("required", []):
             if key not in x:
                 _refuse(path, f"{key!r} is a required property")
-        for key, value in x.items():
-            properties.get(key, additional)(value, path + (key,))
-    return check
-
-
-_ARRAY, _OBJECT = _value("array"), _value("object")
-_DOCUMENT = _object({
-    "name": _value("string"),
-    "presentation": _object({
-        "generators": _array(_value("string", pattern="^[A-Za-z_][A-Za-z0-9_']*$"),
-                             non_empty=True),
-        "relators": _array(_value("string")),
-    }, required=("generators", "relators")),
-    "representations": _object({}, additional=_object({  # $defs/representation
-        "ring": _value("string", pattern="^(Z|Q|fp:[0-9]+)$"),
-        "trivial": _value("boolean"),
-        "rank": _value("integer", minimum=1),
-        "matrices": _object({}, additional=_array(_array(_value("integer", "string")))),
-        "permutations": _object({}, additional=_array(_value("integer", minimum=0))),
-    })),
-    "phis": _object({}, additional=_object({}, additional=_array(_value("integer")))),
-    "valuations": _array(_value("string", pattern="^(trivial|Z|p-adic:[0-9]+|fp:[0-9]+)$")),
-}, required=("presentation",))
+        x = {key: _walk(properties.get(key, additional), value, path + (key,))
+             for key, value in x.items()}
+    elif not isinstance(x, bool) and x is not None:  # a number
+        if "minimum" in schema and x < schema["minimum"]:
+            _refuse(path, f"{x!r} is less than the minimum of {schema['minimum']!r}")
+        if "integer" in names:
+            x = int(x)
+    return x
 
 
 def validate_document(doc):
-    """Raise JobError naming where and how doc breaks the bundled schema."""
-    _DOCUMENT(doc, ())
+    """doc in normal form; a JobError names where and how doc breaks the
+    bundled schema."""
+    return _walk(_SCHEMA, doc, ())
 
 
 def _parse_entry(ring, x):
-    """Matrix entries are JSON integers or strings like "3" or "-1/3"."""
+    """Matrix entries are integers or strings like "3" or "-1/3"."""
     if isinstance(x, int):
         return ring.check(x)
-    if isinstance(x, str):
+    try:
+        val = Fraction(x.strip())
+    except (ValueError, ZeroDivisionError):
+        raise JobError(f"bad matrix entry {x!r}") from None
+    if ring.kind == "Q":
+        return ring.check(val)
+    if val.denominator != 1:
+        raise JobError(f"entry {x!r} is not an element of {ring!r}")
+    return ring.check(int(val))
+
+
+def _letters(word):
+    """Relator letters of word, x^k counting |k|; a bad exponent is left
+    for parse_word to name."""
+    count = len(word.split())
+    for exp in re.findall(r"\^(\S*)", word):
         try:
-            val = Fraction(x.strip())
-        except (ValueError, ZeroDivisionError):
-            raise JobError(f"bad matrix entry {x!r}") from None
-        if ring.kind == "Q":
-            return ring.check(val)
-        if val.denominator != 1:
-            raise JobError(f"entry {x!r} is not an element of {ring!r}")
-        return ring.check(int(val))
-    raise JobError(f"bad matrix entry {x!r}")
+            count += abs(int(exp)) - 1
+        except ValueError:
+            pass
+    return count
 
 
 def _per_generator(block, names, owner, one, many):
@@ -179,12 +173,12 @@ class RepSpec:
 
 class JobSpec:
     def __init__(self, doc):
-        validate_document(doc)
-        self.doc = doc
+        self.doc = doc = validate_document(doc)
         self.name = doc.get("name", "")
         p = doc["presentation"]
         names = p["generators"]
         try:
+            fpgroup.refuse_large(len(names) + sum(map(_letters, p["relators"])))
             relators = [fpgroup.parse_word(w, names) for w in p["relators"]]
             self.presentation = fpgroup.Presentation(names, relators)
         except ValueError as e:

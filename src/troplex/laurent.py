@@ -232,16 +232,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative powers only for single-term units")
-            (exps, c), = self.terms.items()
-            R = self.ring
-            cinv = R.inv(c)
-            ck = R.one()
-            for _ in range(-k):
-                ck = R.mul(ck, cinv)
-            return LaurentPoly.monomial(R, self.nvars, tuple(e * k for e in exps), ck)
+        if k < 0:  # -1 >> 1 == -1, so the loop below would not end
+            raise ValueError("negative power; use LaurentPoly.monomial for a unit")
         out = LaurentPoly.one(self.ring, self.nvars)
         base = self
         while k:

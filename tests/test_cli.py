@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import troplex
 from troplex import bnsreport
 from troplex.cli import build_parser, main
-from troplex.jobspec import bundled_path, load_job
+from troplex.jobspec import JobSpec, bundled_path, load_job
 from troplex.sphere import SphereArcSet
 from troplex.tropical import Cell, TropicalComplex
 
@@ -368,6 +368,43 @@ def test_a_final_newline_breaks_a_pattern(capsys, tmp_path, command, doc, messag
     path.write_text(json.dumps(doc))
     assert run(capsys, command, str(path), "--rep", "t") == (
         2, "", f"error: invalid job document at {message}\n")
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (lambda d, one: d["representations"]["trivial"].update(rank=2 * one),
+     ["alexander", "--rep", "trivial"]),
+    (lambda d, one: d.update(phis={"p": {"x1": [one], "x2": [0]}}),
+     ["alexander", "--rep", "s3", "--phi", "p"]),
+    (lambda d, one: d["representations"]["reg_s3"]["permutations"]["x1"].__setitem__(0, one),
+     ["alexander", "--rep", "reg_s3"]),
+    (lambda d, one: d["representations"]["s3"]["matrices"]["x1"][0].__setitem__(0, -one),
+     ["alexander", "--rep", "s3"]),
+    (lambda d, one: d.update(phis={"p": {"x1": [one, 0], "x2": [0, 1]}}),
+     ["bns-bound", "--rep", "s3", "--phi", "p"]),
+], ids=["rank", "phi", "permutation", "matrix", "rank-2-phi"])
+def test_integral_floats_give_the_int_documents_answer(capsys, tmp_path, edit, argv):
+    # JSON Schema's integer admits 2.0, and the document means 2 by it
+    answers = []
+    for one in (1, 1.0):
+        doc = json.loads(Path(EX).read_text())
+        edit(doc, one)
+        path = tmp_path / f"{type(one).__name__}.json"
+        path.write_text(json.dumps(doc))
+        answers.append(run(capsys, argv[0], str(path), *argv[1:]))
+    assert answers[0][0] == 0 and answers[1] == answers[0]
+
+
+@pytest.mark.parametrize("power", [10**12, 10**20])
+def test_a_huge_relator_power_is_refused_before_it_is_expanded(
+        capsys, tmp_path, deadline, power):
+    doc = json.loads(Path(EX).read_text())
+    doc["presentation"]["relators"] = [f"x2 x1^{power}"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with deadline(2):
+        assert run(capsys, "alexander", str(path), "--rep", "trivial") == (
+            2, "", f"error: the presentation would have {power + 3} generators and "
+                   "relator letters (at most 100000)\n")
 
 
 def test_the_runtime_needs_only_the_standard_library():
@@ -756,7 +793,8 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
 def small_documents(draw):
     """1-3 generators, 0-4 relators of length at most 6 (with x_i^k for
     every generator when G_ab is to be finite), and one trivial
-    representation of rank 1-2 over Z, Q, fp:2 or fp:3."""
+    representation of rank 1-2 over Z, Q, fp:2 or fp:3; at times the rank
+    and a phi "f" equal to ab are written as integral floats."""
     n = draw(st.integers(1, 3))
     letter = st.integers(1, n).flatmap(
         lambda g: st.sampled_from((f"x{g}", f"x{g}^-1")))
@@ -766,12 +804,19 @@ def small_documents(draw):
         relators += [f"x{g}^{draw(st.integers(1, 6))}" for g in range(1, n + 1)]
     rep = {"ring": draw(st.sampled_from(("Z", "Q", "fp:2", "fp:3"))), "trivial": True,
            "rank": draw(st.integers(1, 2))}
-    return {
+    doc = {
         "name": "fuzz",
         "presentation": {"generators": [f"x{g}" for g in range(1, n + 1)],
                          "relators": relators},
         "representations": {"t": rep},
     }
+    if draw(st.booleans()):
+        # the rank, and a phi "f" equal to ab, written as integral floats
+        rep["rank"] = float(rep["rank"])
+        vectors = JobSpec(doc).phi("ab").vectors
+        doc["phis"] = {"f": {f"x{g}": [float(c) for c in vectors[g - 1]]
+                             for g in range(1, n + 1)}}
+    return doc
 
 
 @settings(max_examples=40, deadline=None,
@@ -794,6 +839,9 @@ def test_small_documents_exit_0_2_or_3(capsys, tmp_path, deadline, doc, valuatio
             rc, _, err = run(capsys, *argv)
         assert rc in (0, 2, 3), (argv, rc, err)
         assert "Traceback" not in err and "internal error:" not in err, (argv, err)
+    if "phis" in doc:
+        argv = ["alexander", str(path), "--rep", "t"]
+        assert run(capsys, *argv, "--phi", "f") == run(capsys, *argv)
 
 
 def test_one_parser_serves_every_call(capsys, tmp_path):

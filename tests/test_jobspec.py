@@ -1,3 +1,5 @@
+import ast
+import inspect
 import io
 import json
 from fractions import Fraction
@@ -7,7 +9,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from troplex import jobspec
 from troplex.fpgroup import (
-    AbelianEpi, Representation, build_orbifold, verify_representation, word_to_str,
+    MAX_BUILT_SIZE, AbelianEpi, Representation, build_orbifold, verify_representation,
+    word_to_str,
 )
 from troplex.jobspec import (
     JobError, JobSpec, bundled_path, dump_document, load_job,
@@ -57,9 +60,67 @@ def test_schema_rejects_unknown_and_malformed_fields():
     with pytest.raises(JobError):  # floats are not matrix entries
         validate_document({**doc54(), "representations": {
             "r": {"ring": "Q", "matrices": {"x1": [[1.5]], "x2": [[1]]}}}})
-    validate_document(doc54())  # and the happy path stays quiet
+    assert validate_document(doc54()) == doc54()  # and the happy path stays quiet
     # 2.0 is an integer in JSON Schema
     validate_document({**doc54(), "phis": {"p": {"x1": [2.0], "x2": [1]}}})
+
+
+def test_integral_floats_in_integer_slots_come_back_as_ints():
+    doc = {**doc54(), "phis": {"p": {"x1": [1.0, -0.0], "x2": [1, 1.0]}}, "representations": {
+        "t": {"trivial": True, "rank": 2.0},
+        "m": {"ring": "Q", "matrices": {"x1": [[-1.0, "1.0"]], "x2": [[1]]}},
+        "p": {"permutations": {"x1": [1.0, 0], "x2": [0, 1]}},
+    }}
+    out = validate_document(doc)
+    assert out == doc
+    numbers = [value for _, value in nodes(out) if type(value) in (int, float)]
+    assert len(numbers) == 11 and {type(value) for value in numbers} == {int}
+    assert out["representations"]["m"]["matrices"]["x1"] == [[-1, "1.0"]]
+    assert doc["representations"]["t"]["rank"] == 2.0  # doc itself is left alone
+    job = JobSpec(doc)
+    assert job.doc == out and job.representation("t").rank == 2
+    assert job.phi("p").vectors == [(1, 0), (1, 1)]
+
+
+def test_the_schema_cannot_outrun_the_walk():
+    # every keyword of the published schema is one that the walk reads;
+    # the annotations $schema and title, and $defs (read through $ref), aside
+    def keywords(schema):
+        for key, value in schema.items():
+            yield key
+            if key in ("properties", "$defs"):
+                for inner in value.values():
+                    yield from keywords(inner)
+            elif isinstance(value, dict):
+                yield from keywords(value)
+
+    walk = ast.parse(inspect.getsource(jobspec._walk))
+    read = {node.value for node in ast.walk(walk) if isinstance(node, ast.Constant)}
+    used = set(keywords(published_schema())) - {"$schema", "title", "$defs"}
+    assert used == {"type", "pattern", "minimum", "minItems", "items", "properties",
+                    "required", "additionalProperties", "$ref"}
+    assert used <= read
+
+
+def test_relator_letters_are_counted_before_they_are_expanded(deadline):
+    # two generators and x1^k: 2 + |k| generators and relator letters
+    def job(*relators):
+        doc = doc54()
+        doc["presentation"]["relators"] = list(relators)
+        return JobSpec(doc)
+
+    assert len(job(f"x1^{MAX_BUILT_SIZE - 2}").presentation.relators[0]) == MAX_BUILT_SIZE - 2
+    assert len(job("x1^-3 x2", f"x2^{MAX_BUILT_SIZE - 6}").presentation.relators[1]) == (
+        MAX_BUILT_SIZE - 6)
+    with pytest.raises(JobError, match=f"have {MAX_BUILT_SIZE + 1} generators and relator letters"):
+        job("x1^-3 x2", f"x2^{MAX_BUILT_SIZE - 5}")
+    with deadline(2), pytest.raises(JobError, match="at most 100000"):
+        job("x1^1000000000000")
+    # a bad exponent or name is still named as parse_word names it
+    with pytest.raises(JobError, match="invalid literal"):
+        job("x1^ x2")
+    with pytest.raises(JobError, match="unknown generator 'x3'"):
+        job("x3 x1^y")
 
 
 def published_schema():
@@ -282,10 +343,6 @@ def test_matrix_rep_build_and_entry_parsing():
     }
     with pytest.raises(JobError, match="bad matrix entry"):
         JobSpec(doc).representation("m")
-    # the schema admits integers and strings only; a library caller gets
-    # the same refusal for anything else
-    with pytest.raises(JobError, match="bad matrix entry 0.5"):
-        jobspec._parse_entry(QQ, 0.5)
 
     doc["representations"] = {"m": {"ring": "Z", "matrices": {"x1": [[1]]}}}
     with pytest.raises(JobError, match="no matrix for generator 'x2'"):
