@@ -27,7 +27,7 @@ from .jobspec import (
     parse_valuation,
     presentation_document,
 )
-from .jumploci import kahler_obstruction, twisted_alexander
+from .jumploci import kahler_obstruction, twisted_alexander, twisted_alexander_fields
 from .rings import GF, ring_from_tag
 from .svg import render_svg
 from .tropical import trop_contains, trop_Z_contains, tropicalize
@@ -224,9 +224,10 @@ def cmd_kaehler_test(args):
     phi = job.phi("ab")  # the obstruction is about Delta at the free abelianization
     fields = [parse_field(tag.strip()) for tag in args.fields.split(",")]
     verdicts = []
-    for ring in fields:
-        v = twisted_alexander(job.presentation, rep.over(ring), phi, squarefree=True)
-        print(f"{ring!r}: Delta = {v.describe()}")
+    # one walk of the relators and one set of determinants, reduced into
+    # each field; a field's line is printed before the next is touched
+    for v in twisted_alexander_fields(job.presentation, rep, phi, fields, squarefree=True):
+        print(f"{v.ring!r}: Delta = {v.describe()}")
         verdicts.append(v)
     outcome = kahler_obstruction(verdicts)
     if outcome.consistent:

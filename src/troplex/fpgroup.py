@@ -17,6 +17,7 @@ so the Fox fundamental identity makes the product ``d2 * d1`` vanish.
 from __future__ import annotations
 
 import os
+import re
 
 from . import linalg
 from .laurent import LaurentPoly
@@ -25,6 +26,8 @@ from .rings import ZZ
 DEFAULT_MAX_QUOTIENT = 5040
 # generators plus relator letters of a presentation that a builder emits
 MAX_BUILT_SIZE = 100_000
+# the k of an atom x^k: ASCII digits with an optional sign, so x^+2 is x^2
+EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
 # -- words ----------------------------------------------------------------
@@ -35,15 +38,22 @@ def invert_word(word):
 
 
 def parse_word(text, names):
-    """Parse ``"x1^-1 x2^2"`` into a Tietze tuple using the name list."""
+    """Parse ``"x1^-1 x2^2"`` into a Tietze tuple using the name list.
+
+    An atom is a name, or name^k with k as EXPONENT reads it."""
     index = {name: i + 1 for i, name in enumerate(names)}
+    powers = {}  # each distinct exponent text is checked and read once
     out = []
     for atom in text.split():
-        if "^" in atom:
-            name, _, exp = atom.partition("^")
-            power = int(exp)
+        name, caret, exp = atom.partition("^")
+        if not caret:
+            power = 1
         else:
-            name, power = atom, 1
+            power = powers.get(exp)
+            if power is None:
+                if not EXPONENT.fullmatch(exp):
+                    raise ValueError(f"bad exponent in {atom!r} (want name^k, k an integer)")
+                power = powers[exp] = int(exp)
         if name not in index:
             raise ValueError(f"unknown generator {name!r}")
         if power == 0:

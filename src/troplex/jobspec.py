@@ -7,13 +7,16 @@ typos fail loudly instead of being ignored.  The walk hands back the
 document in one normal form: an integral float where the schema asks for
 an integer ("rank": 2.0) becomes that int, so 2.0 means 2 everywhere.
 A presentation of more than fpgroup.MAX_BUILT_SIZE generators and relator
-letters (x^k counting |k|) is refused before its relators are expanded.
+letters (x^k counting |k|) is refused before its relators are expanded,
+and a trivial representation of more than MAX_BUILT_SIZE matrix entries
+(rank^2 per generator) before any matrix is built.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -106,14 +109,12 @@ def _parse_entry(ring, x):
 
 
 def _letters(word):
-    """Relator letters of word, x^k counting |k|; a bad exponent is left
-    for parse_word to name."""
+    """Relator letters of word, x^k counting |k| when parse_word reads k;
+    a bad exponent counts 1 and is left for parse_word to name."""
     count = len(word.split())
-    for exp in re.findall(r"\^(\S*)", word):
-        try:
-            count += abs(int(exp)) - 1
-        except ValueError:
-            pass
+    for k, times in Counter(re.findall(r"\^(\S*)", word)).items():
+        if fpgroup.EXPONENT.fullmatch(k):
+            count += times * (abs(int(k)) - 1)
     return count
 
 
@@ -151,10 +152,14 @@ class RepSpec:
 
     def build(self, pres):
         ring = self.ring()
+        owner = f"representation {self.name!r}"
         if self.kind == "trivial":
             rank = self.block.get("rank", 1)
+            size = rank * rank * pres.ngens  # refused before any matrix is built
+            if size > fpgroup.MAX_BUILT_SIZE:
+                raise JobError(f"{owner} would have {size} matrix entries, rank^2 per "
+                               f"generator (at most {fpgroup.MAX_BUILT_SIZE})")
             return fpgroup.Representation.trivial(ring, pres.ngens, rank=rank)
-        owner = f"representation {self.name!r}"
         if self.kind == "matrices":
             blk = self.block["matrices"]
             raws = _per_generator(blk, pres.names, owner, "matrix", "matrices")

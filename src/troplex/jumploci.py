@@ -33,15 +33,31 @@ rank below k and no nonzero k-minor.  So the k-minors of d2 are the
 c_R * q for q in J0 = I_r(d1), delta = gcd_R(c_R * gcd J0), and one
 determinant of d2 per row slice replaces all C(m, k) * C(nr, k) minors
 (Wada, Topology 33, 1994; Kirk-Livingston, Topology 38, 1999).  S0 is
-the complement of a generator block sigma(x_i) t^phi(x_i) - I of d1.
-Some phi(x_i) != 0, and then that block's determinant has leading
-coefficient det sigma(x_i) != 0, so S0 always exists.
+the complement of the generator block sigma(x_i) t^phi(x_i) - I of d1
+for the first x_i with phi(x_i) != 0, which exists as phi is onto Z^m.
+With s = t^phi(x_i) a nonconstant monomial, that block's determinant
+det(sigma(x_i) s - I) has constant term (-1)^r, so it is nonzero over
+every ring.
 
 Only gcd J0 enters delta, and every generator block's determinant is
 itself an r-minor of d1.  So when the gcd of the blocks is a unit, it is
 gcd J0, and no other minor of d1 is taken; otherwise gcd J0 is folded
 over all C(nr, r) r-minors.  J0's generators are enumerated only for
 jump_ideal(i=0) and when a caller reads J1's generators.
+
+A determinant is a polynomial in the entries, so it commutes with the
+ring maps Z -> Q and Z or Q -> F_p.  Delta is therefore taken in two
+stages.  Stage 1 walks the relators and takes den, the determinant of
+d2 per row slice and the other blocks once, over the representation's
+ring.  Stage 2 reduces them termwise into a target field F, drops those
+that vanish there, and folds gcd J0 (from every r-minor of d1 reduced
+into F if the reduced blocks' gcd is not a unit) and delta over F.
+den survives every reduction by its constant term, which is why S0 is
+chosen by phi and not as the first block with a nonzero determinant: an
+x_i with phi(x_i) = 0 has a constant block, such as det(-1 - 1) = -2,
+that vanishes mod 2.  twisted_alexander runs stage 2 at F = rep.ring;
+twisted_alexander_fields runs stage 1 once and stage 2 per field, as
+kaehler-test asks.  At phi of rank 0, d2 itself is reduced into F.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: a minor of a block-diagonal matrix is zero unless
@@ -65,6 +81,7 @@ from .laurent import (
     canonical_associate,
     gcd_list,
     is_unit,
+    reduce_mod_p,
     render,
     squarefree_part,
 )
@@ -161,43 +178,74 @@ def _divisor(divisors, k):
     return divisors[k] if k < len(divisors) else 0
 
 
-def _by_duality(d2, d1, r):
-    """Delta and gcd J0 by kernel duality (phi of rank >= 1).
+def _into(f, ring):
+    """f with its coefficients taken into ring: Z -> Q as they are, Z or
+    Q -> F_p by reduce_scalar.  Determinants commute with these maps."""
+    if f.ring == ring:
+        return f
+    if ring.kind == "FP":
+        return reduce_mod_p(f, ring.p)
+    return LaurentPoly(ring, f.nvars, f.terms)
 
-    S0 is the complement of the first generator block of d1 with a
-    nonzero determinant den = det(sigma(x_i) t^phi(x_i) - I), whose
-    leading coefficient is det sigma(x_i), so the block of any x_i with
-    phi(x_i) != 0 serves; that block also proves rank d1 = r.  gcd J0 is
-    the gcd of the blocks when that is a unit, and of every r-minor of d1
-    otherwise.  Returns (gcd J0, delta, nums, den), where nums holds
-    det d2[R, S0] for each row slice R of rank k, so that the k-minors of
-    d2 are the nums[R] * q / den over the r-minors q of d1.  When every
-    row slice has rank below k, delta and J1 are zero and J0 is not
-    needed: the tuple is (0, 0, [], den).
+
+def _nonzero_into(polys, ring):
+    """The nonzero polys taken into ring, without those that vanish there."""
+    if not polys or polys[0].ring == ring:
+        return polys
+    return [g for f in polys if not (g := _into(f, ring)).is_zero]
+
+
+def _matrix_into(M, ring):
+    return [[_into(x, ring) for x in row] for row in M]
+
+
+class _Duality:
+    """Delta and gcd J0 by kernel duality (phi of rank >= 1), in two stages.
+
+    Stage 1, here, over the ring of d2 and d1.  S0 is the complement of
+    the block of the first generator x_i with phi(x_i) != 0, so den =
+    det(sigma(x_i) s - I) with s a nonconstant monomial: its constant
+    term (-1)^r survives every reduction, and it proves rank d1 = r.
+    nums holds the nonzero det d2[R, S0], one per row slice R, so that the
+    k-minors of d2 are the nums[R] * q / den over the r-minors q of d1.
+    blocks holds the other generator blocks' nonzero determinants,
+    r-minors of d1 too; they enter only gcd J0, which Delta = 0 does not
+    need, so they are taken only when nums is nonempty.
     """
-    size = len(d1)
-    for top in range(0, size, r):
-        den = linalg.det_laurent(d1[top:top + r])
-        if not den.is_zero:
-            break
-    cols = list(range(top)) + list(range(top + r, size))
-    nums = []
-    for rsel in combinations(range(len(d2)), len(cols)):
-        # n = 1 leaves k = 0 and one empty slice, of determinant 1
-        num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
-               else LaurentPoly.one(den.ring, den.nvars))
-        if not num.is_zero:
-            nums.append(num)
-    if not nums:
-        zero = LaurentPoly.zero(den.ring, den.nvars)
-        return zero, zero, nums, den
-    # every block is an r-minor of d1 (those above den's are 0), so a
-    # unit gcd of the blocks is gcd J0, which gcd_list returns as 1
-    g0 = gcd_list([den] + [linalg.det_laurent(d1[i:i + r]) for i in range(top + r, size, r)])
-    if not is_unit(g0):
-        g0 = gcd_list(minors(d1, r))
-    delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
-    return g0, delta, nums, den
+
+    def __init__(self, d2, d1, r, phi):
+        self.d1, self.r = d1, r
+        top = r * next(i for i, v in enumerate(phi.vectors) if any(v))
+        self.den = linalg.det_laurent(d1[top:top + r])
+        cols = list(range(top)) + list(range(top + r, len(d1)))
+        self.nums = []
+        for rsel in combinations(range(len(d2)), len(cols)):
+            # n = 1 leaves k = 0 and one empty slice, of determinant 1
+            num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
+                   else LaurentPoly.one(self.den.ring, self.den.nvars))
+            if not num.is_zero:
+                self.nums.append(num)
+        self.blocks = [b for i in range(0, len(d1), r) if i != top
+                       if not (b := linalg.det_laurent(d1[i:i + r])).is_zero] if self.nums else []
+
+    def into(self, ring):
+        """Stage 2: (gcd J0, delta, nums, den) over ring, from stage 1's
+        determinants reduced into it.  gcd J0 is the gcd of the blocks when
+        that is a unit, and of every r-minor of d1 reduced into ring
+        otherwise.  When every row slice has rank below k over ring, delta
+        and J1 are zero and J0 is not needed: the tuple is (0, 0, [], den).
+        """
+        den = _into(self.den, ring)
+        nums = _nonzero_into(self.nums, ring)
+        if not nums:
+            zero = LaurentPoly.zero(ring, den.nvars)
+            return zero, zero, nums, den
+        # a unit gcd of the blocks is gcd J0, which gcd_list returns as 1
+        g0 = gcd_list([den] + _nonzero_into(self.blocks, ring))
+        if not is_unit(g0):
+            g0 = gcd_list(minors(_matrix_into(self.d1, ring), self.r))
+        delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
+        return g0, delta, nums, den
 
 
 def jump_ideal(pres, rep, phi=None, i=1):
@@ -235,7 +283,7 @@ def jump_ideal(pres, rep, phi=None, i=1):
         return IdealGens(rep.ring, 0, [LaurentPoly.constant(rep.ring, 0, gen)])
     if i == 0:
         return IdealGens(rep.ring, phi.m, minors(d1, r))
-    g0, delta, nums, den = _by_duality(d2, d1, r)
+    g0, delta, nums, den = _Duality(d2, d1, r, phi).into(rep.ring)
 
     def gens():
         gens0 = minors(d1, r) if nums else []
@@ -293,15 +341,34 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
     """
     if phi is None:
         phi = fpgroup.AbelianEpi.from_abelianization(pres)
-    d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
-    if phi.m == 0:
-        k = (pres.ngens - 1) * rep.rank
-        delta = LaurentPoly.constant(rep.ring, 0, _divisor(_divisors(d2, rep.ring), k))
-    else:
-        delta = _by_duality(d2, d1, rep.rank)[1]
-    if squarefree:
-        delta = squarefree_part(delta)
-    return AlexVerdict(canonical_associate(delta))
+    return next(twisted_alexander_fields(pres, rep, phi, [rep.ring], squarefree))
+
+
+def twisted_alexander_fields(pres, rep, phi, fields, squarefree):
+    """twisted_alexander(pres, rep.over(F), phi, squarefree) for each ring
+    F of fields in turn, as a generator.
+
+    The relators are walked and every determinant is taken once, over
+    rep.ring, when the first verdict is asked for; each F then gets them
+    reduced into it.  A verdict is computed only when it is asked for, and
+    only after rep.over(F) has accepted F, so a ring that sigma does not
+    reduce into is refused (ValueError) after the verdicts before it.
+    """
+    d2 = None
+    for ring in fields:
+        rep.over(ring)
+        if d2 is None:
+            d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
+            duality = _Duality(d2, d1, rep.rank, phi) if phi.m else None
+        if duality is None:
+            k = (pres.ngens - 1) * rep.rank
+            divisors = _divisors(_matrix_into(d2, ring), ring)
+            delta = LaurentPoly.constant(ring, 0, _divisor(divisors, k))
+        else:
+            delta = duality.into(ring)[1]
+        if squarefree:
+            delta = squarefree_part(delta)
+        yield AlexVerdict(canonical_associate(delta))
 
 
 # -- obstruction and admissibility ------------------------------------------

@@ -353,6 +353,44 @@ def test_kaehler_test_reads_delta_at_the_free_abelianization(capsys, tmp_path):
         assert (rc, err) == (0, "") and out.endswith(verdict), path
 
 
+def test_kaehler_test_prints_each_field_before_the_next_is_touched(capsys, tmp_path):
+    # half_q's entry 1/2 is not 2-integral: the line for Q stands, F_2 is
+    # refused, and F_3 is never computed; refused first, nothing prints
+    doc = s3_variants(tmp_path)
+    refusal = "error: 1/2 is not p-integral at p=2\n"
+    assert run(capsys, "kaehler-test", doc, "--rep", "half_q", "--fields", "q,fp:2,fp:3") == (
+        2, "Q: Delta = 1 - 1/2*t1\n", refusal)
+    assert run(capsys, "kaehler-test", doc, "--rep", "half_q", "--fields", "fp:2,q") == (
+        2, "", refusal)
+
+
+def test_kaehler_test_with_a_torsion_generator_first(capsys, tmp_path):
+    # sigma(x1) = -1 with phi(x1) = 0: x1's block det(sigma(x1) - I) = -2
+    # vanishes mod 2, so duality divides by x2's block in every field
+    path = write_document(tmp_path, "tors", ["x1", "x2"], ["x1^2", "x1 x2 x1^-1 x2^-1"],
+                          neg={"matrices": {"x1": [[-1]], "x2": [[1]]}})
+    assert run(capsys, "kaehler-test", path, "--rep", "neg", "--fields", "q,fp:2,fp:3") == (
+        0, "Q: Delta = 1\nF_2: Delta = 1 + t1\nF_3: Delta = 1\n"
+           "NOT KAHLER (witness: F_2, Delta = 1 + t1)\n", "")
+
+
+@pytest.mark.parametrize("relator, atom", [
+    ("x1^1_0", "x1^1_0"), ("x2 x1^\u0663", "x1^\u0663"), ("x1^a x2", "x1^a")])
+def test_a_bad_exponent_is_refused_by_its_atom(capsys, tmp_path, relator, atom):
+    path = write_document(tmp_path, "bad", ["x1", "x2"], [relator], t={"trivial": True})
+    assert run(capsys, "alexander", path, "--rep", "t") == (
+        2, "", f"error: bad exponent in {atom!r} (want name^k, k an integer)\n")
+
+
+def test_a_huge_trivial_rank_is_refused_at_once(capsys, tmp_path, deadline):
+    path = write_document(tmp_path, "huge", ["x1", "x2"], [],
+                          t={"trivial": True, "rank": 10**9})
+    with deadline(2):
+        assert run(capsys, "kaehler-test", path, "--rep", "t") == (
+            2, "", "error: representation 't' would have 2000000000000000000 matrix "
+                   "entries, rank^2 per generator (at most 100000)\n")
+
+
 @pytest.mark.parametrize("command, doc, message", [
     ("alexander", {"presentation": {"generators": ["x1\n"], "relators": []}},
      "presentation/generators/0: 'x1\\n' does not match \"^[A-Za-z_][A-Za-z0-9_']*$\""),

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,17 @@ def test_parse_and_render_words():
 def test_zero_power_in_a_relator_drops_the_letter():
     assert parse_word("x^0 y x^0", ["x", "y"]) == (2,)
     assert parse_word("x^0", ["x", "y"]) == ()
+
+
+def test_parse_word_reads_signed_ascii_exponents():
+    assert parse_word("x^+2 x^-1 x^007 y^-0", ["x", "y"]) == (1, 1, -1) + (1,) * 7
+
+
+@pytest.mark.parametrize("atom", ["x^1_0", "x^\u0663", "x^a", "x^", "x^2^3", "x^--1", "y^ "])
+def test_parse_word_refuses_any_other_exponent_naming_the_atom(atom):
+    # int() would read 1_0 as 10 and the Arabic-Indic digit as 3
+    with pytest.raises(ValueError, match=re.escape(f"bad exponent in {atom.strip()!r}")):
+        parse_word(f"y {atom} x", ["x", "y"])
 
 
 def test_parse_word_round_trip_random():

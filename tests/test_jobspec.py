@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from troplex import jobspec
+from troplex import fpgroup, jobspec
 from troplex.fpgroup import (
     MAX_BUILT_SIZE, AbelianEpi, Representation, build_orbifold, verify_representation,
     word_to_str,
@@ -117,10 +117,53 @@ def test_relator_letters_are_counted_before_they_are_expanded(deadline):
     with deadline(2), pytest.raises(JobError, match="at most 100000"):
         job("x1^1000000000000")
     # a bad exponent or name is still named as parse_word names it
-    with pytest.raises(JobError, match="invalid literal"):
+    with pytest.raises(JobError, match=r"bad exponent in 'x1\^'"):
         job("x1^ x2")
     with pytest.raises(JobError, match="unknown generator 'x3'"):
         job("x3 x1^y")
+
+
+def test_relator_letters_are_counted_in_parse_words_grammar():
+    names = ["x1", "x2"]
+    for word in ("x1^+2 x2^-3 x1^007", "x1^0 x2", "x1 x2^1 x1^-1"):
+        assert jobspec._letters(word) == len(fpgroup.parse_word(word, names)), word
+    # int() reads 1_000 and the Arabic-Indic digits; the grammar does not,
+    # so each such atom counts 1 and parse_word refuses it by name
+    assert jobspec._letters("x1^1_000 x2^\u0663\u0663 x2^3") == 5
+    doc = doc54()
+    doc["presentation"]["relators"] = ["x2 x1^1_000"]
+    with pytest.raises(JobError, match="bad exponent in 'x1\\^1_000'"):
+        JobSpec(doc)
+
+
+def trivial_document(ngens, rank):
+    doc = doc54()
+    doc["presentation"]["generators"] = [f"g{i}" for i in range(ngens)]
+    doc["representations"] = {"t": {"trivial": True, "rank": rank}}
+    return JobSpec(doc)
+
+
+def test_a_trivial_rank_is_refused_before_anything_is_built(monkeypatch, deadline):
+    # rank^2 matrix entries per generator, against MAX_BUILT_SIZE = 10^5
+    built = []
+    monkeypatch.setattr(fpgroup.Representation, "trivial",
+                        lambda ring, ngens, rank: built.append((ngens, rank)))
+    for ngens, rank, size in ((10, 100, MAX_BUILT_SIZE), (10, 101, 102010),
+                              (1000, 10, MAX_BUILT_SIZE), (1001, 10, 100100)):
+        spec = trivial_document(ngens, rank)
+        if size <= MAX_BUILT_SIZE:
+            spec.representation("t")
+            assert built.pop() == (ngens, rank)
+        else:
+            with pytest.raises(JobError) as err:
+                spec.representation("t")
+            assert str(err.value) == (
+                f"representation 't' would have {size} matrix entries, rank^2 per "
+                f"generator (at most {MAX_BUILT_SIZE})")
+    assert built == []
+    monkeypatch.undo()
+    with deadline(2), pytest.raises(JobError, match="would have 10000000000000000000 matrix"):
+        trivial_document(10, 10**9).representation("t")
 
 
 def published_schema():

@@ -237,7 +237,7 @@ def j1_by_all_ordered_pairs(pres, rep, phi):
     if phi.m == 0:
         return None
     d2, d1 = alexander_matrices(pres, rep, phi)
-    _, _, nums, den = jumploci._by_duality(d2, d1, rep.rank)
+    _, _, nums, den = jumploci._Duality(d2, d1, rep.rank, phi).into(rep.ring)
     gens0 = minors(d1, rep.rank)
     return IdealGens(rep.ring, phi.m, (_exact_div_strict(num * q_a, den) * q_b
                                        for num in nums for q_a in gens0 for q_b in gens0))
@@ -533,7 +533,7 @@ def test_singular_generator_blocks_fall_back_to_enumeration(monkeypatch):
 
 
 def gcd_j0_route(pres, rep, phi):
-    """_by_duality's gcd J0 and Delta against gcd_list(minors(d1, r)) and
+    """Kernel duality's gcd J0 and Delta against gcd_list(minors(d1, r)) and
     enumeration.  Returns None when Delta = 0 (no row slice of rank k,
     and no minor taken), else whether gcd J0 needed every r-minor of d1
     because the generator blocks' gcd is not a unit."""
@@ -542,7 +542,7 @@ def gcd_j0_route(pres, rep, phi):
     taken = []
     jumploci.minors = lambda M, k: taken.append(k) or real_minors(M, k)
     try:
-        g0, delta, nums, _ = jumploci._by_duality(d2, d1, rep.rank)
+        g0, delta, nums, _ = jumploci._Duality(d2, d1, rep.rank, phi).into(rep.ring)
     finally:
         jumploci.minors = real_minors
     assert delta == delta_by_enumeration(pres, rep, phi)
@@ -606,6 +606,86 @@ def test_gcd_j0_matches_every_minor_seeded():
 def test_gcd_j0_matches_every_minor_property(pairs, name, ring, phi):
     pres = kernel_presentation(pairs)
     gcd_j0_route(pres, S3_REPS[name].over(ring), PHIS[phi](pres))
+
+
+# -- one walk and one set of determinants, reduced into each field -------------
+
+
+def assert_fields_match_each_field_alone(pres, rep, fields):
+    """twisted_alexander_fields over fields against twisted_alexander of
+    rep.over(F) for each F, up to the first F that rep.over refuses;
+    returns the number of fields compared."""
+    phi = AbelianEpi.from_abelianization(pres)
+    shared = jumploci.twisted_alexander_fields(pres, rep, phi, fields, True)
+    for done, ring in enumerate(fields):
+        try:
+            alone = twisted_alexander(pres, rep.over(ring), phi, squarefree=True)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                next(shared)
+            return done
+        v = next(shared)
+        assert (v.ring, v.delta) == (ring, alone.delta), (pres.relators, ring)
+    return len(fields)
+
+
+FIELD_LISTS = ([QQ], [QQ, GF(2), GF(3)], [GF(2), GF(3), GF(5), QQ], [GF(5), QQ, GF(2)])
+# s3 conjugated by diag(1, 2): entries 1/2 and 2, so F_2 is refused
+S3_HALF = Representation(QQ, [[[-1, Fraction(1, 2)], [-2, 0]], [[0, Fraction(1, 2)], [2, 0]]])
+
+
+def test_fields_share_one_route_seeded():
+    rng = random.Random(173)
+    compared = []
+    for k in range(24):
+        pres = kernel_presentation(random_pairs(rng, rng.randint(1, 2)))
+        if k % 6 == 5:
+            rep = regular_representation(pres, [[1, 2, 0], [1, 0, 2]])
+        else:
+            rep = [*S3_REPS.values(), S3_HALF][k % 6 % 4]
+        assert verify_representation(pres, rep)
+        compared.append(assert_fields_match_each_field_alone(pres, rep, FIELD_LISTS[k % 4]))
+    for k in range(12):
+        n, rank = ((3, 1), (4, 1), (5, 1), (3, 2))[k % 4]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = [(i, j, rng.randint(1, 2))
+                 for i, j in rng.sample(pairs, rng.randint(1, len(pairs)))]
+        pres = build_weighted_raag(n, edges)
+        rep = commuting_rep(rng, n, rank)
+        compared.append(assert_fields_match_each_field_alone(pres, rep, FIELD_LISTS[k // 3]))
+    # phi of rank 0: the triangle group (2, 3, 7), whose d2 is reduced
+    # into each field before its determinantal divisors are read
+    tri = build_orbifold(0, [2, 3, 7])
+    for rank in (1, 2):
+        rep = Representation.trivial(ZZ, 3, rank=rank)
+        compared.append(assert_fields_match_each_field_alone(tri, rep, FIELD_LISTS[2]))
+    # S3_HALF is refused at F_2 after every field before it
+    assert {1, 3, 4} <= set(compared)
+
+
+@settings(max_examples=30, deadline=None)
+@given(word_pairs, st.sampled_from(sorted(S3_REPS) + ["half"]), st.sampled_from(FIELD_LISTS))
+def test_fields_share_one_route_property(pairs, name, fields):
+    rep = S3_HALF if name == "half" else S3_REPS[name]
+    assert_fields_match_each_field_alone(kernel_presentation(pairs), rep, fields)
+
+
+def test_s0_is_the_first_block_with_nonzero_phi():
+    # <x1, x2 | x1^2, [x1, x2]> with sigma(x1) = -1: phi(x1) = 0, and
+    # det(sigma(x1) - I) = -2 is a nonzero block over Z that vanishes mod 2,
+    # so S0 is x2's block, whose constant term survives every reduction
+    pres = Presentation(["x1", "x2"], [(1, 1), commutator(1, 2)])
+    rep = Representation(ZZ, [[[-1]], [[1]]])
+    phi = AbelianEpi.from_abelianization(pres)
+    assert [v != (0,) for v in phi.vectors] == [False, True]
+    d2, d1 = alexander_matrices(pres, rep, phi)
+    duality = jumploci._Duality(d2, d1, 1, phi)
+    assert render(duality.den) == "-1 + t1"
+    assert [render(b) for b in duality.blocks] == ["-2"]
+    verdicts = jumploci.twisted_alexander_fields(pres, rep, phi, [QQ, GF(2), GF(3)], True)
+    assert [(v.ring, v.describe()) for v in verdicts] == [
+        (QQ, "1"), (GF(2), "1 + t1"), (GF(3), "1")]
+    assert assert_fields_match_each_field_alone(pres, rep, [ZZ, QQ, GF(2), GF(3)]) == 4
 
 
 # -- phi of rank 0 by determinantal divisors against enumeration ---------------
