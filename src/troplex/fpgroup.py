@@ -17,7 +17,6 @@ so the Fox fundamental identity makes the product ``d2 * d1`` vanish.
 from __future__ import annotations
 
 import os
-import re
 
 from . import linalg
 from .laurent import LaurentPoly
@@ -26,8 +25,9 @@ from .rings import ZZ
 DEFAULT_MAX_QUOTIENT = 5040
 # generators plus relator letters of a presentation that a builder emits
 MAX_BUILT_SIZE = 100_000
-# the k of an atom x^k: ASCII digits with an optional sign, so x^+2 is x^2
-EXPONENT = re.compile(r"[+-]?[0-9]+")
+# significant digits of the longest exponent read; any longer one is far
+# over MAX_BUILT_SIZE, and int() reads no more than 4300
+EXPONENT_DIGITS = 100
 
 
 # -- words ----------------------------------------------------------------
@@ -37,23 +37,38 @@ def invert_word(word):
     return tuple(-letter for letter in reversed(word))
 
 
+def exponent(text):
+    """The k of an atom x^k, read from ASCII digits with an optional sign
+    (so x^+2 is x^2), or None for any other text: int() alone would also
+    read 1_0 as 10 and non-ASCII digits.  A k of more than EXPONENT_DIGITS
+    significant digits is refused by the size bound."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    significant = len(digits.lstrip("0"))
+    if significant > EXPONENT_DIGITS:
+        raise ValueError(
+            f"the presentation would have at least 10^{significant - 1} relator letters "
+            f"(at most {MAX_BUILT_SIZE})"
+        )
+    return int(text)
+
+
 def parse_word(text, names):
     """Parse ``"x1^-1 x2^2"`` into a Tietze tuple using the name list.
 
-    An atom is a name, or name^k with k as EXPONENT reads it."""
+    An atom is a name, or name^k with k as exponent() reads it."""
     index = {name: i + 1 for i, name in enumerate(names)}
-    powers = {}  # each distinct exponent text is checked and read once
+    powers = {}  # each distinct exponent text is read once
     out = []
     for atom in text.split():
         name, caret, exp = atom.partition("^")
         if not caret:
             power = 1
-        else:
-            power = powers.get(exp)
+        elif (power := powers.get(exp)) is None:
+            power = powers[exp] = exponent(exp)
             if power is None:
-                if not EXPONENT.fullmatch(exp):
-                    raise ValueError(f"bad exponent in {atom!r} (want name^k, k an integer)")
-                power = powers[exp] = int(exp)
+                raise ValueError(f"bad exponent in {atom!r} (want name^k, k an integer)")
         if name not in index:
             raise ValueError(f"unknown generator {name!r}")
         if power == 0:

@@ -112,9 +112,10 @@ def _letters(word):
     """Relator letters of word, x^k counting |k| when parse_word reads k;
     a bad exponent counts 1 and is left for parse_word to name."""
     count = len(word.split())
-    for k, times in Counter(re.findall(r"\^(\S*)", word)).items():
-        if fpgroup.EXPONENT.fullmatch(k):
-            count += times * (abs(int(k)) - 1)
+    for exp, times in Counter(re.findall(r"\^(\S*)", word)).items():
+        k = fpgroup.exponent(exp)
+        if k is not None:
+            count += times * (abs(k) - 1)
     return count
 
 

@@ -374,12 +374,17 @@ def test_kaehler_test_with_a_torsion_generator_first(capsys, tmp_path):
            "NOT KAHLER (witness: F_2, Delta = 1 + t1)\n", "")
 
 
-@pytest.mark.parametrize("relator, atom", [
-    ("x1^1_0", "x1^1_0"), ("x2 x1^\u0663", "x1^\u0663"), ("x1^a x2", "x1^a")])
-def test_a_bad_exponent_is_refused_by_its_atom(capsys, tmp_path, relator, atom):
+@pytest.mark.parametrize("relator, message", [
+    ("x1^1_0", "bad exponent in 'x1^1_0' (want name^k, k an integer)"),
+    ("x2 x1^\u0663", "bad exponent in 'x1^\u0663' (want name^k, k an integer)"),
+    ("x1^a x2", "bad exponent in 'x1^a' (want name^k, k an integer)"),
+    # past int()'s 4300 digits: refused by size, not by Python's own text
+    ("x2 x1^1" + "0" * 5000,
+     "the presentation would have at least 10^5000 relator letters (at most 100000)")],
+    ids=["underscore", "arabic-indic", "letter", "5001-digits"])
+def test_a_bad_exponent_is_refused_by_its_atom(capsys, tmp_path, relator, message):
     path = write_document(tmp_path, "bad", ["x1", "x2"], [relator], t={"trivial": True})
-    assert run(capsys, "alexander", path, "--rep", "t") == (
-        2, "", f"error: bad exponent in {atom!r} (want name^k, k an integer)\n")
+    assert run(capsys, "alexander", path, "--rep", "t") == (2, "", f"error: {message}\n")
 
 
 def test_a_huge_trivial_rank_is_refused_at_once(capsys, tmp_path, deadline):

@@ -10,7 +10,7 @@ from oracles import (
     abelianization, fox_derivative, free_reduce, homology_dims_at_character, lmat_mul,
 )
 from troplex.fpgroup import (
-    invert_word, parse_word, word_to_str, commutator,
+    invert_word, parse_word, word_to_str, commutator, exponent, EXPONENT_DIGITS,
     Presentation, Representation, AbelianEpi, verify_representation,
     alexander_matrices, build_orbifold, build_weighted_raag,
     build_product, regular_representation, _closure, _perm_mul, MAX_BUILT_SIZE,
@@ -59,6 +59,26 @@ def test_parse_word_refuses_any_other_exponent_naming_the_atom(atom):
     # int() would read 1_0 as 10 and the Arabic-Indic digit as 3
     with pytest.raises(ValueError, match=re.escape(f"bad exponent in {atom.strip()!r}")):
         parse_word(f"y {atom} x", ["x", "y"])
+
+
+@given(st.text(st.sampled_from("+-_ 0123a\u0663\u00b2"), max_size=5))
+def test_exponent_reads_exactly_signed_ascii_digits(text):
+    # the grammar of k in x^k is [+-]?[0-9]+ in ASCII, read as int() reads it
+    if re.fullmatch(r"[+-]?[0-9]+", text, flags=re.ASCII):
+        assert exponent(text) == int(text)
+    else:
+        assert exponent(text) is None
+
+
+def test_an_exponent_past_its_digit_bound_is_refused_by_size():
+    longest = "-" + "0" * 10 + "9" * EXPONENT_DIGITS
+    assert exponent(longest) == -(10**EXPONENT_DIGITS - 1)
+    for text in ("1" + "0" * EXPONENT_DIGITS, "+1" + "0" * 5000):
+        with pytest.raises(ValueError) as err:
+            parse_word(f"y x^{text}", ["x", "y"])
+        zeros = len(text) - text.index("1") - 1
+        assert str(err.value) == (f"the presentation would have at least 10^{zeros} relator "
+                                  f"letters (at most {MAX_BUILT_SIZE})")
 
 
 def test_parse_word_round_trip_random():

@@ -2,8 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --pr N \
         --workloads delta,bound,trop --seeds 3401-3410 [--seconds 30] \
-        [--note TEXT] [--claim TEXT] [--earlier TEXT] \
-        [--trace-seed 1] [--trace-metrics NAME,NAME,...]
+        [--note TEXT] [--claim TEXT] [--earlier TEXT]
 
 Run from the root of a troplex git checkout; needs only the standard
 library, git and tar.  Each commit is unpacked from ``git archive`` into
@@ -13,8 +12,8 @@ seed and workload one parent run and one change run of
     python3 perfbench/run.py --workload W --seed S --seconds T
 
 are made, the parent first on odd seeds and the change first on even
-ones.  Then one traced pass per side and workload is made at the trace
-seed (``--trace 1``), from which the named per-layer metrics are kept.
+ones.  Then one traced pass per side and workload is made at seed
+TRACE_SEED (``--trace 1``), from which the TRACE_METRICS are kept.
 The result goes to BENCH_<pr>.json: per workload and end-to-end metric,
 each side's median and quartiles (statistics.quantiles, n=4), the
 parent's interquartile range, and the number of pairs in which the change
@@ -34,6 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+TRACE_SEED = 1
 TRACE_METRICS = [
     "cli.main.busy_s",
     "fpgroup.alexander_matrices.calls",
@@ -111,8 +111,6 @@ def main(argv=None):
     parser.add_argument("--note", help="what the change does (default: its subject line)")
     parser.add_argument("--claim", default="none", help="the gain claimed, if any")
     parser.add_argument("--earlier", default="none", help="every other run made for the change")
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--trace-metrics", default=",".join(TRACE_METRICS))
     args = parser.parse_args(argv)
 
     workloads = args.workloads.split(",")
@@ -142,10 +140,10 @@ def main(argv=None):
         for w in workloads:
             traced[w] = {}
             for side in ("parent", "change"):
-                out = perfbench(trees[side], w, args.trace_seed, seconds, trace=1)
+                out = perfbench(trees[side], w, TRACE_SEED, seconds, trace=1)
                 traced[w][side] = {"correct": out["correct"], "failed": out["failed"]}
                 traced[w][side].update((k, out["metrics"][k]["value"])
-                                       for k in args.trace_metrics.split(","))
+                                       for k in TRACE_METRICS)
 
     doc = {
         "description": (
@@ -178,7 +176,7 @@ def main(argv=None):
         "traced": {
             "description": (
                 "one traced pass per side and workload: python3 perfbench/run.py --workload W "
-                f"--seed {args.trace_seed} --seconds {seconds} --trace 1, from the same "
+                f"--seed {TRACE_SEED} --seconds {seconds} --trace 1, from the same "
                 "archives; per-layer values per pass (busy seconds and counts)"),
             "workloads": traced,
         },
