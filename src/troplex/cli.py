@@ -27,7 +27,7 @@ from .jobspec import (
     parse_valuation,
     presentation_document,
 )
-from .jumploci import kahler_obstruction, twisted_alexander, twisted_alexander_fields
+from .jumploci import TwistedComplex, kahler_obstruction, twisted_alexander
 from .rings import GF, ring_from_tag
 from .svg import render_svg
 from .tropical import trop_contains, trop_Z_contains, tropicalize
@@ -223,10 +223,13 @@ def cmd_kaehler_test(args):
     rep = job.representation(args.rep)
     phi = job.phi("ab")  # the obstruction is about Delta at the free abelianization
     fields = [parse_field(tag.strip()) for tag in args.fields.split(",")]
-    verdicts = []
-    # one walk of the relators and one set of determinants, reduced into
+    # one walk of the relators and one set of determinants, taken into
     # each field; a field's line is printed before the next is touched
-    for v in twisted_alexander_fields(job.presentation, rep, phi, fields, squarefree=True):
+    complex_ = TwistedComplex(job.presentation, rep, phi)
+    verdicts = []
+    for field in fields:
+        rep.over(field)  # refuses sigma when an entry has no image in field
+        v = complex_.alexander(field, squarefree=True)
         print(f"{v.ring!r}: Delta = {v.describe()}")
         verdicts.append(v)
     outcome = kahler_obstruction(verdicts)

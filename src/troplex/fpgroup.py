@@ -20,7 +20,7 @@ import os
 
 from . import linalg
 from .laurent import LaurentPoly
-from .rings import ZZ
+from .rings import ZZ, scalar_map
 
 DEFAULT_MAX_QUOTIENT = 5040
 # generators plus relator letters of a presentation that a builder emits
@@ -182,30 +182,11 @@ class Representation:
         return linalg.smat_identity(self.ring, self.rank)
 
     def over(self, ring):
-        """The same matrices reinterpreted/reduced in another ring."""
+        """The same matrices taken into another ring by rings.scalar_map."""
         if ring == self.ring:
             return self
-        convert = _scalar_converter(self.ring, ring)
-        return Representation(
-            ring, [[[convert(x) for x in row] for row in mat] for mat in self.mats]
-        )
-
-
-def _scalar_converter(src, dst):
-    from .rings import reduce_scalar
-
-    if dst.kind == "FP":
-        return lambda x: reduce_scalar(x, dst.p, src)
-    if src.kind == "Z" and dst.kind == "Q":
-        return lambda x: x  # an integer is its own normal form in Q
-    if src.kind == "Q" and dst.kind == "Z":
-        def to_int(x):
-            if x.denominator != 1:
-                raise ValueError(f"{x} is not an integer")
-            return x
-
-        return to_int
-    raise ValueError(f"cannot convert scalars from {src!r} to {dst!r}")
+        to = scalar_map(self.ring, ring)
+        return Representation(ring, [[[to(x) for x in row] for row in mat] for mat in self.mats])
 
 
 def verify_representation(pres, rep):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import fpgroup
-from .rings import GF, QQ, TRIVIAL, padic, ring_from_tag
+from .rings import GF, QQ, TRIVIAL, padic, ring_from_tag, tag_prime
 
 
 class JobError(ValueError):
@@ -237,10 +237,10 @@ def parse_valuation(text):
     if text == "trivial":
         return None, TRIVIAL
     try:
-        if text.startswith("p-adic:"):
-            return None, padic(int(text[7:]))
-        if text.startswith("fp:"):
-            return GF(int(text[3:])).p, TRIVIAL
+        if (p := tag_prime(text, "p-adic:")) is not None:
+            return None, padic(p)
+        if (p := tag_prime(text, "fp:")) is not None:
+            return GF(p).p, TRIVIAL
     except ValueError as e:
         raise JobError(str(e)) from None
     raise JobError(f"unknown valuation {text!r} (want Z, trivial, p-adic:P, or fp:P)")
@@ -250,8 +250,8 @@ def parse_field(text):
     """Field tags for the obstruction test: 'q' or 'fp:P'."""
     if text in ("q", "Q"):
         return QQ
-    if text.startswith("fp:"):
-        return GF(int(text[3:]))
+    if (p := tag_prime(text, "fp:")) is not None:
+        return GF(p)
     raise JobError(f"unknown field {text!r} (want q or fp:P)")
 
 

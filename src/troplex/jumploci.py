@@ -46,18 +46,17 @@ over all C(nr, r) r-minors.  J0's generators are enumerated only for
 jump_ideal(i=0) and when a caller reads J1's generators.
 
 A determinant is a polynomial in the entries, so it commutes with the
-ring maps Z -> Q and Z or Q -> F_p.  Delta is therefore taken in two
-stages.  Stage 1 walks the relators and takes den, the determinant of
-d2 per row slice and the other blocks once, over the representation's
-ring.  Stage 2 reduces them termwise into a target field F, drops those
-that vanish there, and folds gcd J0 (from every r-minor of d1 reduced
-into F if the reduced blocks' gcd is not a unit) and delta over F.
-den survives every reduction by its constant term, which is why S0 is
-chosen by phi and not as the first block with a nonzero determinant: an
-x_i with phi(x_i) = 0 has a constant block, such as det(-1 - 1) = -2,
-that vanishes mod 2.  twisted_alexander runs stage 2 at F = rep.ring;
-twisted_alexander_fields runs stage 1 once and stage 2 per field, as
-kaehler-test asks.  At phi of rank 0, d2 itself is reduced into F.
+coefficient maps of rings.scalar_map.  So one TwistedComplex is read at
+any ring F that the representation's ring maps into, in two stages.
+Stage 1 walks the relators once and takes den, one determinant of d2
+per row slice and the other blocks, each on first use, over the
+representation's ring.  Stage 2 takes them into F, drops those that
+vanish there, and folds gcd J0 (from every r-minor of d1 taken into F
+if the blocks' gcd is not a unit) and delta over F.  den survives by its
+constant term, which is why S0 is chosen by phi and not as the first
+block with a nonzero determinant: a constant block, such as
+det(-1 - 1) = -2, can vanish mod 2.  At phi of rank 0, d2 and d1 are
+taken into F and read by their divisors.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: a minor of a block-diagonal matrix is zero unless
@@ -81,7 +80,7 @@ from .laurent import (
     canonical_associate,
     gcd_list,
     is_unit,
-    reduce_mod_p,
+    map_coefficients,
     render,
     squarefree_part,
 )
@@ -158,12 +157,14 @@ class IdealGens:
 
 
 def _divisors(M, ring):
-    """[D_0, D_1, .., D_rank] of a matrix of constants (phi of rank 0).
+    """[D_0, D_1, .., D_rank] of a matrix of constants (phi of rank 0),
+    taken into ring.
 
     D_k, the gcd of the k-minors, is 0 above the rank.  Up to the rank
     it is 1 over a field and the product of the first k invariant
     factors of the Smith form over Z.
     """
+    M = [[map_coefficients(x, ring) for x in row] for row in M]
     if ring.kind != "Z":
         return [1] * (linalg.rank_laurent(M) + 1)
     out = [1]
@@ -178,74 +179,109 @@ def _divisor(divisors, k):
     return divisors[k] if k < len(divisors) else 0
 
 
-def _into(f, ring):
-    """f with its coefficients taken into ring: Z -> Q as they are, Z or
-    Q -> F_p by reduce_scalar.  Determinants commute with these maps."""
-    if f.ring == ring:
-        return f
-    if ring.kind == "FP":
-        return reduce_mod_p(f, ring.p)
-    return LaurentPoly(ring, f.nvars, f.terms)
-
-
 def _nonzero_into(polys, ring):
-    """The nonzero polys taken into ring, without those that vanish there."""
-    if not polys or polys[0].ring == ring:
-        return polys
-    return [g for f in polys if not (g := _into(f, ring)).is_zero]
+    """The polys taken into ring, without those that vanish there."""
+    return [g for f in polys if not (g := map_coefficients(f, ring)).is_zero]
 
 
-def _matrix_into(M, ring):
-    return [[_into(x, ring) for x in row] for row in M]
-
-
-class _Duality:
-    """Delta and gcd J0 by kernel duality (phi of rank >= 1), in two stages.
-
-    Stage 1, here, over the ring of d2 and d1.  S0 is the complement of
-    the block of the first generator x_i with phi(x_i) != 0, so den =
-    det(sigma(x_i) s - I) with s a nonconstant monomial: its constant
-    term (-1)^r survives every reduction, and it proves rank d1 = r.
-    nums holds the nonzero det d2[R, S0], one per row slice R, so that the
-    k-minors of d2 are the nums[R] * q / den over the r-minors q of d1.
-    blocks holds the other generator blocks' nonzero determinants,
-    r-minors of d1 too; they enter only gcd J0, which Delta = 0 does not
-    need, so they are taken only when nums is nonempty.
+class TwistedComplex:
+    """The twisted chain complex of (pres, rep, phi): delta, gcd J0 and
+    gcd J1 at any ring that rep.ring maps into, by the two stages of the
+    module docstring.  Nothing here checks that sigma is defined over that
+    ring: a caller that reads a field F asks rep.over(F) first, which
+    refuses an entry of sigma with no image in F.
     """
 
-    def __init__(self, d2, d1, r, phi):
-        self.d1, self.r = d1, r
-        top = r * next(i for i, v in enumerate(phi.vectors) if any(v))
-        self.den = linalg.det_laurent(d1[top:top + r])
+    def __init__(self, pres, rep, phi=None):
+        if phi is None:
+            phi = fpgroup.AbelianEpi.from_abelianization(pres)
+        self.pres, self.rep, self.phi = pres, rep, phi
+        self.r = rep.rank
+        # S0's block: the first generator with phi(x_i) != 0 (none at rank 0)
+        self._top = next((self.r * i for i, v in enumerate(phi.vectors) if any(v)), None)
+        self._gcd_j0 = {}
+
+    @cached_property
+    def matrices(self):
+        """(d2, d1) over rep.ring: the one walk of the relators."""
+        return fpgroup.alexander_matrices(self.pres, self.rep, self.phi)
+
+    @cached_property
+    def _slices(self):
+        """(den, nums) over rep.ring: den = det(sigma(x_i) s - I) for S0's
+        block, and the nonzero det d2[R, S0], one per row slice R."""
+        d2, d1 = self.matrices
+        top, r = self._top, self.r
+        den = linalg.det_laurent(d1[top:top + r])
         cols = list(range(top)) + list(range(top + r, len(d1)))
-        self.nums = []
+        nums = []
         for rsel in combinations(range(len(d2)), len(cols)):
             # n = 1 leaves k = 0 and one empty slice, of determinant 1
             num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
-                   else LaurentPoly.one(self.den.ring, self.den.nvars))
+                   else LaurentPoly.one(den.ring, den.nvars))
             if not num.is_zero:
-                self.nums.append(num)
-        self.blocks = [b for i in range(0, len(d1), r) if i != top
-                       if not (b := linalg.det_laurent(d1[i:i + r])).is_zero] if self.nums else []
+                nums.append(num)
+        return den, nums
 
-    def into(self, ring):
-        """Stage 2: (gcd J0, delta, nums, den) over ring, from stage 1's
-        determinants reduced into it.  gcd J0 is the gcd of the blocks when
-        that is a unit, and of every r-minor of d1 reduced into ring
-        otherwise.  When every row slice has rank below k over ring, delta
-        and J1 are zero and J0 is not needed: the tuple is (0, 0, [], den).
-        """
-        den = _into(self.den, ring)
-        nums = _nonzero_into(self.nums, ring)
+    @cached_property
+    def _blocks(self):
+        """The other generator blocks' nonzero determinants over rep.ring,
+        r-minors of d1 that only gcd J0 reads."""
+        d1, r = self.matrices[1], self.r
+        return [b for i in range(0, len(d1), r) if i != self._top
+                if not (b := linalg.det_laurent(d1[i:i + r])).is_zero]
+
+    def slices(self, ring):
+        """(den, nums) taken into ring, without the nums that vanish there."""
+        den, nums = self._slices
+        return map_coefficients(den, ring), _nonzero_into(nums, ring)
+
+    def gcd_j0(self, ring):
+        """gcd J0 over ring, the gcd of the r-minors of d1 (zero when they
+        all vanish).  At phi of rank >= 1 it is the gcd of the generator
+        blocks when that is a unit, which gcd_list returns as 1, and of
+        every r-minor of d1 taken into ring otherwise."""
+        d1 = self.matrices[1]
+        if not self.phi.m:
+            return LaurentPoly.constant(ring, 0, _divisor(_divisors(d1, ring), self.r))
+        if ring not in self._gcd_j0:
+            g0 = gcd_list(_nonzero_into([self._slices[0]] + self._blocks, ring))
+            if not is_unit(g0):
+                g0 = gcd_list(minors([[map_coefficients(x, ring) for x in row] for row in d1],
+                                     self.r))
+            self._gcd_j0[ring] = g0
+        return self._gcd_j0[ring]
+
+    def delta(self, ring):
+        """delta over ring.  When every row slice has rank below k there,
+        it is zero and gcd J0 is not taken."""
+        if not self.phi.m:
+            k = (self.pres.ngens - 1) * self.r
+            return LaurentPoly.constant(ring, 0, _divisor(_divisors(self.matrices[0], ring), k))
+        den, nums = self.slices(ring)
         if not nums:
-            zero = LaurentPoly.zero(ring, den.nvars)
-            return zero, zero, nums, den
-        # a unit gcd of the blocks is gcd J0, which gcd_list returns as 1
-        g0 = gcd_list([den] + _nonzero_into(self.blocks, ring))
-        if not is_unit(g0):
-            g0 = gcd_list(minors(_matrix_into(self.d1, ring), self.r))
-        delta = gcd_list([_exact_div_strict(num * g0, den) for num in nums])
-        return g0, delta, nums, den
+            return LaurentPoly.zero(ring, self.phi.m)
+        g0 = self.gcd_j0(ring)
+        return gcd_list([_exact_div_strict(num * g0, den) for num in nums])
+
+    def gcd_j1(self, ring):
+        """gcd J1 over ring: delta * gcd J0 at phi of rank >= 1, and at phi
+        of rank 0 the gcd over a of D_a(d2) * D_(nr-a)(d1)."""
+        if not self.phi.m:
+            d2, d1 = self.matrices
+            div1, size = _divisors(d1, ring), self.r * self.pres.ngens
+            gen = math.gcd(*(p * _divisor(div1, size - a)
+                             for a, p in enumerate(_divisors(d2, ring))))
+            return LaurentPoly.constant(ring, 0, gen)
+        delta = self.delta(ring)
+        return delta if delta.is_zero else canonical_associate(delta * self.gcd_j0(ring))
+
+    def alexander(self, ring, squarefree=False):
+        """twisted_alexander(pres, rep.over(ring), phi, squarefree)."""
+        delta = self.delta(ring)
+        if squarefree:
+            delta = squarefree_part(delta)
+        return AlexVerdict(canonical_associate(delta))
 
 
 def jump_ideal(pres, rep, phi=None, i=1):
@@ -254,7 +290,8 @@ def jump_ideal(pres, rep, phi=None, i=1):
     Generated by the minors of size r*c_i of the block matrix
     diag(d_{i+1}, d_i), with chain ranks c_0 = 1 and c_1 = n.  Only
     degrees 0 and 1 exist for a presentation 2-complex.  J0 needs d1
-    alone, since the zero columns of d0 enter no nonzero minor.
+    alone, since the zero columns of d0 enter no nonzero minor, and takes
+    no determinant of d2.
 
     J1 never builds diag(d2, d1); see the module docstring for both
     routes.  At phi of rank 0 each ideal comes back on its one generator,
@@ -268,31 +305,22 @@ def jump_ideal(pres, rep, phi=None, i=1):
     """
     if i not in (0, 1):
         raise ValueError("jump ideals are defined here for degrees 0 and 1 only")
-    if phi is None:
-        phi = fpgroup.AbelianEpi.from_abelianization(pres)
-    d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
-    r = rep.rank
-    if phi.m == 0:
-        div1 = _divisors(d1, rep.ring)
-        if i == 0:
-            gen = _divisor(div1, r)
-        else:
-            size = r * pres.ngens
-            gen = math.gcd(*(p * _divisor(div1, size - a)
-                             for a, p in enumerate(_divisors(d2, rep.ring))))
-        return IdealGens(rep.ring, 0, [LaurentPoly.constant(rep.ring, 0, gen)])
+    complex_, ring = TwistedComplex(pres, rep, phi), rep.ring
+    if not complex_.phi.m:
+        return IdealGens(ring, 0, [complex_.gcd_j1(ring) if i else complex_.gcd_j0(ring)])
+    d1 = complex_.matrices[1]
     if i == 0:
-        return IdealGens(rep.ring, phi.m, minors(d1, r))
-    g0, delta, nums, den = _Duality(d2, d1, r, phi).into(rep.ring)
+        return IdealGens(ring, complex_.phi.m, minors(d1, rep.rank))
+    den, nums = complex_.slices(ring)
 
     def gens():
-        gens0 = minors(d1, r) if nums else []
+        gens0 = minors(d1, rep.rank) if nums else []
         for num in nums:
             for a, q in enumerate(gens0):
                 p = _exact_div_strict(num * q, den)
                 yield from (p * q_b for q_b in gens0[a:])
 
-    return IdealGens(rep.ring, phi.m, gens(), gcd=canonical_associate(delta * g0))
+    return IdealGens(ring, complex_.phi.m, gens(), gcd=complex_.gcd_j1(ring))
 
 
 # -- twisted Alexander polynomial -------------------------------------------
@@ -339,36 +367,7 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
     row slice by kernel duality (see the module docstring).  The excluded
     locus is not computed here: read it from jump_ideal(pres, rep, phi, i=0).
     """
-    if phi is None:
-        phi = fpgroup.AbelianEpi.from_abelianization(pres)
-    return next(twisted_alexander_fields(pres, rep, phi, [rep.ring], squarefree))
-
-
-def twisted_alexander_fields(pres, rep, phi, fields, squarefree):
-    """twisted_alexander(pres, rep.over(F), phi, squarefree) for each ring
-    F of fields in turn, as a generator.
-
-    The relators are walked and every determinant is taken once, over
-    rep.ring, when the first verdict is asked for; each F then gets them
-    reduced into it.  A verdict is computed only when it is asked for, and
-    only after rep.over(F) has accepted F, so a ring that sigma does not
-    reduce into is refused (ValueError) after the verdicts before it.
-    """
-    d2 = None
-    for ring in fields:
-        rep.over(ring)
-        if d2 is None:
-            d2, d1 = fpgroup.alexander_matrices(pres, rep, phi)
-            duality = _Duality(d2, d1, rep.rank, phi) if phi.m else None
-        if duality is None:
-            k = (pres.ngens - 1) * rep.rank
-            divisors = _divisors(_matrix_into(d2, ring), ring)
-            delta = LaurentPoly.constant(ring, 0, _divisor(divisors, k))
-        else:
-            delta = duality.into(ring)[1]
-        if squarefree:
-            delta = squarefree_part(delta)
-        yield AlexVerdict(canonical_associate(delta))
+    return TwistedComplex(pres, rep, phi).alexander(rep.ring, squarefree)
 
 
 # -- obstruction and admissibility ------------------------------------------

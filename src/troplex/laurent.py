@@ -41,7 +41,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, lt, neg, sub
 
-from .rings import GF, rational, reduce_scalar, valuate
+from .rings import rational, scalar_map, valuate
 
 
 def _lex_key(exps):
@@ -641,20 +641,13 @@ def initial_form_valued(f, w, v):
     return LaurentPoly(f.ring, f.nvars, {u: f.terms[u] for u, wt in weights.items() if wt == best})
 
 
-def reduce_mod_p(f, p):
-    """Termwise reduction to F_p; requires p-integral coefficients."""
-    target = GF(p)
-    if f.ring.kind == "FP":
-        raise ValueError("polynomial already has prime-field coefficients")
-    return LaurentPoly(
-        target,
-        f.nvars,
-        {
-            e: r
-            for e, c in f.terms.items()
-            if (r := reduce_scalar(c, p, f.ring)) != 0
-        },
-    )
+def map_coefficients(f, ring):
+    """f with its coefficients taken into ring by rings.scalar_map and the
+    terms that vanish there dropped; f itself when it lies over ring."""
+    if f.ring == ring:
+        return f
+    to = scalar_map(f.ring, ring)
+    return _trusted(ring, f.nvars, {e: r for e, c in f.terms.items() if (r := to(c))})
 
 
 def coefficient_primes(f):

@@ -238,9 +238,18 @@ def ring_from_tag(tag):
         return ZZ
     if tag == "Q":
         return QQ
-    if tag.startswith("fp:"):
-        return GF(int(tag[3:]))
-    raise ValueError(f"unknown ring tag {tag!r}")
+    p = tag_prime(tag, "fp:")
+    if p is None:
+        raise ValueError(f"unknown ring tag {tag!r}")
+    return GF(p)
+
+
+def tag_prime(tag, prefix):
+    """The P of a tag prefix + P, read from ASCII digits alone, or None
+    for any other tag: int() alone would also read fp:1_1, fp:+3, "fp: 3"
+    and non-ASCII digits."""
+    digits = tag[len(prefix):] if tag.startswith(prefix) else ""
+    return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
 def padic_valuation(n, p):
@@ -319,19 +328,30 @@ def valuate(v, a, ring=QQ):
     return val
 
 
-def reduce_scalar(a, p, ring=ZZ):
-    """Reduce an integer or p-integral rational mod p, as a residue in [0, p).
+def scalar_map(src, dst):
+    """The coefficient map from ring src into ring dst, on src's normal
+    forms: the identity, Z -> Q, Q -> Z on integers, and Z or Q -> F_p on
+    p-integral values.  This is the one place that moves a coefficient
+    between rings; F_p maps into no other ring (ValueError)."""
+    if src.kind == "FP" and src != dst:
+        raise ValueError(f"cannot convert scalars from {src!r} to {dst!r}")
+    if src == dst or dst.kind == "Q":
+        return lambda a: a  # an integer is its own normal form in Q
+    if dst.kind == "Z":
+        def to_int(a):
+            if a.denominator != 1:
+                raise ValueError(f"{a} is not an integer")
+            return a
 
-    Rationals with p dividing the denominator are rejected ("not p-integral").
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p!r} is not a prime")
-    a = ring.check(a)
-    if ring.kind == "FP":
-        raise ValueError("valuation/ring mismatch: scalar already lives in a prime field")
-    if ring.kind == "Z":
-        return a % p
-    num, den = a.numerator, a.denominator
-    if den % p == 0:
-        raise ValueError(f"{a} is not p-integral at p={p}")
-    return (num * pow(den, p - 2, p)) % p
+        return to_int
+    p = dst.p
+    if src.kind == "Z":
+        return lambda a: a % p
+
+    def reduce(a):
+        den = a.denominator
+        if den % p == 0:
+            raise ValueError(f"{a} is not p-integral at p={p}")
+        return a.numerator * pow(den, p - 2, p) % p
+
+    return reduce

@@ -46,9 +46,9 @@ from .laurent import (
     coefficient_primes,
     initial_form_valued,
     is_unit,
-    reduce_mod_p,
+    map_coefficients,
 )
-from .rings import TRIVIAL, padic, valuate
+from .rings import GF, TRIVIAL, padic, valuate
 from .sphere import SphereArcSet, antipode, cross, normalize_dir, same_dir, union_all
 
 
@@ -495,7 +495,7 @@ def union_over_valuations(gens):
         settings.append((f"trivial over F_{p}", TRIVIAL, p))
     entries = []
     for label, val, red in settings:
-        g = f if red is None else reduce_mod_p(f, red)
+        g = f if red is None else map_coefficients(f, GF(red))
         entries.append(ValuationEntry(label, sphere_projection(tropicalize(g, val))))
     sphere_union = union_all(e.arcs for e in entries)
     return ValuationUnionReport(primes, entries, sphere_union)

@@ -21,7 +21,7 @@ from troplex.jumploci import (
     jump_ideal, kahler_obstruction, novikov_admissible, twisted_alexander,
 )
 from troplex.laurent import (
-    LaurentPoly, canonical_associate, exact_div, laurent_gcd, reduce_mod_p,
+    LaurentPoly, canonical_associate, exact_div, laurent_gcd, map_coefficients,
     render,
 )
 from troplex.linalg import smat_mul
@@ -100,8 +100,8 @@ def _figures():
         ("trivial/Q", q, TRIVIAL),
         ("2-adic/Q", q, padic(2)),
         ("3-adic/Q", q, padic(3)),
-        ("trivial/F2", reduce_mod_p(QUADRIC, 2), TRIVIAL),
-        ("trivial/F3", reduce_mod_p(QUADRIC, 3), TRIVIAL),
+        ("trivial/F2", map_coefficients(QUADRIC, GF(2)), TRIVIAL),
+        ("trivial/F3", map_coefficients(QUADRIC, GF(3)), TRIVIAL),
     ]
 
 
@@ -113,7 +113,7 @@ def test_criterion_3_figure_reproduction():
     assert sorted((c.kind, c.base, c.dir) for c in T.cells) == [
         ("ray", origin, (-1, -1)), ("ray", origin, (0, 1)), ("ray", origin, (1, 0))]
 
-    T = trop_hypersurface(reduce_mod_p(QUADRIC, 3), TRIVIAL)
+    T = trop_hypersurface(map_coefficients(QUADRIC, GF(3)), TRIVIAL)
     assert sorted((c.kind, c.base, c.dir) for c in T.cells) == [
         ("ray", origin, (0, -1)), ("ray", origin, (0, 1))]
 
@@ -179,7 +179,7 @@ def test_criterion_5_five_valuation_union():
     settings = [("trivial over Q", QUADRIC, TRIVIAL)]
     for p in rp.primes:
         settings += [(f"{p}-adic over Q", QUADRIC, padic(p)),
-                     (f"trivial over F_{p}", reduce_mod_p(QUADRIC, p), TRIVIAL)]
+                     (f"trivial over F_{p}", map_coefficients(QUADRIC, GF(p)), TRIVIAL)]
     assert [label for label, _, _ in settings] == [e.label for e in rp.entries]
     for (label, f, valuation), e in zip(settings, rp.entries):
         T = tropicalize(f, valuation)

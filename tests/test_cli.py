@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import troplex
-from troplex import bnsreport
+from troplex import bnsreport, fpgroup
 from troplex.cli import build_parser, main
 from troplex.jobspec import JobSpec, bundled_path, load_job
 from troplex.sphere import SphereArcSet
@@ -372,6 +372,66 @@ def test_kaehler_test_with_a_torsion_generator_first(capsys, tmp_path):
     assert run(capsys, "kaehler-test", path, "--rep", "neg", "--fields", "q,fp:2,fp:3") == (
         0, "Q: Delta = 1\nF_2: Delta = 1 + t1\nF_3: Delta = 1\n"
            "NOT KAHLER (witness: F_2, Delta = 1 + t1)\n", "")
+
+
+def test_kaehler_test_walks_the_relators_once(capsys, tmp_path, monkeypatch):
+    # one walk for every field, at phi of rank 2 and at phi of rank 0
+    # (Z/2 x Z/2, whose Delta over Z is the divisor 2)
+    v4 = write_document(tmp_path, "v4", ["x", "y"], ["x^2", "y^2", "x y x^-1 y^-1"],
+                        t={"trivial": True})
+    real, walks = fpgroup.alexander_matrices, []
+    monkeypatch.setattr(fpgroup, "alexander_matrices",
+                        lambda *args: walks.append(args) or real(*args))
+    assert run(capsys, "kaehler-test", EX, "--rep", "s3", "--fields", "q,fp:2,fp:3") == (
+        0, "Q: Delta = 1 - 2*t1 + t1^2 - 3*t2^2\nF_2: Delta = 1 + t1 + t2\n"
+           "F_3: Delta = 1 + 2*t1\n"
+           "NOT KAHLER (witness: Q, Delta = 1 - 2*t1 + t1^2 - 3*t2^2)\n", "")
+    assert len(walks) == 1
+    assert run(capsys, "kaehler-test", v4, "--rep", "t", "--fields", "q,fp:2,fp:3") == (
+        0, "Q: Delta = 1\nF_2: Delta = 0\nF_3: Delta = 1\nconsistent (Delta = 1; 0)\n", "")
+    assert len(walks) == 2
+
+
+def test_a_prime_field_representation_maps_into_no_other_ring(capsys, tmp_path):
+    doc = json.loads(Path(EX).read_text())
+    doc["representations"] = {"s3": {"ring": "fp:3", "matrices":
+                                     doc["representations"]["s3"]["matrices"]}}
+    path = tmp_path / "s3_f3.json"
+    path.write_text(json.dumps(doc))
+    for args, dst in ((["kaehler-test", "--fields", "fp:2"], "F_2"),
+                      (["kaehler-test", "--fields", "q"], "Q"),
+                      (["alexander", "--ring", "fp:2"], "F_2"),
+                      (["alexander", "--ring", "Q"], "Q"),
+                      (["alexander", "--ring", "Z"], "Z"),
+                      (["trop", "--valuation", "fp:2"], "F_2"),
+                      (["bns-bound", "--valuation", "fp:2"], "F_2")):
+        assert run(capsys, args[0], str(path), "--rep", "s3", *args[1:]) == (
+            2, "", f"error: cannot convert scalars from F_3 to {dst}\n"), args
+    assert run(capsys, "alexander", str(path), "--rep", "s3", "--ring", "fp:3") == (
+        0, "1 + t1 + t1^2\n", "")
+
+
+# int() would read each of these as a prime, or fail naming only the digits
+BAD_PRIME_TAGS = ["fp:1_1", "fp:\u0663", "fp:+3", "fp: 3", "p-adic:+3", "fp:2x", "fp:"]
+
+
+@pytest.mark.parametrize("tag", BAD_PRIME_TAGS)
+def test_a_prime_tag_is_read_from_ascii_digits_only(capsys, tag):
+    field = f"error: unknown field {tag!r} (want q or fp:P)\n"
+    valuation = f"error: unknown valuation {tag!r} (want Z, trivial, p-adic:P, or fp:P)\n"
+    assert run(capsys, "kaehler-test", EX, "--fields", tag) == (2, "", field)
+    assert run(capsys, "alexander", EX, "--rep", "s3", "--ring", tag) == (
+        2, "", f"error: unknown ring tag {tag!r}\n")
+    for command in ("trop", "bns-bound"):
+        assert run(capsys, command, EX, "--rep", "s3", "--valuation", tag) == (
+            2, "", valuation), command
+
+
+def test_a_prime_tag_may_have_leading_zeros(capsys):
+    assert run(capsys, "alexander", EX, "--rep", "s3", "--ring", "fp:03") == (
+        0, "1 + t1 + t1^2\n", "")
+    assert run(capsys, "kaehler-test", EX, "--rep", "s3", "--fields", "fp:03") == (
+        0, "F_3: Delta = 1 + 2*t1\nNOT KAHLER (witness: F_3, Delta = 1 + 2*t1)\n", "")
 
 
 @pytest.mark.parametrize("relator, message", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from troplex.jumploci import (
 )
 from troplex.laurent import (
     LaurentPoly, _exact_div_strict, render, canonical_associate, gcd_list, is_unit,
-    squarefree_part,
+    map_coefficients, squarefree_part,
 )
 from troplex.linalg import det_laurent, smat_mul
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
@@ -186,11 +187,10 @@ def test_untwisted_alexander_value():
 
 def test_mod_p_reduction_commutes_with_gcd_here():
     # reducing the integral polynomial mod 3 agrees with computing over F_3
-    from troplex.laurent import reduce_mod_p
     job = onerel()
     vz = twisted_alexander(job.presentation, job.representation("s3"))
     v3 = twisted_alexander(job.presentation, job.representation("s3").over(GF(3)))
-    assert reduce_mod_p(vz.delta, 3) == v3.delta
+    assert map_coefficients(vz.delta, GF(3)) == v3.delta
 
 
 def test_jump_ideal_matches_homology_dimensions():
@@ -236,8 +236,8 @@ def j1_by_all_ordered_pairs(pres, rep, phi):
     duality is not used."""
     if phi.m == 0:
         return None
-    d2, d1 = alexander_matrices(pres, rep, phi)
-    _, _, nums, den = jumploci._Duality(d2, d1, rep.rank, phi).into(rep.ring)
+    _, d1 = alexander_matrices(pres, rep, phi)
+    den, nums = jumploci.TwistedComplex(pres, rep, phi).slices(rep.ring)
     gens0 = minors(d1, rep.rank)
     return IdealGens(rep.ring, phi.m, (_exact_div_strict(num * q_a, den) * q_b
                                        for num in nums for q_a in gens0 for q_b in gens0))
@@ -537,12 +537,15 @@ def gcd_j0_route(pres, rep, phi):
     enumeration.  Returns None when Delta = 0 (no row slice of rank k,
     and no minor taken), else whether gcd J0 needed every r-minor of d1
     because the generator blocks' gcd is not a unit."""
-    d2, d1 = alexander_matrices(pres, rep, phi)
+    _, d1 = alexander_matrices(pres, rep, phi)
     real_minors = jumploci.minors
     taken = []
     jumploci.minors = lambda M, k: taken.append(k) or real_minors(M, k)
+    complex_ = jumploci.TwistedComplex(pres, rep, phi)
     try:
-        g0, delta, nums, _ = jumploci._Duality(d2, d1, rep.rank, phi).into(rep.ring)
+        delta = complex_.delta(rep.ring)
+        nums = complex_.slices(rep.ring)[1]
+        g0 = complex_.gcd_j0(rep.ring) if nums else None  # read once, with delta
     finally:
         jumploci.minors = real_minors
     assert delta == delta_by_enumeration(pres, rep, phi)
@@ -612,20 +615,22 @@ def test_gcd_j0_matches_every_minor_property(pairs, name, ring, phi):
 
 
 def assert_fields_match_each_field_alone(pres, rep, fields):
-    """twisted_alexander_fields over fields against twisted_alexander of
-    rep.over(F) for each F, up to the first F that rep.over refuses;
-    returns the number of fields compared."""
+    """One TwistedComplex read at each F of fields, as kaehler-test reads
+    it, against twisted_alexander and jump_ideal(i=0, 1).gcd() of
+    rep.over(F): Delta (squarefree too), gcd J0 and gcd J1, up to the
+    first F that rep.over refuses.  Returns the number of fields compared."""
     phi = AbelianEpi.from_abelianization(pres)
-    shared = jumploci.twisted_alexander_fields(pres, rep, phi, fields, True)
+    shared = jumploci.TwistedComplex(pres, rep, phi)
     for done, ring in enumerate(fields):
         try:
-            alone = twisted_alexander(pres, rep.over(ring), phi, squarefree=True)
-        except ValueError as e:
-            with pytest.raises(ValueError, match=str(e)):
-                next(shared)
+            alone = rep.over(ring)
+        except ValueError:
             return done
-        v = next(shared)
-        assert (v.ring, v.delta) == (ring, alone.delta), (pres.relators, ring)
+        v = shared.alexander(ring, squarefree=True)
+        assert (v.ring, v.delta) == (ring, twisted_alexander(pres, alone, phi, True).delta)
+        assert shared.delta(ring) == twisted_alexander(pres, alone, phi).delta
+        assert shared.gcd_j0(ring) == jump_ideal(pres, alone, phi, i=0).gcd()
+        assert shared.gcd_j1(ring) == jump_ideal(pres, alone, phi, i=1).gcd()
     return len(fields)
 
 
@@ -678,11 +683,10 @@ def test_s0_is_the_first_block_with_nonzero_phi():
     rep = Representation(ZZ, [[[-1]], [[1]]])
     phi = AbelianEpi.from_abelianization(pres)
     assert [v != (0,) for v in phi.vectors] == [False, True]
-    d2, d1 = alexander_matrices(pres, rep, phi)
-    duality = jumploci._Duality(d2, d1, 1, phi)
-    assert render(duality.den) == "-1 + t1"
-    assert [render(b) for b in duality.blocks] == ["-2"]
-    verdicts = jumploci.twisted_alexander_fields(pres, rep, phi, [QQ, GF(2), GF(3)], True)
+    complex_ = jumploci.TwistedComplex(pres, rep, phi)
+    assert render(complex_.slices(ZZ)[0]) == "-1 + t1"
+    assert [render(b) for b in complex_._blocks] == ["-2"]
+    verdicts = [complex_.alexander(ring, squarefree=True) for ring in (QQ, GF(2), GF(3))]
     assert [(v.ring, v.describe()) for v in verdicts] == [
         (QQ, "1"), (GF(2), "1 + t1"), (GF(3), "1")]
     assert assert_fields_match_each_field_alone(pres, rep, [ZZ, QQ, GF(2), GF(3)]) == 4
@@ -859,6 +863,38 @@ def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
     assert len(J1.generators) == 143
     assert minor_shapes == [(12, 6, 6)]
     assert len(calls) == 3 + 924
+
+
+def test_j0_takes_no_determinant_of_d2(monkeypatch):
+    # J0 reads d1 alone: its r-minors at phi of rank >= 1, its
+    # determinantal divisors (a Smith form over Z, a rank over a field) at
+    # phi of rank 0; no slice or divisor of d2 is taken
+    pres = onerel().presentation
+    real = {name: getattr(linalg, name)
+            for name in ("det_laurent", "rank_laurent", "smith_normal_form")}
+    for name, ring, phi in itertools.product(("s3", "perm3"), (ZZ, GF(3)), ("full", "rank0")):
+        rep, phi = S3_REPS[name].over(ring), PHIS[phi](pres)
+        _, d1 = alexander_matrices(pres, rep, phi)
+        d1_rows = [[g.key() for g in row] for row in d1]
+        read = []
+
+        def recording(fn):
+            def run(M):
+                rows = [[x.key() if isinstance(x, LaurentPoly) else x for x in row] for row in M]
+                read.append((fn, (len(M), len(M[0])), all(row in d1_rows for row in rows)))
+                return real[fn](M)
+            return run
+
+        for fn in real:
+            monkeypatch.setattr(linalg, fn, recording(fn))
+        jump_ideal(pres, rep, phi, i=0)
+        monkeypatch.undo()
+        if phi.m:  # r x r minors of d1
+            assert set(read) == {("det_laurent", (rep.rank, rep.rank), True)}
+        elif ring.is_field:
+            assert read == [("rank_laurent", (2 * rep.rank, rep.rank), True)]
+        else:  # d1's constant terms, 2r x r; d2 is r x 2r
+            assert read == [("smith_normal_form", (2 * rep.rank, rep.rank), False)]
 
 
 # -- orbifold and graph-group tables -------------------------------------------

@@ -8,7 +8,7 @@ from oracles import exact_div_by_scan, normal_type
 from troplex.laurent import (
     LaurentPoly, render, is_unit, canonical_associate, exact_div,
     laurent_gcd, gcd_list, squarefree_part, partial_derivative,
-    initial_form_valued, reduce_mod_p, coefficient_primes, _exact_div_strict,
+    initial_form_valued, map_coefficients, coefficient_primes, _exact_div_strict,
 )
 from troplex.linalg import det_laurent, smat_inverse
 from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
@@ -401,7 +401,7 @@ def test_initial_form_valued_padic():
     with pytest.raises(ValueError, match="weight vector has wrong length"):
         initial_form_valued(f, (0,), padic(3))
     with pytest.raises(ValueError, match="valuation/ring mismatch"):
-        initial_form_valued(reduce_mod_p(QUADRIC, 2), (0, 0), padic(3))
+        initial_form_valued(map_coefficients(QUADRIC, GF(2)), (0, 0), padic(3))
 
 
 def test_initial_form_chi():
@@ -415,13 +415,18 @@ def test_initial_form_chi():
     assert init.terms == {(2, 0): 1, (0, 2): -3}
 
 
-def test_reduce_mod_p():
-    assert reduce_mod_p(QUADRIC, 3) == LaurentPoly(GF(3), 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
-    assert reduce_mod_p(QUADRIC, 2) == LaurentPoly(GF(2), 2, {(0, 0): 1, (2, 0): 1, (0, 2): 1})
+def test_map_coefficients():
+    assert map_coefficients(QUADRIC, GF(3)) == P({(0, 0): 1, (1, 0): 1, (2, 0): 1}, GF(3))
+    assert map_coefficients(QUADRIC, GF(2)) == P({(0, 0): 1, (2, 0): 1, (0, 2): 1}, GF(2))
     f = LaurentPoly(QQ, 2, QUADRIC.terms) * Fraction(1, 5)
-    assert len(reduce_mod_p(f, 3).terms) == 3
-    with pytest.raises(ValueError):
-        reduce_mod_p(f, 5)  # 1/5 has no residue mod 5
+    assert len(map_coefficients(f, GF(3)).terms) == 3
+    with pytest.raises(ValueError, match="^1/5 is not p-integral at p=5$"):
+        map_coefficients(f, GF(5))  # 1/5 has no residue mod 5
+    assert map_coefficients(QUADRIC, ZZ) is QUADRIC
+    assert map_coefficients(QUADRIC, QQ) == LaurentPoly(QQ, 2, QUADRIC.terms)
+    assert map_coefficients(f * 5, ZZ) == QUADRIC
+    with pytest.raises(ValueError, match="^1/5 is not an integer$"):
+        map_coefficients(f, ZZ)
 
 
 def test_coefficient_primes():
@@ -551,8 +556,8 @@ def test_refusals():
     with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
         exact_div(t, zero)
     f2 = LaurentPoly.var(GF(2), 2, 0)
-    with pytest.raises(ValueError, match="already has prime-field coefficients"):
-        reduce_mod_p(f2, 3)
+    with pytest.raises(ValueError, match="^cannot convert scalars from F_2 to F_3$"):
+        map_coefficients(f2, GF(3))
     with pytest.raises(ValueError, match="only make sense over Z or Q"):
         coefficient_primes(f2)
 

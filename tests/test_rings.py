@@ -1,13 +1,15 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplex.laurent import LaurentPoly
 from troplex.rings import (
-    ZZ, QQ, GF, TRIVIAL, Ring, Valuation, padic, valuate, reduce_scalar,
-    ring_from_tag, is_prime, prime_factors, padic_valuation,
+    ZZ, QQ, GF, TRIVIAL, Ring, Valuation, padic, valuate, scalar_map,
+    ring_from_tag, is_prime, prime_factors, padic_valuation, rational, tag_prime,
 )
 
 
@@ -27,6 +29,19 @@ def test_ring_from_tag_round_trip():
         ring_from_tag("nope")
 
 
+@pytest.mark.parametrize("tag", ["fp:1_1", "fp:\u0663", "fp:+3", "fp: 3", "fp:2x", "fp:", "fp:-3"])
+def test_a_ring_tag_reads_its_prime_from_ascii_digits_only(tag):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'unknown ring tag {tag!r}')}$"):
+        ring_from_tag(tag)
+    assert tag_prime(tag, "fp:") is None
+
+
+def test_tag_prime():
+    assert tag_prime("fp:03", "fp:") == 3
+    assert tag_prime("p-adic:11", "p-adic:") == 11
+    assert tag_prime("p-adic:11", "fp:") is None
+
+
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(6)
@@ -39,10 +54,10 @@ def test_gf_canonical_residues():
     assert F5.check(-3) == 2
     assert F5.check(12) == 2
     assert F5.inv(2) == 3
-    # fractions enter prime fields through reduce_scalar, not check
+    # fractions enter prime fields through scalar_map, not check
     with pytest.raises(ValueError):
         F5.check(Fraction(1, 2))
-    assert reduce_scalar(Fraction(1, 2), 5, QQ) == 3
+    assert scalar_map(QQ, F5)(Fraction(1, 2)) == 3
 
 
 def test_zz_rejects_fractions():
@@ -125,15 +140,51 @@ def test_padic_valuation_is_additive():
             assert valuate(v, s) >= min(valuate(v, a), valuate(v, b))
 
 
-def test_reduce_scalar():
-    assert reduce_scalar(7, 5) == 2
-    assert reduce_scalar(-1, 5) == 4
+def test_scalar_map():
+    assert scalar_map(ZZ, GF(5))(7) == 2
+    assert scalar_map(ZZ, GF(5))(-1) == 4
     # 1/2 mod 3 is the inverse of 2
-    assert reduce_scalar(Fraction(1, 2), 3, QQ) == 2
-    with pytest.raises(ValueError):
-        reduce_scalar(Fraction(1, 3), 3, QQ)
-    with pytest.raises(ValueError, match="4 is not a prime"):
-        reduce_scalar(7, 4)
+    assert scalar_map(QQ, GF(3))(Fraction(1, 2)) == 2
+    assert scalar_map(QQ, GF(3))(5) == 2
+    with pytest.raises(ValueError, match="^1/3 is not p-integral at p=3$"):
+        scalar_map(QQ, GF(3))(Fraction(1, 3))
+    assert scalar_map(ZZ, QQ)(-4) == -4
+    assert scalar_map(QQ, ZZ)(-4) == -4
+    with pytest.raises(ValueError, match="^1/2 is not an integer$"):
+        scalar_map(QQ, ZZ)(Fraction(1, 2))
+    for ring in (ZZ, QQ, GF(3)):
+        assert scalar_map(ring, ring)(2) == 2
+    # a prime field maps into no other ring: one text for every such pair
+    for dst in (ZZ, QQ, GF(2), GF(5)):
+        with pytest.raises(ValueError, match=f"^cannot convert scalars from F_3 to {dst!r}$"):
+            scalar_map(GF(3), dst)
+
+
+# (source, target, values): Z everywhere; Q at the values the map reads,
+# integers into Z and p-integral rationals into F_p
+MAP_CASES = st.one_of(
+    st.tuples(st.just(ZZ), st.sampled_from((ZZ, QQ, GF(2), GF(3), GF(7))),
+              st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2)),
+    st.tuples(st.just(QQ), st.just(ZZ),
+              st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=2)),
+    st.sampled_from((2, 3, 7)).flatmap(lambda p: st.tuples(
+        st.just(QQ), st.just(GF(p)),
+        st.lists(st.builds(lambda n, d: rational(Fraction(n, d)), st.integers(-10**4, 10**4),
+                           st.integers(1, 10**4).filter(lambda d: d % p)),
+                 min_size=2, max_size=2))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MAP_CASES)
+def test_scalar_map_is_a_ring_homomorphism(case):
+    src, dst, (a, b) = case
+    to = scalar_map(src, dst)
+    assert to(src.one()) == dst.one()
+    assert to(src.add(a, b)) == dst.add(to(a), to(b))
+    assert to(src.mul(a, b)) == dst.mul(to(a), to(b))
+    assert to(src.neg(a)) == dst.neg(to(a))
+    assert dst.check(to(a)) == to(a)  # the image is in dst's normal form
 
 
 def test_unknown_ring_and_valuation_kinds():

@@ -9,8 +9,8 @@ from oracles import (
     cell_contains, complex_contains, contains, edge_supports_by_scan, on_edge, vertices,
 )
 from troplex import tropical
-from troplex.laurent import LaurentPoly, reduce_mod_p
-from troplex.rings import ZZ, QQ, TRIVIAL, padic
+from troplex.laurent import LaurentPoly, map_coefficients
+from troplex.rings import ZZ, QQ, GF, TRIVIAL, padic
 from troplex.tropical import (
     Cell, cell_weight, full_plane_complex,
     trop_contains, trop_hypersurface, trop_Z_contains, trop_Z_principal,
@@ -68,7 +68,7 @@ def test_quadric_3adic():
 
 def test_quadric_2adic_matches_mod2_shape():
     T2 = trop_hypersurface(QUADRIC_Q, padic(2))
-    F2 = trop_hypersurface(reduce_mod_p(QUADRIC, 2), TRIVIAL)
+    F2 = trop_hypersurface(map_coefficients(QUADRIC, GF(2)), TRIVIAL)
     # the -2 coefficient disappears either way; same cells and labels
     expected = [
         ("ray", (F(0), F(0)), (-1, -1), None, ((0, 2), (2, 0))),
@@ -80,7 +80,7 @@ def test_quadric_2adic_matches_mod2_shape():
 
 
 def test_quadric_mod3_line():
-    T = trop_hypersurface(reduce_mod_p(QUADRIC, 3), TRIVIAL)
+    T = trop_hypersurface(map_coefficients(QUADRIC, GF(3)), TRIVIAL)
     label = ((0, 0), (1, 0), (2, 0))
     assert cell_data(T) == [
         ("ray", (F(0), F(0)), (0, -1), None, label),
@@ -96,7 +96,7 @@ def test_hypersurface_input_validation():
     with pytest.raises(ValueError):
         trop_hypersurface(LaurentPoly.zero(QQ, 2), TRIVIAL)
     with pytest.raises(ValueError):
-        trop_hypersurface(reduce_mod_p(QUADRIC, 2), padic(2))
+        trop_hypersurface(map_coefficients(QUADRIC, GF(2)), padic(2))
     f3 = LaurentPoly.one(QQ, 3) + LaurentPoly.var(QQ, 3, 0)
     with pytest.raises(ValueError):
         trop_hypersurface(f3, TRIVIAL)
@@ -142,8 +142,8 @@ def test_oracle_agreement_100_points_per_figure():
         (QUADRIC_Q, TRIVIAL),
         (QUADRIC_Q, padic(2)),
         (QUADRIC_Q, padic(3)),
-        (reduce_mod_p(QUADRIC, 2), TRIVIAL),
-        (reduce_mod_p(QUADRIC, 3), TRIVIAL),
+        (map_coefficients(QUADRIC, GF(2)), TRIVIAL),
+        (map_coefficients(QUADRIC, GF(3)), TRIVIAL),
     ]
     rng = random.Random(101)
     for f, val in figures:
@@ -460,7 +460,7 @@ def test_valuation_union_witness_point():
     settings = [("trivial over Q", QUADRIC, TRIVIAL)]
     for p in rp.primes:
         settings += [(f"{p}-adic over Q", QUADRIC, padic(p)),
-                     (f"trivial over F_{p}", reduce_mod_p(QUADRIC, p), TRIVIAL)]
+                     (f"trivial over F_{p}", map_coefficients(QUADRIC, GF(p)), TRIVIAL)]
     assert [label for label, _, _ in settings] == [e.label for e in rp.entries]
     for (label, f, valuation), e in zip(settings, rp.entries):
         T = tropicalize(f, valuation)
@@ -475,7 +475,7 @@ def test_valuation_union_zero_reduction_note():
     f = t1 * 2 + t2 * 2
     rp = union_over_valuations([f])
     f2 = next(e for e in rp.entries if e.label == "trivial over F_2")
-    assert sphere_projection(tropicalize(reduce_mod_p(f, 2), TRIVIAL)).full
+    assert sphere_projection(tropicalize(map_coefficients(f, GF(2)), TRIVIAL)).full
     assert f2.arcs == SphereArcSet.full_circle()
 
 
