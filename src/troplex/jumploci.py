@@ -195,45 +195,31 @@ class TwistedComplex:
     def __init__(self, pres, rep, phi=None):
         if phi is None:
             phi = fpgroup.AbelianEpi.from_abelianization(pres)
-        self.pres, self.rep, self.phi = pres, rep, phi
-        self.r = rep.rank
+        self.ngens, self.ring, self.phi, self.r = pres.ngens, rep.ring, phi, rep.rank
+        self.d2, self.d1 = fpgroup.alexander_matrices(pres, rep, phi)  # the one walk
         # S0's block: the first generator with phi(x_i) != 0 (none at rank 0)
         self._top = next((self.r * i for i, v in enumerate(phi.vectors) if any(v)), None)
-        self._gcd_j0 = {}
-
-    @cached_property
-    def matrices(self):
-        """(d2, d1) over rep.ring: the one walk of the relators."""
-        return fpgroup.alexander_matrices(self.pres, self.rep, self.phi)
-
-    @cached_property
-    def _slices(self):
-        """(den, nums) over rep.ring: den = det(sigma(x_i) s - I) for S0's
-        block, and the nonzero det d2[R, S0], one per row slice R."""
-        d2, d1 = self.matrices
-        top, r = self._top, self.r
-        den = linalg.det_laurent(d1[top:top + r])
-        cols = list(range(top)) + list(range(top + r, len(d1)))
-        nums = []
-        for rsel in combinations(range(len(d2)), len(cols)):
-            # n = 1 leaves k = 0 and one empty slice, of determinant 1
-            num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
-                   else LaurentPoly.one(den.ring, den.nvars))
-            if not num.is_zero:
-                nums.append(num)
-        return den, nums
-
-    @cached_property
-    def _blocks(self):
-        """The other generator blocks' nonzero determinants over rep.ring,
-        r-minors of d1 that only gcd J0 reads."""
-        d1, r = self.matrices[1], self.r
-        return [b for i in range(0, len(d1), r) if i != self._top
-                if not (b := linalg.det_laurent(d1[i:i + r])).is_zero]
+        self._stage1 = self._blocks = None  # taken on first use
 
     def slices(self, ring):
-        """(den, nums) taken into ring, without the nums that vanish there."""
-        den, nums = self._slices
+        """(den, nums) taken into ring, without the nums that vanish there:
+        den = det(sigma(x_i) s - I) for S0's block, and the nonzero
+        det d2[R, S0], one per row slice R, both taken over rep.ring once."""
+        if self._stage1 is None:
+            d2, d1, top, r = self.d2, self.d1, self._top, self.r
+            den = linalg.det_laurent(d1[top:top + r])
+            cols = list(range(top)) + list(range(top + r, len(d1)))
+            nums = []
+            for rsel in combinations(range(len(d2)), len(cols)):
+                # n = 1 leaves k = 0 and one empty slice, of determinant 1
+                num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
+                       else LaurentPoly.one(den.ring, den.nvars))
+                if not num.is_zero:
+                    nums.append(num)
+            self._stage1 = den, nums
+        if ring == self.ring:
+            return self._stage1
+        den, nums = self._stage1
         return map_coefficients(den, ring), _nonzero_into(nums, ring)
 
     def gcd_j0(self, ring):
@@ -241,40 +227,44 @@ class TwistedComplex:
         all vanish).  At phi of rank >= 1 it is the gcd of the generator
         blocks when that is a unit, which gcd_list returns as 1, and of
         every r-minor of d1 taken into ring otherwise."""
-        d1 = self.matrices[1]
+        d1, r = self.d1, self.r
         if not self.phi.m:
-            return LaurentPoly.constant(ring, 0, _divisor(_divisors(d1, ring), self.r))
-        if ring not in self._gcd_j0:
-            g0 = gcd_list(_nonzero_into([self._slices[0]] + self._blocks, ring))
-            if not is_unit(g0):
-                g0 = gcd_list(minors([[map_coefficients(x, ring) for x in row] for row in d1],
-                                     self.r))
-            self._gcd_j0[ring] = g0
-        return self._gcd_j0[ring]
+            return LaurentPoly.constant(ring, 0, _divisor(_divisors(d1, ring), r))
+        if self._blocks is None:  # the other blocks' nonzero determinants
+            self._blocks = [b for i in range(0, len(d1), r) if i != self._top
+                            if not (b := linalg.det_laurent(d1[i:i + r])).is_zero]
+        g0 = gcd_list(_nonzero_into([self.slices(self.ring)[0]] + self._blocks, ring))
+        if is_unit(g0):
+            return g0
+        return gcd_list(minors([[map_coefficients(x, ring) for x in row] for row in d1], r))
 
-    def delta(self, ring):
-        """delta over ring.  When every row slice has rank below k there,
-        it is zero and gcd J0 is not taken."""
-        if not self.phi.m:
-            k = (self.pres.ngens - 1) * self.r
-            return LaurentPoly.constant(ring, 0, _divisor(_divisors(self.matrices[0], ring), k))
+    def _by_duality(self, ring):
+        """(delta, gcd J0) over ring at phi of rank >= 1.  When every row
+        slice has rank below k there, delta is zero and gcd J0 is not
+        taken (None)."""
         den, nums = self.slices(ring)
         if not nums:
-            return LaurentPoly.zero(ring, self.phi.m)
+            return LaurentPoly.zero(ring, self.phi.m), None
         g0 = self.gcd_j0(ring)
-        return gcd_list([_exact_div_strict(num * g0, den) for num in nums])
+        return gcd_list([_exact_div_strict(num * g0, den) for num in nums]), g0
+
+    def delta(self, ring):
+        """delta over ring."""
+        if not self.phi.m:
+            k = (self.ngens - 1) * self.r
+            return LaurentPoly.constant(ring, 0, _divisor(_divisors(self.d2, ring), k))
+        return self._by_duality(ring)[0]
 
     def gcd_j1(self, ring):
         """gcd J1 over ring: delta * gcd J0 at phi of rank >= 1, and at phi
         of rank 0 the gcd over a of D_a(d2) * D_(nr-a)(d1)."""
         if not self.phi.m:
-            d2, d1 = self.matrices
-            div1, size = _divisors(d1, ring), self.r * self.pres.ngens
+            div1, size = _divisors(self.d1, ring), self.r * self.ngens
             gen = math.gcd(*(p * _divisor(div1, size - a)
-                             for a, p in enumerate(_divisors(d2, ring))))
+                             for a, p in enumerate(_divisors(self.d2, ring))))
             return LaurentPoly.constant(ring, 0, gen)
-        delta = self.delta(ring)
-        return delta if delta.is_zero else canonical_associate(delta * self.gcd_j0(ring))
+        delta, g0 = self._by_duality(ring)
+        return delta if g0 is None else canonical_associate(delta * g0)
 
     def alexander(self, ring, squarefree=False):
         """twisted_alexander(pres, rep.over(ring), phi, squarefree)."""
@@ -308,7 +298,7 @@ def jump_ideal(pres, rep, phi=None, i=1):
     complex_, ring = TwistedComplex(pres, rep, phi), rep.ring
     if not complex_.phi.m:
         return IdealGens(ring, 0, [complex_.gcd_j1(ring) if i else complex_.gcd_j0(ring)])
-    d1 = complex_.matrices[1]
+    d1 = complex_.d1
     if i == 0:
         return IdealGens(ring, complex_.phi.m, minors(d1, rep.rank))
     den, nums = complex_.slices(ring)

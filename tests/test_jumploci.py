@@ -541,15 +541,12 @@ def gcd_j0_route(pres, rep, phi):
     real_minors = jumploci.minors
     taken = []
     jumploci.minors = lambda M, k: taken.append(k) or real_minors(M, k)
-    complex_ = jumploci.TwistedComplex(pres, rep, phi)
     try:
-        delta = complex_.delta(rep.ring)
-        nums = complex_.slices(rep.ring)[1]
-        g0 = complex_.gcd_j0(rep.ring) if nums else None  # read once, with delta
+        delta, g0 = jumploci.TwistedComplex(pres, rep, phi)._by_duality(rep.ring)
     finally:
         jumploci.minors = real_minors
     assert delta == delta_by_enumeration(pres, rep, phi)
-    if not nums:
+    if g0 is None:
         assert delta.is_zero and taken == []
         return None
     assert g0 == gcd_list(minors(d1, rep.rank))
@@ -685,6 +682,7 @@ def test_s0_is_the_first_block_with_nonzero_phi():
     assert [v != (0,) for v in phi.vectors] == [False, True]
     complex_ = jumploci.TwistedComplex(pres, rep, phi)
     assert render(complex_.slices(ZZ)[0]) == "-1 + t1"
+    assert complex_.gcd_j0(ZZ) == LaurentPoly.one(ZZ, 1)
     assert [render(b) for b in complex_._blocks] == ["-2"]
     verdicts = [complex_.alexander(ring, squarefree=True) for ring in (QQ, GF(2), GF(3))]
     assert [(v.ring, v.describe()) for v in verdicts] == [
