@@ -247,9 +247,19 @@ def ring_from_tag(tag):
 def tag_prime(tag, prefix):
     """The P of a tag prefix + P, read from ASCII digits alone, or None
     for any other tag: int() alone would also read fp:1_1, fp:+3, "fp: 3"
-    and non-ASCII digits."""
+    and non-ASCII digits.
+
+    A P above 2**62, the bound on prime fields, is refused for p-adic
+    tags too, since is_prime is exact only below 3.3e24.  The digits are
+    counted before int() reads them, which stops at 4300 of them.
+    """
     digits = tag[len(prefix):] if tag.startswith(prefix) else ""
-    return int(digits) if digits.isascii() and digits.isdigit() else None
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= len(str(_WORD_MAX)) and (p := int(digits)) <= _WORD_MAX:
+        return p
+    raise ValueError(f"p too large in {tag!r}: primes are limited to 2**62")
 
 
 def padic_valuation(n, p):

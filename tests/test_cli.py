@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -109,6 +110,20 @@ def test_trop_svg(capsys, tmp_path):
     text = target.read_text()
     assert text.lstrip().startswith("<svg") or "<svg" in text
     assert "</svg>" in text
+
+
+def test_trop_svg_escapes_its_title(capsys, tmp_path):
+    name = "x</title><script>alert(1)</script><title>&"
+    doc = {**json.loads(Path(EX).read_text()), "name": name}
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    target = tmp_path / "fig.svg"
+    assert run(capsys, "trop", str(path), "--rep", "trivial", "--valuation", "Z",
+               "--svg", str(target))[0] == 0
+    svg = minidom.parse(str(target)).documentElement
+    assert not svg.getElementsByTagName("script")
+    [title] = svg.getElementsByTagName("title")
+    assert title.firstChild.data == f"{name}: trivial / Z"
 
 
 def test_trop_svg_off_the_plane_writes_nothing(capsys, tmp_path):
@@ -425,6 +440,40 @@ def test_a_prime_tag_is_read_from_ascii_digits_only(capsys, tag):
     for command in ("trop", "bns-bound"):
         assert run(capsys, command, EX, "--rep", "s3", "--valuation", tag) == (
             2, "", valuation), command
+
+
+@pytest.mark.parametrize("digits", [
+    "4611686018427387905",  # 2**62 + 1
+    # 1287836182261 * 2575672364521, a strong pseudoprime to every prime
+    # base up to 37, which is_prime would take for a prime
+    "3317044064679887385961981",
+    "1" + "0" * 5000,  # past int()'s 4300 digits
+], ids=["2^62+1", "pseudoprime", "5001-digits"])
+def test_a_prime_tag_above_2_62_is_refused(capsys, tmp_path, digits):
+    def refused(tag):
+        return (2, "", f"error: p too large in {tag!r}: primes are limited to 2**62\n")
+
+    fp, padic = "fp:" + digits, "p-adic:" + digits
+    assert run(capsys, "alexander", EX, "--rep", "s3", "--ring", fp) == refused(fp)
+    assert run(capsys, "kaehler-test", EX, "--fields", "q," + fp) == refused(fp)
+    for tag in (fp, padic):
+        for command in ("trop", "bns-bound"):
+            assert run(capsys, command, EX, "--rep", "s3", "--valuation", tag) == (
+                refused(tag)), (command, tag)
+        path = tmp_path / "valuations.json"
+        path.write_text(json.dumps({**json.loads(Path(EX).read_text()), "valuations": [tag]}))
+        assert run(capsys, "bns-bound", str(path), "--rep", "s3") == refused(tag)
+    path = write_document(tmp_path, "ring", ["x"], [], t={"ring": fp, "trivial": True})
+    assert run(capsys, "alexander", path, "--rep", "t") == refused(fp)
+
+
+def test_a_prime_tag_up_to_2_62_reads_as_before(capsys):
+    # 2**61 - 1, a Mersenne prime: every coefficient of Delta = 1 - t1 has
+    # valuation 0 there, as under the trivial valuation
+    trivial = run(capsys, "trop", EX, "--rep", "trivial", "--valuation", "trivial")
+    assert trivial[0] == 0 and trivial[1]
+    assert run(capsys, "trop", EX, "--rep", "trivial",
+               "--valuation", "p-adic:2305843009213693951") == trivial
 
 
 def test_a_prime_tag_may_have_leading_zeros(capsys):

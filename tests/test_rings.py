@@ -42,6 +42,20 @@ def test_tag_prime():
     assert tag_prime("p-adic:11", "fp:") is None
 
 
+@pytest.mark.parametrize("prefix", ["fp:", "p-adic:"])
+def test_a_tag_prime_above_2_62_is_refused_before_int_reads_it(prefix):
+    assert tag_prime(prefix + "4611686018427387904", prefix) == 2**62
+    assert tag_prime(prefix + "0" * 5000 + "3", prefix) == 3
+    assert tag_prime(prefix + "0", prefix) == 0
+    # 2**62 + 1; a strong pseudoprime to every prime base up to 37; and
+    # 5001 digits, past int()'s 4300
+    for digits in ("4611686018427387905", "3317044064679887385961981", "1" + "0" * 5000):
+        tag = prefix + digits
+        with pytest.raises(ValueError) as exc:
+            tag_prime(tag, prefix)
+        assert str(exc.value) == f"p too large in {tag!r}: primes are limited to 2**62"
+
+
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(6)

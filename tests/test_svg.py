@@ -1,9 +1,15 @@
+import random
+from xml.dom import minidom
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplex.laurent import LaurentPoly
 from troplex.rings import ZZ, QQ, TRIVIAL, padic
 from troplex.svg import render_svg
-from troplex.tropical import full_plane_complex, trop_hypersurface, trop_Z_principal
+from troplex.tropical import (
+    full_plane_complex, trop_hypersurface, trop_Z_principal, tropicalize,
+)
 
 QUADRIC = LaurentPoly(ZZ, 2, {(0, 0): 1, (1, 0): -2, (2, 0): 1, (0, 2): -3})
 
@@ -43,3 +49,45 @@ def test_planar_only():
     f = LaurentPoly(QQ, 1, {(0,): 3, (1,): -4, (2,): 1})
     with pytest.raises(ValueError, match="planar"):
         render_svg(trop_hypersurface(f, padic(3)))
+
+
+PAYLOAD = "x</title><script>alert(1)</script><title>&"
+TITLES = ["", "one_relator: s3 / Z", "a & b", "<", ">", "&amp;", "'\"", PAYLOAD]
+
+
+def _corpus(n, seed):
+    """n seeded bivariate polynomials over Z of 2-6 terms, each
+    tropicalized under Z, a p-adic valuation and the trivial one."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        terms = {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice([1, -1, 2, -3, 9, -12])
+                 for _ in range(rng.randint(2, 6))}
+        f = LaurentPoly(ZZ, 2, terms)
+        for mode in ("Z", padic(rng.choice([2, 3, 5])), TRIVIAL):
+            yield tropicalize(f, mode)
+    yield full_plane_complex()
+
+
+def _title_of(text):
+    """The <title> text of a picture as an XML parser reads it, or None."""
+    svg = minidom.parseString(text).documentElement
+    titles = svg.getElementsByTagName("title")
+    assert svg.tagName == "svg" and not svg.getElementsByTagName("script")
+    return "".join(n.data for n in titles[0].childNodes) if titles else None
+
+
+def test_every_picture_is_well_formed_xml_with_its_title():
+    for i, T in enumerate(_corpus(60, seed=36)):
+        title = TITLES[i % len(TITLES)]
+        assert _title_of(render_svg(T, title=title)) == (title or None), (i, title)
+
+
+# XML 1.0 cannot hold the other C0 controls, and a parser reads a CR as LF
+XML_TEXT = st.text(st.characters(exclude_categories=("Cs", "Cc", "Cn"),
+                                 include_characters="\t\n"), min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(XML_TEXT, st.sampled_from(TITLES[1:])))
+def test_a_title_round_trips(title):
+    assert _title_of(render_svg(full_plane_complex(), title=title)) == title
