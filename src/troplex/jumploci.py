@@ -47,16 +47,18 @@ jump_ideal(i=0) and when a caller reads J1's generators.
 
 A determinant is a polynomial in the entries, so it commutes with the
 coefficient maps of rings.scalar_map.  So one TwistedComplex is read at
-any ring F that the representation's ring maps into, in two stages.
-Stage 1 walks the relators once and takes den, one determinant of d2
-per row slice and the other blocks, each on first use, over the
-representation's ring.  Stage 2 takes them into F, drops those that
-vanish there, and folds gcd J0 (from every r-minor of d1 taken into F
-if the blocks' gcd is not a unit) and delta over F.  den survives by its
-constant term, which is why S0 is chosen by phi and not as the first
-block with a nonzero determinant: a constant block, such as
-det(-1 - 1) = -2, can vanish mod 2.  At phi of rank 0, d2 and d1 are
-taken into F and read by their divisors.
+any ring F that the representation's ring R maps into, in two stages.
+Stage 1 walks the relators once and takes den, one determinant num of
+d2 per row slice, the other blocks and g0 = gcd J0 over R, each on first
+use, and divides each slice once: q_R = num * g0 / den.  Stage 2 takes
+the q_R into F, drops those that vanish there and folds their gcd, times
+gcd J0 over F / image(g0): exact, as image(g0) divides every r-minor's
+image, nonzero, as g0 divides den, and a unit unless J0 grows in F (for
+<x1, x2 | x1^2 x2^-2> with sigma(x2) = -1, from 1 over Z to 1 + t1 over
+F_2).  den survives by its constant term, which is why S0 is chosen by
+phi and not as the first block with a nonzero determinant: a constant
+block, such as det(-1 - 1) = -2, can vanish mod 2.  At phi of rank 0, d2
+and d1 are taken into F and read by their divisors.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: a minor of a block-diagonal matrix is zero unless
@@ -199,12 +201,11 @@ class TwistedComplex:
         self.d2, self.d1 = fpgroup.alexander_matrices(pres, rep, phi)  # the one walk
         # S0's block: the first generator with phi(x_i) != 0 (none at rank 0)
         self._top = next((self.r * i for i, v in enumerate(phi.vectors) if any(v)), None)
-        self._stage1 = self._blocks = None  # taken on first use
+        self._stage1 = self._q = self._blocks = None  # taken on first use
 
-    def slices(self, ring):
-        """(den, nums) taken into ring, without the nums that vanish there:
-        den = det(sigma(x_i) s - I) for S0's block, and the nonzero
-        det d2[R, S0], one per row slice R, both taken over rep.ring once."""
+    def slices(self):
+        """(den, nums) over rep.ring: den = det(sigma(x_i) s - I) for S0's
+        block, and the nonzero det d2[R, S0], one per row slice R."""
         if self._stage1 is None:
             d2, d1, top, r = self.d2, self.d1, self._top, self.r
             den = linalg.det_laurent(d1[top:top + r])
@@ -217,10 +218,7 @@ class TwistedComplex:
                 if not num.is_zero:
                     nums.append(num)
             self._stage1 = den, nums
-        if ring == self.ring:
-            return self._stage1
-        den, nums = self._stage1
-        return map_coefficients(den, ring), _nonzero_into(nums, ring)
+        return self._stage1
 
     def gcd_j0(self, ring):
         """gcd J0 over ring, the gcd of the r-minors of d1 (zero when they
@@ -233,20 +231,30 @@ class TwistedComplex:
         if self._blocks is None:  # the other blocks' nonzero determinants
             self._blocks = [b for i in range(0, len(d1), r) if i != self._top
                             if not (b := linalg.det_laurent(d1[i:i + r])).is_zero]
-        g0 = gcd_list(_nonzero_into([self.slices(self.ring)[0]] + self._blocks, ring))
+        g0 = gcd_list(_nonzero_into([self.slices()[0]] + self._blocks, ring))
         if is_unit(g0):
             return g0
         return gcd_list(minors([[map_coefficients(x, ring) for x in row] for row in d1], r))
 
     def _by_duality(self, ring):
-        """(delta, gcd J0) over ring at phi of rank >= 1.  When every row
-        slice has rank below k there, delta is zero and gcd J0 is not
-        taken (None)."""
-        den, nums = self.slices(ring)
-        if not nums:
+        """(delta, gcd J0) over ring at phi of rank >= 1, by the two stages
+        of the module docstring.  When every q_R vanishes there, delta is
+        zero and gcd J0 is not taken (None)."""
+        if self._q is None:  # stage 1, without g0 when there is no slice
+            den, nums = self.slices()
+            g0 = self.gcd_j0(self.ring) if nums else None
+            self._q = g0, [_exact_div_strict(num if is_unit(g0) else num * g0, den)
+                           for num in nums]
+        g0, qs = self._q
+        qs = _nonzero_into(qs, ring)
+        if not qs:
             return LaurentPoly.zero(ring, self.phi.m), None
-        g0 = self.gcd_j0(ring)
-        return gcd_list([_exact_div_strict(num * g0, den) for num in nums]), g0
+        if ring == self.ring:
+            return gcd_list(qs), g0
+        g0_ring = self.gcd_j0(ring)
+        grown = _exact_div_strict(g0_ring, map_coefficients(g0, ring))
+        delta = gcd_list(qs)
+        return (delta if is_unit(grown) else canonical_associate(delta * grown)), g0_ring
 
     def delta(self, ring):
         """delta over ring."""
@@ -301,7 +309,7 @@ def jump_ideal(pres, rep, phi=None, i=1):
     d1 = complex_.d1
     if i == 0:
         return IdealGens(ring, complex_.phi.m, minors(d1, rep.rank))
-    den, nums = complex_.slices(ring)
+    den, nums = complex_.slices()
 
     def gens():
         gens0 = minors(d1, rep.rank) if nums else []

@@ -543,16 +543,21 @@ def laurent_gcd(f, g):
 
 
 def gcd_list(polys):
-    """Fold laurent_gcd over a list (deterministic order; [] is an error),
-    stopping at the first unit."""
-    acc = None
-    for f in polys:
-        acc = f if acc is None else laurent_gcd(acc, f)
-        if is_unit(acc):
-            return canonical_associate(acc)
-    if acc is None:
+    """The canonical gcd of a nonempty list, zero if every input is.
+    Folded from the input with the fewest terms up to the first unit;
+    once two inputs are folded, an input that the gcd so far divides is
+    passed over after one exact_div."""
+    if not polys:
         raise ArithmeticError("internal: gcd of an empty list")
-    return canonical_associate(acc) if not acc.is_zero else acc
+    nonzero = sorted((f for f in polys if not f.is_zero), key=lambda f: len(f.terms))
+    acc = nonzero[0] if nonzero else polys[0]
+    for i, f in enumerate(nonzero[1:]):
+        if is_unit(acc):
+            break
+        if i and exact_div(f, acc) is not None:
+            continue
+        acc = laurent_gcd(acc, f)
+    return canonical_associate(acc)
 
 
 # -- derivatives, squarefree part ----------------------------------------
@@ -584,7 +589,7 @@ def _pth_root(f, p):
 def squarefree_part(f):
     """Radical of f up to canonical associate (content over Z retained).
 
-    Char 0: f / gcd(f, all partials).  Char p: factors with exponent
+    Char 0: f / gcd_list([f] + partials).  Char p: factors with exponent
     divisible by p hide in the gcd; they are a p-th power and are handled
     by exponent division and recursion.
     """
@@ -594,17 +599,14 @@ def squarefree_part(f):
     if len(f.terms) == 1:
         return f
     partials = [partial_derivative(f, i) for i in range(f.nvars)]
-    live = [d for d in partials if not d.is_zero]
     p = f.ring.char
-    if not live:
+    if all(d.is_zero for d in partials):
         if p == 0:
             raise ArithmeticError("nonconstant char-0 polynomial with zero gradient")
         return squarefree_part(_pth_root(f, p))
-    d = f
-    for g in live:
-        d = laurent_gcd(d, g)
-        if is_unit(d):
-            return f
+    d = gcd_list([f] + partials)
+    if is_unit(d):
+        return f
     h = canonical_associate(_exact_div_strict(f, d))
     if p == 0:
         return h

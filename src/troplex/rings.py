@@ -284,6 +284,8 @@ class Valuation:
             raise ValueError(f"unknown valuation kind {kind!r}")
         if kind == "padic" and not is_prime(p):
             raise ValueError(f"{p!r} is not a prime")
+        if kind == "padic" and p > _WORD_MAX:  # is_prime is exact only below 3.3e24
+            raise ValueError("p too large: p-adic valuations are limited to word-sized p")
         if kind == "trivial" and p is not None:
             raise ValueError("trivial valuation takes no prime")
         self.kind = kind

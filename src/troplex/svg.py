@@ -10,6 +10,7 @@ arcs stroked on it.
 from __future__ import annotations
 
 import math
+import re
 
 from .tropical import sphere_projection
 
@@ -37,8 +38,13 @@ def _toward(b, u, d):
     return (b[0] + d * u[0], b[1] + d * u[1])
 
 
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _escape(text):
-    """Element text for XML: & first, so the other two are not escaped twice."""
+    """Element text for XML: characters outside XML 1.0's Char dropped,
+    then & first, so the other two are not escaped twice."""
+    text = _NOT_XML_CHAR.sub("", text)
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

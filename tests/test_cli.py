@@ -126,6 +126,17 @@ def test_trop_svg_escapes_its_title(capsys, tmp_path):
     assert title.firstChild.data == f"{name}: trivial / Z"
 
 
+def test_trop_svg_drops_what_xml_cannot_hold_from_its_title(capsys, tmp_path):
+    doc = {**json.loads(Path(EX).read_text()), "name": "a\u0001b"}
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(doc))
+    target = tmp_path / "fig.svg"
+    assert run(capsys, "trop", str(path), "--rep", "trivial", "--valuation", "Z",
+               "--svg", str(target))[0] == 0
+    [title] = minidom.parse(str(target)).documentElement.getElementsByTagName("title")
+    assert title.firstChild.data == "ab: trivial / Z"
+
+
 def test_trop_svg_off_the_plane_writes_nothing(capsys, tmp_path):
     # BS(1, 2) has phi of rank 1: the picture is refused before any row
     # is printed or the file is opened
@@ -385,6 +396,15 @@ def test_kaehler_test_with_a_torsion_generator_first(capsys, tmp_path):
     path = write_document(tmp_path, "tors", ["x1", "x2"], ["x1^2", "x1 x2 x1^-1 x2^-1"],
                           neg={"matrices": {"x1": [[-1]], "x2": [[1]]}})
     assert run(capsys, "kaehler-test", path, "--rep", "neg", "--fields", "q,fp:2,fp:3") == (
+        0, "Q: Delta = 1\nF_2: Delta = 1 + t1\nF_3: Delta = 1\n"
+           "NOT KAHLER (witness: F_2, Delta = 1 + t1)\n", "")
+
+
+def test_kaehler_test_where_j0_grows_in_a_field(capsys, tmp_path):
+    # gcd J0 is 1 over Z, Q and F_3 but 1 + t1 over F_2, and so is Delta
+    path = write_document(tmp_path, "grows", ["x1", "x2"], ["x1^2 x2^-2"],
+                          sigma={"matrices": {"x1": [[1]], "x2": [[-1]]}})
+    assert run(capsys, "kaehler-test", path, "--rep", "sigma", "--fields", "q,fp:2,fp:3") == (
         0, "Q: Delta = 1\nF_2: Delta = 1 + t1\nF_3: Delta = 1\n"
            "NOT KAHLER (witness: F_2, Delta = 1 + t1)\n", "")
 

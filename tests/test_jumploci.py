@@ -237,7 +237,7 @@ def j1_by_all_ordered_pairs(pres, rep, phi):
     if phi.m == 0:
         return None
     _, d1 = alexander_matrices(pres, rep, phi)
-    den, nums = jumploci.TwistedComplex(pres, rep, phi).slices(rep.ring)
+    den, nums = jumploci.TwistedComplex(pres, rep, phi).slices()
     gens0 = minors(d1, rep.rank)
     return IdealGens(rep.ring, phi.m, (_exact_div_strict(num * q_a, den) * q_b
                                        for num in nums for q_a in gens0 for q_b in gens0))
@@ -681,12 +681,28 @@ def test_s0_is_the_first_block_with_nonzero_phi():
     phi = AbelianEpi.from_abelianization(pres)
     assert [v != (0,) for v in phi.vectors] == [False, True]
     complex_ = jumploci.TwistedComplex(pres, rep, phi)
-    assert render(complex_.slices(ZZ)[0]) == "-1 + t1"
+    assert render(complex_.slices()[0]) == "-1 + t1"
     assert complex_.gcd_j0(ZZ) == LaurentPoly.one(ZZ, 1)
     assert [render(b) for b in complex_._blocks] == ["-2"]
     verdicts = [complex_.alexander(ring, squarefree=True) for ring in (QQ, GF(2), GF(3))]
     assert [(v.ring, v.describe()) for v in verdicts] == [
         (QQ, "1"), (GF(2), "1 + t1"), (GF(3), "1")]
+    assert assert_fields_match_each_field_alone(pres, rep, [ZZ, QQ, GF(2), GF(3)]) == 4
+
+
+def test_j0_grows_in_a_field():
+    # <x1, x2 | x1^2 x2^-2> with sigma(x1) = 1, sigma(x2) = -1: the blocks
+    # -1 + t1 and -1 - t1 have gcd 1 over Z, Q and F_3 but 1 + t1 over F_2,
+    # where the gcd of the q_R (1) is multiplied by gcd J0 / image(g0) = 1 + t1
+    pres = Presentation(["x1", "x2"], [(1, 1, -2, -2)])
+    rep = Representation(ZZ, [[[1]], [[-1]]])
+    phi = AbelianEpi.from_abelianization(pres)
+    complex_ = jumploci.TwistedComplex(pres, rep, phi)
+    for ring, g0, delta in ((ZZ, "1", "1"), (QQ, "1", "1"), (GF(2), "1 + t1", "1 + t1"),
+                            (GF(3), "1", "1")):
+        assert render(complex_.gcd_j0(ring)) == g0
+        assert render(complex_.delta(ring)) == delta
+        assert complex_.delta(ring) == twisted_alexander(pres, rep.over(ring), phi).delta
     assert assert_fields_match_each_field_alone(pres, rep, [ZZ, QQ, GF(2), GF(3)]) == 4
 
 

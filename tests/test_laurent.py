@@ -339,6 +339,75 @@ def test_gcd_list():
         gcd_list([])
 
 
+def gcd_by_left_fold(polys):
+    """The oracle of gcd_list: laurent_gcd folded left to right over every
+    input, with no sorting, no early stop and no trial division."""
+    acc = polys[0]
+    for f in polys[1:]:
+        acc = laurent_gcd(acc, f)
+    return canonical_associate(acc)
+
+
+def sympy_sqf_part(sympy, f):
+    """sympy.sqf_part of f's polynomial part, as a canonical associate over
+    f's fraction field (sympy drops the content over Z)."""
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    domain = {"Z": sympy.ZZ, "Q": sympy.QQ}.get(f.ring.kind) or sympy.GF(f.ring.p)
+    h = f.shift(tuple(-m for m in f.min_exponents()))
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in h.terms.items()}
+    part = sympy.Poly.from_dict(terms, *xs, domain=domain).sqf_part()
+    ring = QQ if f.ring.kind == "Z" else f.ring
+    return canonical_associate(LaurentPoly(ring, f.nvars, {
+        e: ring.from_int(int(c)) if ring.kind == "FP" else Fraction(int(c.p), int(c.q))
+        for e, c in part.as_dict().items()}))
+
+
+def gcd_inputs(ring, nvars):
+    """Lists of one to five inputs: zeros, units, repeats of an earlier
+    input, and products of a small polynomial by one planted factor."""
+    coeffs = (1, -1, 2, Fraction(-1, 2), Fraction(3, 2)) if ring.kind == "Q" else small_coeffs(ring)
+    exps = st.tuples(*[st.integers(-1, 2)] * nvars)
+    poly = st.dictionaries(exps, st.sampled_from(coeffs), min_size=1, max_size=3).map(
+        lambda terms: LaurentPoly(ring, nvars, terms))
+    unit = st.tuples(exps, st.sampled_from([c for c in coeffs if ring.is_unit(ring.check(c))])).map(
+        lambda ec: LaurentPoly.monomial(ring, nvars, *ec))
+    zero = LaurentPoly.zero(ring, nvars)
+
+    def build(planted, items):
+        out = []
+        for kind, f, k in items:
+            if kind == "repeat" and out:
+                out.append(out[k % len(out)])
+            else:
+                out.append({"zero": zero, "unit": f, "planted": f * planted}.get(kind, f))
+        return out
+
+    kinds = st.sampled_from(("zero", "unit", "repeat", "planted", "planted", "plain"))
+    item = kinds.flatmap(lambda kind: st.tuples(
+        st.just(kind), unit if kind == "unit" else poly, st.integers(0, 4)))
+    return st.builds(build, poly, st.lists(item, min_size=1, max_size=5))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((ZZ, QQ, GF(2), GF(3))), st.integers(1, 2), st.data())
+def test_gcd_list_matches_a_left_fold(deadline, ring, nvars, data):
+    """gcd_list (smallest input first, a trial division once two inputs
+    are folded) gives the left fold's canonical polynomial, and
+    squarefree_part, which folds gcd_list, agrees with sympy.sqf_part up
+    to units wherever sympy has one (not for several variables over F_p)."""
+    polys = data.draw(gcd_inputs(ring, nvars), label="polys")
+    with deadline(30):
+        assert gcd_list(polys) == gcd_by_left_fold(polys)
+        if ring.kind == "FP" and nvars > 1:
+            return
+        sympy = pytest.importorskip("sympy")
+        for f in polys:
+            if not f.is_zero:
+                sf = map_coefficients(squarefree_part(f), QQ if ring.kind == "Z" else ring)
+                assert canonical_associate(sf) == sympy_sqf_part(sympy, f)
+
+
 def test_partial_derivative():
     # d/dt1 of the quadric: -2 + 2*t1
     d = partial_derivative(QUADRIC, 0)

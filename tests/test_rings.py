@@ -140,6 +140,14 @@ def test_padic_valuation_values():
         padic_valuation(0, 3)
     with pytest.raises(ValueError):
         padic(4)
+    # is_prime is exact only below 3.3e24, so p-adic primes stop at 2**62,
+    # as prime fields and tags do: this strong pseudoprime to every base up
+    # to 37 is refused, and the Mersenne prime 2**61 - 1 is accepted
+    with pytest.raises(ValueError, match="p too large"):
+        padic(3317044064679887385961981)
+    with pytest.raises(ValueError, match="p too large"):
+        Valuation("padic", 3317044064679887385961981)
+    assert padic(2305843009213693951).p == 2**61 - 1
 
 
 def test_padic_valuation_is_additive():

@@ -24,6 +24,17 @@ def test_renders_well_formed_document():
     assert text.count("<svg") == 1
 
 
+def test_title_keeps_only_xml_characters():
+    # XML 1.0's Char: tab, LF, CR, U+0020-U+D7FF, U+E000-U+FFFD and the
+    # planes above; every other character is dropped, the rest kept as is
+    T = trop_Z_principal(QUADRIC)
+    title = "a\u0001\u001f\ud800\udfff\ufffe\uffffb"
+    [node] = minidom.parseString(render_svg(T, title=title)).getElementsByTagName("title")
+    assert node.firstChild.data == "ab"
+    kept = "\t\n\r x\u007f\u0085\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    assert f"<title>{kept} &amp;&lt;&gt;</title>" in render_svg(T, title=kept + " &<>")
+
+
 def test_fractional_vertex_and_full_plane():
     q = LaurentPoly(QQ, 2, QUADRIC.terms)
     text = render_svg(trop_hypersurface(q, padic(3)))

@@ -44,6 +44,8 @@ TRACE_METRICS = [
     "linalg.det_laurent.busy_s",
     "laurent.gcd_list.calls",
     "laurent.gcd_list.busy_s",
+    "laurent.squarefree_part.calls",
+    "laurent.squarefree_part.busy_s",
     "laurent.mul.count",
     "laurent.exact_div.count",
     "budget.timeouts",
