@@ -10,7 +10,6 @@ arcs stroked on it.
 from __future__ import annotations
 
 import math
-import re
 
 from .tropical import sphere_projection
 
@@ -38,13 +37,15 @@ def _toward(b, u, d):
     return (b[0] + d * u[0], b[1] + d * u[1])
 
 
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+def _xml_char(c):
+    """Whether XML 1.0's Char production admits c."""
+    return c in "\t\n\r" or " " <= c < "\ud800" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
 
 
 def _escape(text):
     """Element text for XML: characters outside XML 1.0's Char dropped,
     then & first, so the other two are not escaped twice."""
-    text = _NOT_XML_CHAR.sub("", text)
+    text = "".join(filter(_xml_char, text))
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

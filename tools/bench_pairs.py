@@ -109,7 +109,7 @@ def main(argv=None):
     parser.add_argument("--pr", required=True, help="writes BENCH_<pr>.json")
     parser.add_argument("--workloads", required=True, help="comma list of workloads")
     parser.add_argument("--seeds", required=True, type=seed_range, help="e.g. 3401-3410")
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--note", help="what the change does (default: its subject line)")
     parser.add_argument("--claim", default="none", help="the gain claimed, if any")
     parser.add_argument("--earlier", default="none", help="every other run made for the change")
