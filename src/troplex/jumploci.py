@@ -249,11 +249,11 @@ class TwistedComplex:
         qs = _nonzero_into(qs, ring)
         if not qs:
             return LaurentPoly.zero(ring, self.phi.m), None
+        delta = gcd_list(qs)
         if ring == self.ring:
-            return gcd_list(qs), g0
+            return delta, g0
         g0_ring = self.gcd_j0(ring)
         grown = _exact_div_strict(g0_ring, map_coefficients(g0, ring))
-        delta = gcd_list(qs)
         return (delta if is_unit(grown) else canonical_associate(delta * grown)), g0_ring
 
     def delta(self, ring):

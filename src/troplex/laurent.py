@@ -543,10 +543,8 @@ def laurent_gcd(f, g):
 
 
 def gcd_list(polys):
-    """The canonical gcd of a nonempty list, zero if every input is.
-    Folded from the input with the fewest terms up to the first unit;
-    once two inputs are folded, an input that the gcd so far divides is
-    passed over after one exact_div."""
+    """The canonical gcd of a nonempty list, zero if every input is,
+    folded from the input with the fewest terms up to the first unit."""
     if not polys:
         raise ArithmeticError("internal: gcd of an empty list")
     nonzero = sorted((f for f in polys if not f.is_zero), key=lambda f: len(f.terms))
@@ -554,6 +552,8 @@ def gcd_list(polys):
     for i, f in enumerate(nonzero[1:]):
         if is_unit(acc):
             break
+        # after a true gcd, an f that acc divides is passed over by one
+        # exact_div; not the second input, which the smallest seldom divides
         if i and exact_div(f, acc) is not None:
             continue
         acc = laurent_gcd(acc, f)
