@@ -30,14 +30,18 @@ complementary r-minors times one factor:
 
 for any S0 with det d1[S0^c] != 0.  A slice with det d2[R, S0] = 0 has
 rank below k and no nonzero k-minor.  So the k-minors of d2 are the
-c_R * q for q in J0 = I_r(d1), delta = gcd_R(c_R * gcd J0), and one
-determinant of d2 per row slice replaces all C(m, k) * C(nr, k) minors
-(Wada, Topology 33, 1994; Kirk-Livingston, Topology 38, 1999).  S0 is
-the complement of the generator block sigma(x_i) t^phi(x_i) - I of d1
-for the first x_i with phi(x_i) != 0, which exists as phi is onto Z^m.
-With s = t^phi(x_i) a nonconstant monomial, that block's determinant
-det(sigma(x_i) s - I) has constant term (-1)^r, so it is nonzero over
-every ring.
+c_R * q for q in J0 = I_r(d1), delta = gcd_R(c_R * gcd J0), and the
+maximal minors of d2[:, S0], one per row slice, replace all
+C(m, k) * C(nr, k) minors (Wada, Topology 33, 1994; Kirk-Livingston,
+Topology 38, 1999).  One Laplace expansion over the k columns of
+d2[:, S0] (linalg.maximal_minors) takes all of them at once, sharing
+each partial minor among the slices that contain its rows; it hands over
+to one Bareiss elimination per slice only when its products or its live
+terms pass their bounds.  S0 is the complement of the generator block
+sigma(x_i) t^phi(x_i) - I of d1 for the first x_i with phi(x_i) != 0,
+which exists as phi is onto Z^m.  With s = t^phi(x_i) a nonconstant
+monomial, that block's determinant det(sigma(x_i) s - I) has constant
+term (-1)^r, so it is nonzero over every ring.
 
 Only gcd J0 enters delta, and every generator block's determinant is
 itself an r-minor of d1.  So when the gcd of the blocks is a unit, it is
@@ -48,17 +52,18 @@ jump_ideal(i=0) and when a caller reads J1's generators.
 A determinant is a polynomial in the entries, so it commutes with the
 coefficient maps of rings.scalar_map.  So one TwistedComplex is read at
 any ring F that the representation's ring R maps into, in two stages.
-Stage 1 walks the relators once and takes den, one determinant num of
-d2 per row slice, the other blocks and g0 = gcd J0 over R, each on first
-use, and divides each slice once: q_R = num * g0 / den.  Stage 2 takes
-the q_R into F, drops those that vanish there and folds their gcd, times
-gcd J0 over F / image(g0): exact, as image(g0) divides every r-minor's
-image, nonzero, as g0 divides den, and a unit unless J0 grows in F (for
-<x1, x2 | x1^2 x2^-2> with sigma(x2) = -1, from 1 over Z to 1 + t1 over
-F_2).  den survives by its constant term, which is why S0 is chosen by
-phi and not as the first block with a nonzero determinant: a constant
-block, such as det(-1 - 1) = -2, can vanish mod 2.  At phi of rank 0, d2
-and d1 are taken into F and read by their divisors.
+Stage 1 walks the relators once and takes den, the nonzero maximal
+minors num of d2[:, S0], the other blocks and g0 = gcd J0 over R, each
+on first use, and divides each slice once: q_R = num * g0 / den.
+Stage 2 takes the q_R into F, drops those that vanish there and folds
+their gcd, times gcd J0 over F / image(g0): exact, as image(g0) divides
+every r-minor's image, nonzero, as g0 divides den, and a unit unless J0
+grows in F (for <x1, x2 | x1^2 x2^-2> with sigma(x2) = -1, from 1 over
+Z to 1 + t1 over F_2).  den survives by its constant term, which is why
+S0 is chosen by phi and not as the first block with a nonzero
+determinant: a constant block, such as det(-1 - 1) = -2, can vanish
+mod 2.  At phi of rank 0, d2 and d1 are taken into F and read by their
+divisors.
 
 J1 is generated by the (n*r)-minors of diag(d2, d1), but that block
 matrix is never built: a minor of a block-diagonal matrix is zero unless
@@ -210,13 +215,9 @@ class TwistedComplex:
             d2, d1, top, r = self.d2, self.d1, self._top, self.r
             den = linalg.det_laurent(d1[top:top + r])
             cols = list(range(top)) + list(range(top + r, len(d1)))
-            nums = []
-            for rsel in combinations(range(len(d2)), len(cols)):
-                # n = 1 leaves k = 0 and one empty slice, of determinant 1
-                num = (linalg.det_laurent([[d2[i][j] for j in cols] for i in rsel]) if cols
-                       else LaurentPoly.one(den.ring, den.nvars))
-                if not num.is_zero:
-                    nums.append(num)
+            # n = 1 leaves k = 0 and one empty slice, of determinant 1
+            nums = (linalg.maximal_minors([[row[j] for j in cols] for row in d2]) if cols
+                    else [LaurentPoly.one(den.ring, den.nvars)])
             self._stage1 = den, nums
         return self._stage1
 
@@ -361,9 +362,10 @@ def twisted_alexander(pres, rep, phi=None, squarefree=False):
     empty d2 has rank 0), otherwise that GCD (canonical associate, so a
     unit GCD is 1; integer content kept over Z; squarefree part only if
     requested).  At phi of rank 0 it is the determinantal divisor
-    D_(n-1)r(d2); otherwise it comes from J0 and one determinant of d2 per
-    row slice by kernel duality (see the module docstring).  The excluded
-    locus is not computed here: read it from jump_ideal(pres, rep, phi, i=0).
+    D_(n-1)r(d2); otherwise it comes from J0 and the maximal minors of
+    d2[:, S0], one per row slice, by kernel duality (see the module
+    docstring).  The excluded locus is not computed here: read it from
+    jump_ideal(pres, rep, phi, i=0).
     """
     return TwistedComplex(pres, rep, phi).alexander(rep.ring, squarefree)
 

@@ -37,6 +37,7 @@ the canonical (monic at the least term) associate.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, lt, neg, sub
@@ -174,16 +175,6 @@ class LaurentPoly:
 
     def degree_in(self, i):
         return max(e[i] for e in self.terms)
-
-    def constant_value(self):
-        """The coefficient ring element, if the polynomial is constant."""
-        if self.is_zero:
-            return self.ring.zero()
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if all(e == 0 for e in exps):
-                return c
-        raise ArithmeticError("internal: not a constant polynomial")
 
     # -- arithmetic -----------------------------------------------------
 
@@ -424,14 +415,6 @@ def _coeffs_in(f, x):
     }
 
 
-def _scalar_gcd(ring, a, b):
-    if ring.kind == "Z":
-        import math
-
-        return math.gcd(a, b)
-    return ring.one()
-
-
 def _content(f, x, acc):
     """gcd of acc and f's coefficients in x; one once that is a unit."""
     for poly in _coeffs_in(f, x).values():
@@ -507,13 +490,13 @@ def _poly_gcd(f, g):
     if f.is_zero:
         return g
     f, g = (_shift_to_zero(h) for h in (f, g))
-    active = [i for i, pair in enumerate(zip(f.max_exponents(), g.max_exponents()))
-              if max(pair) > 0]
-    if not active:
-        return LaurentPoly.constant(
-            f.ring, f.nvars, _scalar_gcd(f.ring, f.constant_value(), g.constant_value())
-        )
-    x = active[-1]
+    tops = list(zip(f.max_exponents(), g.max_exponents()))
+    if not any(a and b for a, b in tops):
+        # no shared variable: a common divisor is a constant, which
+        # divides each input's content
+        c = math.gcd(*f.terms.values(), *g.terms.values()) if f.ring.kind == "Z" else 1
+        return LaurentPoly.constant(f.ring, f.nvars, c)
+    x = max(i for i, pair in enumerate(tops) if max(pair) > 0)
     if all(e[x] == 0 for e in f.terms):
         f, g = g, f
     if all(e[x] == 0 for e in g.terms):

@@ -1,24 +1,37 @@
 """Exact dense linear algebra helpers.
 
-Two entry types are supported, with one elimination loop each.  Ring
-scalars (int / Fraction / residue, with an explicit Ring) go through
-Gauss-Jordan over a field, with Z embedded in Q (whose integral values
-are the same ints), for rank and inverse; it computes no determinant,
-since Novikov condition (c) reads only the entries of sigma(x)^{+-1}, and
-integral entries force v(det) = 0.  LaurentPoly
-entries go through fraction-free Bareiss, whose divisions are exact by Sylvester's
-identity; each update forms its two products in one raw pass over the
-term dicts, and the first pivot step, whose divisor is 1, divides not at
-all.  Lifting scalars to constant LaurentPolys to share one loop
-makes a small inverse over Z about 28 times slower.
+Two entry types are supported.  Ring scalars (int / Fraction / residue,
+with an explicit Ring) go through Gauss-Jordan over a field, with Z
+embedded in Q (whose integral values are the same ints), for rank and
+inverse; it computes no determinant, since Novikov condition (c) reads
+only the entries of sigma(x)^{+-1}, and integral entries force
+v(det) = 0.  A product of scalar matrices forms each entry as one sum of
+products, reduced once.
+
+LaurentPoly determinants come from one Laplace expansion over the
+columns (Gentleman-Johnson, ACM TOMS 2, 1976): `maximal_minors` takes
+every maximal minor of an m x k matrix at once, each partial minor
+shared by every row set that contains its rows, with no division at all,
+and `det_laurent` is its square case.  Each new partial minor is one raw
+sum of products over the term dicts, reduced once.  The expansion hands
+over to a fraction-free Bareiss elimination per row set when its product
+count passes that elimination's own order of work or its partial minors
+outgrow a fixed number of terms, so it bounds both time and memory.
+Bareiss, whose divisions are exact by Sylvester's identity, also gives
+the rank; each of its updates forms its two products in one raw pass, and
+the first pivot step, whose divisor is 1, divides not at all.  Lifting
+scalars to constant LaurentPolys to share one loop makes a small inverse
+over Z about 28 times slower.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
+from operator import mul
 
 from .laurent import LaurentPoly, _add_products, _exact_div_strict, _from_raw
-from .rings import QQ
+from .rings import QQ, rational
 
 
 # -- scalar matrices ------------------------------------------------------
@@ -30,17 +43,12 @@ def smat_identity(ring, n):
 
 
 def smat_mul(ring, A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ring.zero()
-            for t in range(k):
-                acc = ring.add(acc, ring.mul(A[i][t], B[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    """A * B, each entry one sum of products in raw arithmetic, reduced
+    once: mod p over F_p, to Q's normal form over Q, as computed over Z."""
+    p = ring.p
+    reduce = (lambda x: x % p) if p else rational if ring.kind == "Q" else int
+    cols = list(zip(*B))
+    return [[reduce(sum(map(mul, row, col))) for col in cols] for row in A]
 
 
 def _gauss_jordan(ring, M, width=None):
@@ -139,14 +147,92 @@ def _bareiss(M, det=False):
     return r, -prev if sign < 0 else prev
 
 
+# The expansion hands over to per-slice Bareiss once its partial minors hold
+# more terms than this; the tracemalloc peak at that point was 12.5 MB on
+# a 66 x 21 matrix, with C(66, 21) ~ 10^17 row sets.
+MAX_LIVE_TERMS = 100_000
+
+
+def maximal_minors(M):
+    """The nonzero k-minors det M[R, :] of an m x k LaurentPoly matrix,
+    k >= 1, R in itertools.combinations order; none when m < k.
+
+    They come from one Laplace expansion over the columns, or, when that
+    passes either of its bounds, from one Bareiss elimination per row set.
+    """
+    m, k = len(M), len(M[0]) if M else 1
+    if m < k:
+        return []
+    dets = _expand(M)
+    return _slice_dets(M) if dets is None else dets
+
+
+def _expand(M):
+    """maximal_minors(M) by one Laplace expansion, column by column, or
+    None once it passes a bound.
+
+    Before column c it holds det M[S, :c] for every c-row set S on which
+    that is nonzero, keyed by a bit mask of S (the empty set's minor is
+    1), and column c adds each row i outside S with the sign
+    (-1)^(rows of S below i).  Row i has bit m-1-i, so the rows below i
+    are the lower bits, and combinations order is descending mask order.
+    The last column forms each k-row set's sum on its own and keeps it
+    only when it is nonzero, so its minors are held as the per-row-set
+    Bareiss would hold them, and it takes at most k products per row set.
+    The expansion stops when the other columns' products pass
+    C(m, k) * k^3, the order of that Bareiss work, or their partial minors
+    hold more than MAX_LIVE_TERMS terms; returning first frees them.
+    """
+    m, k = len(M), len(M[0])
+    ring, nvars = M[0][0].ring, M[0][0].nvars
+    budget = math.comb(m, k) * k ** 3
+    columns = [[(1 << (m - 1 - i), row[c].terms) for i, row in enumerate(M) if row[c]]
+               for c in range(k)]
+    live, held, products = {0: LaurentPoly.one(ring, nvars)}, 1, 0
+    for column in columns[:-1]:
+        sums = {}
+        for rows, f in live.items():
+            for bit, entry in column:
+                if rows & bit:
+                    continue
+                acc = sums.setdefault(rows | bit, {})
+                size = len(acc)
+                _add_products(acc, entry, f.terms, negate=(rows & (bit - 1)).bit_count() & 1)
+                held += len(acc) - size
+                products += 1
+                if products > budget or held > MAX_LIVE_TERMS:
+                    return None
+        live = {rows: f for rows, acc in sums.items() if (f := _from_raw(ring, nvars, acc))}
+        held = sum(len(f.terms) for f in live.values())
+    last, out = columns[-1], []
+    for rows in sorted({rows | bit for rows in live for bit, _ in last if not rows & bit},
+                       reverse=True):
+        acc = {}
+        for bit, entry in last:
+            if rows & bit and (f := live.get(rows ^ bit)):
+                _add_products(acc, entry, f.terms, negate=(rows & (bit - 1)).bit_count() & 1)
+        if f := _from_raw(ring, nvars, acc):
+            out.append(f)
+    return out
+
+
+def _slice_dets(M):
+    """maximal_minors(M) by one Bareiss elimination per row set."""
+    k, out = len(M[0]), []
+    for rows in combinations(M, k):
+        rank, pivot = _bareiss(rows, det=True)
+        if rank == k:
+            out.append(pivot)
+    return out
+
+
 def det_laurent(M):
-    """Bareiss determinant of a square LaurentPoly matrix."""
+    """Determinant of a square LaurentPoly matrix: the square case of
+    maximal_minors."""
     if not M:
         raise ArithmeticError("internal: determinant of an empty matrix")
-    rank, pivot = _bareiss(M, det=True)
-    if rank < len(M):
-        return LaurentPoly.zero(pivot.ring, pivot.nvars)
-    return pivot
+    dets = maximal_minors(M)
+    return dets[0] if dets else LaurentPoly.zero(M[0][0].ring, M[0][0].nvars)
 
 
 def rank_laurent(M):

@@ -86,6 +86,22 @@ def leibniz_det(M):
     return total
 
 
+def smat_mul_by_terms(ring, A, B):
+    """A * B by one ring.add and one ring.mul per term, each reduced at
+    once: the oracle for linalg.smat_mul, which reduces each entry once."""
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = ring.zero()
+            for t in range(k):
+                acc = ring.add(acc, ring.mul(A[i][t], B[t][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 # -- homology at a character: the oracle for the jump loci ---------------------
 
 

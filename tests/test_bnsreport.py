@@ -6,7 +6,7 @@ from oracles import contains
 from troplex.bnsreport import (
     SigmaFixture, assemble_bound, brown_one_relator, compare_fixture, get_fixture,
 )
-from troplex.fpgroup import Representation, build_orbifold
+from troplex.fpgroup import AbelianEpi, Representation, alexander_matrices, build_orbifold
 from troplex.jobspec import bundled_path, load_job
 from troplex.rings import QQ, GF, TRIVIAL, padic
 from troplex.sphere import SphereArcSet
@@ -190,20 +190,31 @@ def test_settings_of_one_representation_share_its_jump_ideals(monkeypatch):
 def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
     # reg_s3 on the bundled relator: d1 is 12 x 6, and its two generator
     # blocks, 6-minors of d1 with gcd 1, are taken once for both settings
-    # with the single 6-row slice of d2; none of J0's C(12, 6) = 924
-    # other 6-minors is taken
+    # with one expansion over d2's 6 x 6 column set, whose single 6-row
+    # slice it takes; none of J0's C(12, 6) = 924 other 6-minors is taken.
+    # A determinant is the expansion's square case, so it shows in both
     import troplex.bnsreport as bnsreport
     from troplex import jumploci, linalg
 
     job = onerel()
     rep = job.representation("reg_s3")
-    real_det, real_minors, real_jump = (
-        linalg.det_laurent, jumploci.minors, bnsreport.jump_ideal)
-    dets, minor_shapes, degrees = [], [], []
+    _, d1 = alexander_matrices(job.presentation, rep, AbelianEpi.from_abelianization(
+        job.presentation))
+    d1_rows = {tuple(g.key() for g in row) for row in d1}
+    real_det, real_expand, real_minors, real_jump = (
+        linalg.det_laurent, linalg.maximal_minors, jumploci.minors, bnsreport.jump_ideal)
+    dets, expansions, minor_shapes, degrees = [], [], [], []
+
+    def in_d1(M):
+        return all(tuple(g.key() for g in row) in d1_rows for row in M)
 
     def det_counting(M):
-        dets.append(len(M))
+        dets.append((in_d1(M), len(M)))
         return real_det(M)
+
+    def expansion_counting(M):
+        expansions.append((in_d1(M), len(M), len(M[0])))
+        return real_expand(M)
 
     def minors_recording(M, k):
         minor_shapes.append((len(M), len(M[0]), k))
@@ -214,6 +225,7 @@ def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
         return real_jump(pres, rep, phi, i=i)
 
     monkeypatch.setattr(linalg, "det_laurent", det_counting)
+    monkeypatch.setattr(linalg, "maximal_minors", expansion_counting)
     monkeypatch.setattr(jumploci, "minors", minors_recording)
     monkeypatch.setattr(bnsreport, "jump_ideal", jump_recording)
     with deadline(20):
@@ -221,5 +233,6 @@ def test_bound_takes_d1_minors_once_per_representation(monkeypatch, deadline):
                             [("reg_s3", rep, "Z"), ("reg_s3", rep, padic(3))])
     assert len(rp.entries) == 2
     assert minor_shapes == []
-    assert dets == [6, 6, 6]
+    assert dets == [(True, 6), (True, 6)]
+    assert sorted(expansions) == [(False, 6, 6), (True, 6, 6), (True, 6, 6)]
     assert degrees == [1]

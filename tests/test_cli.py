@@ -737,6 +737,21 @@ def test_triangle_group_product_is_consistent_at_phi_of_rank_0(capsys, tmp_path,
             0, "Q: Delta = 1\nF_2: Delta = 1\nF_3: Delta = 1\nconsistent (Delta = 1)\n", "")
 
 
+def test_orbifold_product_goldens(capsys, tmp_path, deadline):
+    # orbifold(g=1, mu=2,3) x itself: 8 generators and 22 relators with
+    # trivial sigma, so d2 has C(22, 7) = 170,544 row slices, of which one
+    # expansion over d2's columns finds the 2,304 nonzero ones in 3,350
+    # products
+    orb, prod = tmp_path / "orb.json", tmp_path / "orbx2.json"
+    assert run(capsys, "orbifold", "--g", "1", "--mu", "2,3", "-o", str(orb)) == (0, "", "")
+    assert run(capsys, "product", str(orb), str(orb), "-o", str(prod)) == (0, "", "")
+    with deadline(5):
+        assert run(capsys, "kaehler-test", str(prod), "--fields", "q,fp:2,fp:3") == (
+            0, "Q: Delta = 1\nF_2: Delta = 1\nF_3: Delta = 1\nconsistent (Delta = 1)\n", "")
+    with deadline(5):
+        assert run(capsys, "alexander", str(prod), "--rep", "trivial") == (0, "1\n", "")
+
+
 def write_document(tmp_path, name, generators, relators, **representations):
     doc = {
         "name": name,

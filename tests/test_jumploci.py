@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from oracles import free_reduce, homology_dims_at_character, leibniz_det
 from troplex import jumploci, linalg
 from troplex.bnsreport import assemble_bound
 from troplex.fpgroup import (
-    Presentation, Representation, AbelianEpi, build_orbifold,
+    Presentation, Representation, AbelianEpi, build_orbifold, build_product,
     build_weighted_raag, alexander_matrices,
     commutator, invert_word, verify_representation,
     regular_representation,
@@ -843,19 +844,28 @@ def test_zero_delta_takes_no_minors(monkeypatch):
 def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
     # d1 is 12 x 6 and d2 is 6 x 12: the two generator blocks of d1 (one
     # of them S0's) have gcd 1, so gcd J0 = 1 without J0's C(12, 6) = 924
-    # minors, and the single 6-row slice of d2 is the one other
-    # determinant; never minors(d2, .) or the rank of d2
+    # minors, and one expansion over d2's 6 x 6 column set takes the
+    # single 6-row slice; never minors(d2, .) or the rank of d2.  Each
+    # determinant is that expansion's square case, so the expansions seen
+    # are the two blocks' and d2's
     job = onerel()
     pres, rep = job.presentation, job.representation("reg_s3")
     phi = AbelianEpi.from_abelianization(pres)
     _, d1 = alexander_matrices(pres, rep, phi)
     d1_rows = {tuple(g.key() for g in row) for row in d1}
-    real_det, real_minors = linalg.det_laurent, minors
-    calls, minor_shapes = [], []
+    real_det, real_expand, real_minors = linalg.det_laurent, linalg.maximal_minors, minors
+    dets, expansions, minor_shapes = [], [], []
+
+    def in_d1(M):
+        return all(tuple(g.key() for g in row) in d1_rows for row in M)
 
     def det_counting(M):
-        calls.append(all(tuple(g.key() for g in row) in d1_rows for row in M))
+        dets.append(in_d1(M))
         return real_det(M)
+
+    def expansion_counting(M):
+        expansions.append((in_d1(M), len(M), len(M[0])))
+        return real_expand(M)
 
     def minors_recording(M, k):
         minor_shapes.append((len(M), len(M[0]), k))
@@ -865,18 +875,63 @@ def test_reg_s3_takes_one_d2_determinant_per_slice(monkeypatch):
         raise AssertionError("rank_laurent called with J0 nonempty")
 
     monkeypatch.setattr(linalg, "det_laurent", det_counting)
+    monkeypatch.setattr(linalg, "maximal_minors", expansion_counting)
     monkeypatch.setattr(linalg, "rank_laurent", no_rank)
     monkeypatch.setattr(jumploci, "minors", minors_recording)
+    one_pass = [(False, 6, 6), (True, 6, 6), (True, 6, 6)]
     twisted_alexander(pres, rep, phi)
-    assert sorted(calls) == [False, True, True] and minor_shapes == []
-    calls.clear()
+    assert dets == [True, True] and sorted(expansions) == one_pass and minor_shapes == []
+    dets.clear()
+    expansions.clear()
     J1 = jump_ideal(pres, rep, phi, i=1)
-    assert sorted(calls) == [False, True, True] and minor_shapes == []
+    assert dets == [True, True] and sorted(expansions) == one_pass and minor_shapes == []
     # reading J1's generators takes J0's 924 minors once, and finds the
     # same 143 distinct generators as enumeration
     assert len(J1.generators) == 143
     assert minor_shapes == [(12, 6, 6)]
-    assert len(calls) == 3 + 924
+    assert len(dets) == 2 + 924 and len(expansions) == 3 + 924
+    assert all(dets) and sorted(expansions)[0] == (False, 6, 6)
+
+
+def permutation_matrix(p):
+    return [[1 if p[j] == i else 0 for j in range(len(p))] for i in range(len(p))]
+
+
+def test_the_s3_twisted_orbifold_product_hands_over_in_bounded_memory(monkeypatch, deadline):
+    # orbifold(g=1, mu=2,3) x itself with an S_3 permutation sigma on the
+    # first factor: d2[:, S0] is 66 x 21, with C(66, 21) ~ 10^17 row
+    # slices, and over 2 * 10^6 row sets by column 11 whose entries could
+    # give a nonzero partial minor.  The expansion must hand over to
+    # per-slice Bareiss (stubbed here, to stop at the hand-over) before
+    # its partial minors outgrow their bound.  sigma takes x1 and y1 to
+    # two transpositions, z1 to 1 and z2 to the 3-cycle
+    # [x1, y1]^-1 = y1 x1 y1^-1 x1^-1 (a permutation matrix's inverse is
+    # its transpose), and the second factor to 1
+    x, y = permutation_matrix((1, 0, 2)), permutation_matrix((2, 1, 0))
+    eye = permutation_matrix((0, 1, 2))
+    xt, yt = ([list(col) for col in zip(*m)] for m in (x, y))
+    z2 = smat_mul(ZZ, smat_mul(ZZ, y, x), smat_mul(ZZ, yt, xt))
+    orbifold = build_orbifold(1, [2, 3])
+    pres = build_product(orbifold, orbifold)
+    rep = Representation(ZZ, [x, y, eye, z2] + [eye] * 4)
+    assert verify_representation(pres, rep)
+    complex_ = jumploci.TwistedComplex(pres, rep)
+
+    class HandedOver(Exception):
+        pass
+
+    def handed_over(M, det=False):
+        raise HandedOver
+
+    monkeypatch.setattr(linalg, "_bareiss", handed_over)
+    tracemalloc.start()
+    try:
+        with deadline(30), pytest.raises(HandedOver):
+            complex_.slices()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(complex_.d2) == 66 and peak < 64 * 2**20
 
 
 def test_j0_takes_no_determinant_of_d2(monkeypatch):

@@ -75,14 +75,6 @@ def test_constructor_checks_and_normalizes():
     assert LaurentPoly(GF(3), 1, {(0,): 7, (1,): -1, (2,): 3}).terms == {(0,): 1, (1,): 2}
 
 
-def test_constant_value():
-    assert LaurentPoly.constant(QQ, 2, 3).constant_value() == 3
-    assert LaurentPoly.zero(GF(3), 0).constant_value() == 0
-    # only the gcd recursion asks, and only for constants: an internal error
-    with pytest.raises(ArithmeticError, match="not a constant polynomial"):
-        QUADRIC.constant_value()
-
-
 def test_arithmetic_ring_axioms():
     rng = random.Random(23)
     for ring, nvars in KERNEL_CASES:
@@ -602,6 +594,33 @@ def test_gcd_with_a_variable_in_one_operand_matches_sympy(deadline, ring, data):
         g = laurent_gcd(a * c, b * c)
         assert g == laurent_gcd(b * c, a * c) == sympy_gcd(sympy, a * c, b * c)
         assert exact_div(g, canonical_associate(c)) is not None
+
+
+def disjoint_pair(ring):
+    """(a, b): a in t1 and t2, b in t3, either of them possibly constant,
+    each times a constant that carries content over Z."""
+    scale = st.sampled_from((1, -1, 2, 6, -4) if ring.kind == "Z" else (1,))
+
+    def poly(exps):
+        terms = st.dictionaries(exps, st.sampled_from(small_coeffs(ring)), min_size=1, max_size=3)
+        return st.tuples(terms, scale).map(lambda pair: P(pair[0], ring, 3) * pair[1])
+
+    return st.tuples(poly(st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.just(0))),
+                     poly(st.tuples(st.just(0), st.just(0), st.integers(-1, 2))))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from((ZZ, GF(2), GF(3))), st.data())
+def test_gcd_in_disjoint_variables_matches_sympy(deadline, ring, data):
+    # no shared variable: the gcd is a constant, the contents' gcd over Z
+    # and 1 over a field
+    sympy = pytest.importorskip("sympy")
+    a, b = data.draw(disjoint_pair(ring))
+    with deadline(30):
+        g = laurent_gcd(a, b)
+        assert g == laurent_gcd(b, a) == sympy_gcd(sympy, a, b)
+    assert list(g.terms) == [(0, 0, 0)]
 
 
 def test_truth_and_hash_follow_the_terms():

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import leibniz_det, lmat_identity, lmat_mul, normal_type, smat_rank
+from oracles import (
+    leibniz_det, lmat_identity, lmat_mul, normal_type, smat_mul_by_terms, smat_rank,
+)
+from troplex import linalg
 from troplex.laurent import LaurentPoly, render
 from troplex.linalg import (
-    smat_identity, smat_mul, smat_inverse, det_laurent, rank_laurent,
+    smat_identity, smat_mul, smat_inverse, det_laurent, maximal_minors, rank_laurent,
     smith_normal_form,
 )
 from troplex.rings import ZZ, QQ, GF
@@ -69,6 +72,23 @@ def test_smat_inverse_round_trip():
             assert inv is not None
             assert smat_mul(ring, A, inv) == smat_identity(ring, n)
             assert smat_mul(ring, inv, A) == smat_identity(ring, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((ZZ, QQ, GF(2), GF(3), GF(7))), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_smat_mul_matches_the_termwise_oracle(ring, n, k, m, data):
+    # one sum of products per entry, reduced once, against one ring.add and
+    # one ring.mul per term; over Q with Fraction entries, on any shape
+    value = (st.fractions(min_value=-3, max_value=3, max_denominator=4) if ring.kind == "Q"
+             else st.integers(-9, 9))
+    A, B = ([[ring.check(data.draw(value)) for _ in range(cols)] for _ in range(rows)]
+            for rows, cols in ((n, k), (k, m)))
+    product = smat_mul(ring, A, B)
+    assert product == smat_mul_by_terms(ring, A, B)
+    assert all(type(x) is normal_type(ring, x) for row in product for x in row)
+    if ring.p:
+        assert all(0 <= x < ring.p for row in product for x in row)
 
 
 def test_smat_inverse_over_z_needs_unit_det():
@@ -245,8 +265,6 @@ def test_laurent_elimination_matches_leibniz_seeded():
 def test_det_stops_at_the_first_column_without_pivot(monkeypatch):
     # over a third of the minors the benchmark's Delta jobs take are zero; the
     # determinant must not eliminate past a column with no pivot
-    import troplex.linalg as linalg
-
     divisions = []
     real = linalg._exact_div_strict
     monkeypatch.setattr(linalg, "_exact_div_strict",
@@ -260,7 +278,75 @@ def test_det_stops_at_the_first_column_without_pivot(monkeypatch):
     M = [[zero, t, t, one], [zero, t, t + 1, one], [zero, t * t, t, one],
          [zero, one, one, t]]
     assert det_laurent(M) == zero and not divisions
+    # nor the per-slice Bareiss that the expansion hands over to
+    assert linalg._bareiss(M, det=True)[0] == 0 and not divisions
     assert rank_laurent(M) == 3 and divisions == [t, t]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(LAURENT_RINGS), st.integers(0, 2), st.integers(1, 4), st.integers(0, 3),
+       st.lists(st.lists(st.tuples(st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+                                   st.integers(-2, 2)), max_size=2),
+                min_size=28, max_size=28),
+       st.sets(st.integers(0, 6), max_size=2), st.sets(st.integers(0, 3), max_size=1))
+def test_maximal_minors_match_leibniz_and_bareiss(ring, nvars, k, extra, entries, zero_rows,
+                                                 zero_cols):
+    # every nonzero k-minor of an m x k matrix, m = k .. k + 3, in
+    # combinations order, against a Leibniz expansion and a Bareiss
+    # elimination of each row slice; with zero rows and zero columns
+    m = k + extra
+    M = laurent_matrix(ring, nvars, m, k, entries, None)
+    zero = LaurentPoly.zero(ring, nvars)
+    for i in zero_rows & set(range(m)):
+        M[i] = [zero] * k
+    for j in zero_cols & set(range(k)):
+        for row in M:
+            row[j] = zero
+    slices = [[M[i] for i in rsel] for rsel in itertools.combinations(range(m), k)]
+    expected = [d for rows in slices if not (d := leibniz(rows)).is_zero]
+    assert maximal_minors(M) == expected
+    eliminated = [linalg._bareiss(rows, det=True) for rows in slices]
+    assert [pivot for rank, pivot in eliminated if rank == k] == expected
+    assert maximal_minors(M[:k - 1]) == []
+
+
+def test_a_dense_expansion_hands_over_to_bareiss(monkeypatch):
+    # a dense 8 x 8 expansion takes 8 * (2^7 - 1) = 1016 products, past
+    # C(8, 8) * 8^3 = 512, the order of Bareiss's own work: it hands over
+    real, eliminated = linalg._bareiss, []
+    monkeypatch.setattr(linalg, "_bareiss",
+                        lambda M, det=False: eliminated.append(len(M)) or real(M, det))
+    rng = random.Random(47)
+    raw = [[rng.choice((-2, -1, 1, 2, 3)) for _ in range(8)] for _ in range(8)]
+    dense = [[LaurentPoly.constant(ZZ, 1, x) for x in row] for row in raw]
+    assert det_laurent(dense) == LaurentPoly.constant(ZZ, 1, leibniz_det(raw))
+    assert eliminated == [8]
+    # an 8 x 8 with two entries a column stays in the expansion:
+    # det(I + t * shift) = 1
+    t, one, zero = (LaurentPoly.var(ZZ, 1, 0), LaurentPoly.one(ZZ, 1),
+                    LaurentPoly.zero(ZZ, 1))
+    banded = [[one if j == i else t if j == i + 1 else zero for j in range(8)]
+              for i in range(8)]
+    assert det_laurent(banded) == one and eliminated == [8]
+
+
+def test_the_live_term_bound_leaves_out_the_minors_returned(monkeypatch):
+    # the last column's k-minors are the result, held as the per-row-set
+    # Bareiss would hold them; only the partial minors before it count
+    # toward MAX_LIVE_TERMS, so a bound below the result's size keeps the
+    # expansion, and a bound below the partial minors' hands over
+    real, eliminated = linalg._bareiss, []
+    monkeypatch.setattr(linalg, "_bareiss",
+                        lambda M, det=False: eliminated.append(len(M)) or real(M, det))
+    rng = random.Random(53)
+    t = LaurentPoly.var(ZZ, 1, 0)
+    M = [[t ** rng.randint(0, 3) + rng.randint(-2, 2) for _ in range(3)] for _ in range(10)]
+    expected = [d for rows in itertools.combinations(M, 3) if not (d := leibniz(rows)).is_zero]
+    size = sum(len(d.terms) for d in expected)
+    monkeypatch.setattr(linalg, "MAX_LIVE_TERMS", size // 2)
+    assert maximal_minors(M) == expected and eliminated == []
+    monkeypatch.setattr(linalg, "MAX_LIVE_TERMS", 20)
+    assert maximal_minors(M) == expected and eliminated == [3] * 120
 
 
 laurent_terms = st.lists(
