@@ -45,10 +45,15 @@ def smat_identity(ring, n):
 def smat_mul(ring, A, B):
     """A * B, each entry one sum of products in raw arithmetic, reduced
     once: mod p over F_p, to Q's normal form over Q, as computed over Z."""
-    p = ring.p
-    reduce = (lambda x: x % p) if p else rational if ring.kind == "Q" else int
-    cols = list(zip(*B))
-    return [[reduce(sum(map(mul, row, col))) for col in cols] for row in A]
+    p, q, cols = ring.p, ring.kind == "Q", list(zip(*B))
+    out = []
+    for row in A:
+        new = []
+        for col in cols:
+            x = sum(map(mul, row, col))
+            new.append(x % p if p else rational(x) if q else x)
+        out.append(new)
+    return out
 
 
 def _gauss_jordan(ring, M, width=None):
@@ -171,10 +176,9 @@ def _expand(M):
     """maximal_minors(M) by one Laplace expansion, column by column, or
     None once it passes a bound.
 
-    Before column c it holds det M[S, :c] for every c-row set S on which
-    that is nonzero, keyed by a bit mask of S (the empty set's minor is
-    1), and column c adds each row i outside S with the sign
-    (-1)^(rows of S below i).  Row i has bit m-1-i, so the rows below i
+    Before column c >= 1 it holds det M[S, :c] for every c-row set S on
+    which that is nonzero, keyed by a bit mask of S, and column c adds
+    each row i outside S with the sign (-1)^(rows of S below i).  Row i has bit m-1-i, so the rows below i
     are the lower bits, and combinations order is descending mask order.
     The last column forms each k-row set's sum on its own and keeps it
     only when it is nonzero, so its minors are held as the per-row-set
@@ -184,13 +188,15 @@ def _expand(M):
     hold more than MAX_LIVE_TERMS terms; returning first frees them.
     """
     m, k = len(M), len(M[0])
+    if k == 1:
+        return [row[0] for row in M if row[0]]
     ring, nvars = M[0][0].ring, M[0][0].nvars
     budget = math.comb(m, k) * k ** 3
     columns = [[(1 << (m - 1 - i), row[c].terms) for i, row in enumerate(M) if row[c]]
-               for c in range(k)]
-    live, held, products = {0: LaurentPoly.one(ring, nvars)}, 1, 0
+               for c in range(1, k)]
+    live, products = {1 << (m - 1 - i): row[0] for i, row in enumerate(M) if row[0]}, 0
     for column in columns[:-1]:
-        sums = {}
+        sums, held = {}, sum(len(f.terms) for f in live.values())
         for rows, f in live.items():
             for bit, entry in column:
                 if rows & bit:
@@ -203,7 +209,6 @@ def _expand(M):
                 if products > budget or held > MAX_LIVE_TERMS:
                     return None
         live = {rows: f for rows, acc in sums.items() if (f := _from_raw(ring, nvars, acc))}
-        held = sum(len(f.terms) for f in live.values())
     last, out = columns[-1], []
     for rows in sorted({rows | bit for rows in live for bit, _ in last if not rows & bit},
                        reverse=True):
