@@ -180,14 +180,15 @@ def _expand(M):
 
     Before column c >= 1 it holds det M[S, :c] for every c-row set S on
     which that is nonzero, keyed by a bit mask of S, and column c adds
-    each row i outside S with the sign (-1)^(rows of S below i).  Row i has bit m-1-i, so the rows below i
-    are the lower bits, and combinations order is descending mask order.
-    The last column forms each k-row set's sum on its own and keeps it
-    only when it is nonzero, so its minors are held as the per-row-set
-    Bareiss would hold them, and it takes at most k products per row set.
-    The expansion stops when the other columns' products pass
-    C(m, k) * k^3, the order of that Bareiss work, or their partial minors
-    hold more than MAX_LIVE_TERMS terms; returning first frees them.
+    each row i outside S with the sign (-1)^(rows of S below i).  Row i
+    has bit m-1-i, so the rows below i are the lower bits, and
+    combinations order is descending mask order.  The last column forms
+    each k-row set's sum on its own and keeps it only when it is nonzero,
+    so its minors are held as the per-row-set Bareiss would hold them,
+    and it takes at most k products per row set.  The expansion stops
+    when the other columns' products pass C(m, k) * k^3, the order of
+    that Bareiss work, or their partial minors hold more than
+    MAX_LIVE_TERMS terms; returning first frees them.
     """
     m, k = len(M), len(M[0])
     if k == 1:
